@@ -18,7 +18,6 @@ from .errors import (
 from .intervals import (
     EMPTY,
     FULL,
-    Endpoint,
     Interval,
     IntervalSet,
     complement,

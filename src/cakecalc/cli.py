@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .config import load_valuation
-from .errors import CakeError, ParseError
+from .errors import BadParameter, CakeError, ParseError
 from .foundations import cantor_iterate, disjoint_union_witness, removed_mass
 from .intervals import parse_interval_set, parse_rational, render_interval_set, total_length
 from .protocols import (
@@ -202,6 +202,8 @@ def run(argv=None, out=None) -> int:
 
     elif args.command == "cantor":
         p = parse_rational(args.p)
+        if args.n_max < 0:
+            raise BadParameter(f"n_max {args.n_max} must be >= 0")
         rows = []
         for n in range(args.n_max + 1):
             it = cantor_iterate(p, n)

@@ -20,9 +20,9 @@ class CantorIterateSet(IntervalSet):
     out of each component of A_(i-1).  The table keeps L_0 .. L_n as integer
     numerators over the common denominator (2b)^n.  Components are built
     from the table on first access and cached; `length_upto` and membership
-    walk down the table in O(n) steps without building them.  Equality,
-    hashing, iteration and the set operations see the same components as a
-    plain IntervalSet.
+    walk down the table in O(n) steps without building them, and `len`,
+    `is_empty` and `length` read it directly.  Equality, hashing, iteration
+    and the set operations see the same components as a plain IntervalSet.
     """
 
     __slots__ = ("p", "n", "_den", "_lengths", "_components")
@@ -67,6 +67,11 @@ class CantorIterateSet(IntervalSet):
     @property
     def is_empty(self) -> bool:
         return False
+
+    @property
+    def length(self) -> Fraction:
+        # 2^n components of length L_n each
+        return Fraction(self._lengths[-1] << self.n, self._den)
 
     def __reduce__(self):
         return CantorIterateSet, (self.p, self.n)

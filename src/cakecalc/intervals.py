@@ -22,12 +22,6 @@ ONE = Fraction(1)
 
 
 @dataclass(frozen=True, slots=True)
-class Endpoint:
-    value: Fraction
-    closed: bool
-
-
-@dataclass(frozen=True, slots=True)
 class Interval:
     """A nonempty interval <lo,hi> of [0,1] with per-end open/closed flags."""
 
@@ -45,14 +39,6 @@ class Interval:
             raise InvalidInterval(
                 f"degenerate interval {self._render()} with an open end is empty"
             )
-
-    @property
-    def lo_end(self) -> Endpoint:
-        return Endpoint(self.lo, self.lo_closed)
-
-    @property
-    def hi_end(self) -> Endpoint:
-        return Endpoint(self.hi, self.hi_closed)
 
     @property
     def length(self) -> Fraction:
@@ -78,14 +64,6 @@ class Interval:
 
     def __str__(self) -> str:
         return self._render()
-
-
-def singleton(x: Fraction) -> Interval:
-    return Interval(x, x, True, True)
-
-
-def closed(lo, hi) -> Interval:
-    return Interval(Fraction(lo), Fraction(hi), True, True)
 
 
 def _mergeable(a: Interval, b: Interval) -> bool:
@@ -137,6 +115,11 @@ class IntervalSet:
     @property
     def is_empty(self) -> bool:
         return not self.components
+
+    @property
+    def length(self) -> Fraction:
+        """Lebesgue measure of the set; endpoint kinds do not matter."""
+        return sum((iv.length for iv in self.components), ZERO)
 
     def __str__(self) -> str:
         if not self.components:
@@ -225,11 +208,7 @@ def contains(a: IntervalSet, x: Fraction) -> bool:
 
 def total_length(a: IntervalSet) -> Fraction:
     """Lebesgue measure of the set; endpoint kinds do not matter."""
-    return sum((iv.length for iv in a.components), ZERO)
-
-
-def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
-    return difference(a, b).is_empty
+    return a.length
 
 
 def interval_set(*specs) -> IntervalSet:

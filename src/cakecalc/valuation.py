@@ -6,14 +6,21 @@ Cantor measures (the singular-continuous part).  The induced measure is
 computed on demand on any canonical IntervalSet; the total mass is pinned
 to exactly 1 at construction time.
 
+The atom + density part of the distribution function F is compiled once
+per valuation into a table of breakpoints.  `cdf` and `evaluate` read F;
+`cut`, `prefix_with_value` and `slice_valuation` all invert it through one
+primitive, `_invert`.
+
 All arithmetic is exact.  Only the singular-continuous components can force
 approximation; those results come back as certified brackets (CdfValue).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import cantor
@@ -109,6 +116,16 @@ class Valuation:
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
     density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
     cantor: tuple[CantorComponent, ...]
+    # (x, G(x-), G(x)) for the atom + density part G of F, derived from the
+    # fields above; see _breakpoint_table
+    _breakpoints: tuple[tuple[Fraction, Fraction, Fraction], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_breakpoints", _breakpoint_table(self.atoms, self.density)
+        )
 
     @property
     def has_atoms(self) -> bool:
@@ -117,6 +134,30 @@ class Valuation:
     @property
     def has_sc(self) -> bool:
         return bool(self.cantor)
+
+
+def _breakpoint_table(atoms, density):
+    """Rows (x, G(x-), G(x)) of the atom + density part G of the distribution
+    function, sorted by x, at 0, 1, every atom and every density endpoint.
+    Density supports are disjoint, so G is linear between adjacent rows."""
+    jump = dict(atoms)
+    slope: dict[Fraction, Fraction] = {}  # change of the density at x
+    for sup, d in density:
+        slope[sup.lo] = slope.get(sup.lo, ZERO) + d
+        slope[sup.hi] = slope.get(sup.hi, ZERO) - d
+    rows = []
+    g = rate = prev = ZERO
+    for x in sorted({ZERO, ONE} | jump.keys() | slope.keys()):
+        g += rate * (x - prev)
+        g_at = g + jump.get(x, ZERO)
+        rows.append((x, g, g_at))
+        g, prev = g_at, x
+        rate += slope.get(x, ZERO)
+    return tuple(rows)
+
+
+_X = itemgetter(0)
+_AT = itemgetter(2)
 
 
 def atoms(v: Valuation) -> list[tuple[Fraction, Fraction]]:
@@ -228,6 +269,16 @@ def _check_tol(tol) -> Fraction:
     return tol
 
 
+def _table_value(table, x: Fraction, left: bool) -> Fraction:
+    """G(x-) if `left` else G(x), read off a breakpoint table."""
+    i = bisect_left(table, x, key=_X)
+    bx, g_left, g_at = table[i]
+    if bx == x:
+        return g_left if left else g_at
+    px, _, p_at = table[i - 1]
+    return p_at + (g_left - p_at) * (x - px) / (bx - px)
+
+
 def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     """F(x) = v([0,x]) for side="at"; the left limit F(x-) for side="left_limit"."""
     x = Fraction(x)
@@ -236,18 +287,8 @@ def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     tol = _check_tol(tol)
     if side not in ("at", "left_limit"):
         raise BadParameter(f"unknown side {side!r}")
-    left = side == "left_limit"
 
-    mass = ZERO
-    for loc, w in v.atoms:
-        if loc < x or (loc == x and not left):
-            mass += w
-    for sup, d in v.density:
-        overlap = min(x, sup.hi) - sup.lo
-        if overlap > ZERO:
-            mass += d * overlap
-
-    result = CdfValue.exact(mass)
+    result = CdfValue.exact(_table_value(v._breakpoints, x, side == "left_limit"))
     if v.cantor:
         per_comp = tol / len(v.cantor)
         for comp in v.cantor:
@@ -267,24 +308,12 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
     tol = _check_tol(tol)
     if A.is_empty:
         return CdfValue.exact(ZERO)
-    if not v.cantor:
-        # fast exact path: the ac mass only depends on overlap lengths and
-        # atoms only on kind-aware membership
+    if isinstance(A, CantorIterateSet) and not v.cantor:
+        # |A ∩ sup| and atom membership by descent, without building the 2^n
+        # components
         mass = ZERO
-        if isinstance(A, CantorIterateSet):
-            # |A ∩ sup| by descent, without building the 2^n components
-            for sup, d in v.density:
-                mass += d * (A.length_upto(sup.hi) - A.length_upto(sup.lo))
-        else:
-            for sup, d in v.density:
-                if d == ZERO:
-                    continue
-                for iv in A.components:
-                    if iv.lo >= sup.hi:
-                        break
-                    overlap = min(iv.hi, sup.hi) - max(iv.lo, sup.lo)
-                    if overlap > ZERO:
-                        mass += d * overlap
+        for sup, d in v.density:
+            mass += d * (A.length_upto(sup.hi) - A.length_upto(sup.lo))
         for loc, w in v.atoms:
             if contains(A, loc):
                 mass += w
@@ -298,64 +327,51 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
     return total.clamp()
 
 
-# --- exact CDF inversion (sc-free) -----------------------------------------
+# --- CDF inversion -----------------------------------------------------------
+
+_BISECTION_STEPS = 400
 
 
-def _restricted_profile(v: Valuation, A: IntervalSet):
-    """Atoms and constant-rate stretches of c ↦ v(A ∩ [0,c]) for sc-free v."""
-    atom_in = [(loc, w) for loc, w in v.atoms if contains(A, loc)]
-    segments = []
-    for iv in A.components:
-        if iv.is_singleton:
-            continue
-        for sup, d in v.density:
-            if d == ZERO:
-                continue
-            s = max(iv.lo, sup.lo)
-            e = min(iv.hi, sup.hi)
-            if s < e:
-                segments.append((s, e, d))
-    segments.sort()
-    return atom_in, segments
+def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction):
+    """A point c in [lo, hi] where F reaches t, with (F(c-), F(c)).
 
-
-def _profile_at(atom_in, segments, x: Fraction) -> Fraction:
-    mass = sum((w for loc, w in atom_in if loc <= x), ZERO)
-    for s, e, rate in segments:
-        if x <= s:
-            break
-        mass += rate * (min(x, e) - s)
-    return mass
-
-
-def _invert_profile(atom_in, segments, t: Fraction):
-    """Minimal c with G(c) >= t, plus (G(c-), G(c)); None if t > G(1)."""
-    bps = sorted(
-        {ZERO, ONE}
-        | {s for s, _, _ in segments}
-        | {e for _, e, _ in segments}
-        | {loc for loc, _ in atom_in}
+    Callers guarantee F(c) < t for every c < lo, and t <= F(hi).  Without a
+    Cantor part c is the minimal point with F(c) >= t, read exactly off the
+    breakpoint table.  With one, no atom lies inside (lo, hi); bisection
+    stops at the first midpoint c whose certified bracket for F(c) lies
+    within tol/4 of t and reports F(c-) = F(c) = t, which leaves the rest
+    of tol to the callers' own brackets."""
+    if not v.cantor:
+        table = v._breakpoints
+        i = bisect_left(table, t, key=_AT)
+        x, g_left, g_at = table[i]
+        if i == 0 or g_left <= t:
+            return x, g_left, g_at
+        px, _, p_at = table[i - 1]  # G rises linearly from p_at to g_left
+        return px + (t - p_at) * (x - px) / (g_left - p_at), t, t
+    a, b = lo, hi
+    for _ in range(_BISECTION_STEPS):
+        c = (a + b) / 2
+        f = cdf(v, c, "at", tol / 8)
+        if t - tol / 4 <= f.lo and f.hi <= t + tol / 4:
+            return c, t, t
+        # a bracket this narrow on the wrong side of t would have been a hit
+        if f.midpoint < t:
+            a = c
+        else:
+            b = c
+    raise BadTolerance(
+        f"tolerance {tol} not reached after {_BISECTION_STEPS} bisection steps"
     )
-    prev = None
-    g_prev = ZERO
-    for b in bps:
-        gb = _profile_at(atom_in, segments, b)
-        if gb >= t:
-            jump = sum((w for loc, w in atom_in if loc == b), ZERO)
-            g_left = gb - jump
-            if prev is None:  # b == 0
-                return b, g_left, gb
-            if g_left >= t:
-                mid = (prev + b) / 2
-                rate = sum((r for s, e, r in segments if s < mid < e), ZERO)
-                c = prev + (t - g_prev) / rate
-                return c, t, t
-            return b, g_left, gb
-        prev, g_prev = b, gb
-    return None
 
 
 # --- proportional cuts ------------------------------------------------------
+
+
+def _check_no_atoms(v: Valuation, A: IntervalSet) -> None:
+    obstructing = [(loc, w) for loc, w in v.atoms if contains(A, loc)]
+    if obstructing:
+        raise AtomObstruction(obstructing)
 
 
 def _prefix(A: IntervalSet, c: Fraction) -> IntervalSet:
@@ -365,40 +381,34 @@ def _prefix(A: IntervalSet, c: Fraction) -> IntervalSet:
 def prefix_with_value(
     v: Valuation, A: IntervalSet, target: Fraction, tol=DEFAULT_TOL
 ) -> tuple[IntervalSet, Fraction]:
-    """Smallest c such that v(A ∩ [0,c]) equals `target` (within tol when
-    singular parts are present); returns (A ∩ [0,c], c).
+    """Smallest c such that v(A ∩ [0,c]) equals `target`; returns
+    (A ∩ [0,c], c).  With singular parts present, c is a point where the
+    prefix value is certified to equal `target` within tol/2.
 
     Requires v to have no atom inside A; the distribution is then continuous
     on A and the prefix value sweeps [0, v(A)] exactly.
     """
     tol = _check_tol(tol)
     target = Fraction(target)
-    obstructing = [(loc, w) for loc, w in v.atoms if contains(A, loc)]
-    if obstructing:
-        raise AtomObstruction(obstructing)
+    _check_no_atoms(v, A)
     if target == ZERO:
         return EMPTY, ZERO
 
-    if not v.has_sc:
-        atom_in, segments = _restricted_profile(v, A)
-        hit = _invert_profile(atom_in, segments, target)
-        if hit is None:
-            raise BadParameter(f"target {target} exceeds v(A)")
-        c, _, _ = hit
-        return _prefix(A, c), c
-
-    # bisection with certified brackets on the prefix value
-    lo_c, hi_c = ZERO, ONE
-    for _ in range(400):
-        mid_c = (lo_c + hi_c) / 2
-        g = evaluate(v, _prefix(A, mid_c), tol / 4)
-        if g.lo <= target <= g.hi or abs(g.midpoint - target) <= tol / 2:
-            return _prefix(A, mid_c), mid_c
-        if g.midpoint < target:
-            lo_c = mid_c
-        else:
-            hi_c = mid_c
-    return _prefix(A, hi_c), hi_c
+    # value the components once; the target is reached in the first one that
+    # takes the running total to it, where v(A ∩ [0,c]) = below + F(c) - base
+    comps = A.components
+    per_call = tol / (8 * max(1, len(comps)))
+    below = CdfValue.exact(ZERO)
+    for iv in comps:
+        base = cdf(v, iv.lo, "left_limit" if iv.lo_closed else "at", per_call)
+        top = cdf(v, iv.hi, "at" if iv.hi_closed else "left_limit", per_call)
+        upto = below + (top - base)
+        if upto.midpoint >= target or (iv is comps[-1] and target <= upto.hi):
+            t = target - below.midpoint + base.midpoint
+            c, _, _ = _invert(v, iv.lo, iv.hi, t, tol)
+            return _prefix(A, c), c
+        below = upto
+    raise BadParameter(f"target {target} exceeds v(A)")
 
 
 def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
@@ -407,9 +417,7 @@ def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
     alpha = Fraction(alpha)
     if not (ZERO <= alpha <= ONE):
         raise BadParameter(f"alpha {alpha} outside [0,1]")
-    obstructing = [(loc, w) for loc, w in v.atoms if contains(A, loc)]
-    if obstructing:
-        raise AtomObstruction(obstructing)
+    _check_no_atoms(v, A)
     vA = evaluate(v, A, tol / 4)
     if vA.hi == ZERO:
         raise ZeroPiece(f"v(A) = 0 for A = {A}")
@@ -417,8 +425,7 @@ def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
         return EMPTY
     if alpha == ONE:
         return A
-    target = alpha * (vA.value if vA.is_exact else vA.midpoint)
-    piece, _ = prefix_with_value(v, A, target, tol)
+    piece, _ = prefix_with_value(v, A, alpha * vA.midpoint, tol)
     return piece
 
 
@@ -433,8 +440,8 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     """Split [0,1] into finitely many disjoint pieces of value in (0, ε].
 
     Atoms of weight <= ε come out as singleton pieces; heavier atoms make the
-    valuation non-sliceable.  With singular parts present the bound degrades
-    to ε + tol.
+    valuation non-sliceable.  With singular parts present each value is
+    certified only within tol/2, so the bound degrades to ε + tol/2.
     """
     tol = _check_tol(tol)
     epsilon = Fraction(epsilon)
@@ -443,65 +450,24 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     heavy = [(loc, w) for loc, w in v.atoms if w > epsilon]
     if heavy:
         raise NotSliceable(heavy)
-
-    if not v.has_sc:
-        return _slice_exact(v, epsilon)
-    if v.has_atoms:
+    if v.has_sc and v.has_atoms:
         # mixed atom+singular slicing is not needed anywhere; keep the exact
         # paths honest instead of guessing
         raise NotSliceable(list(v.atoms))
-    return _slice_bisect(v, epsilon, tol)
 
-
-def _slice_exact(v: Valuation, epsilon: Fraction) -> list[IntervalSet]:
-    atom_in, segments = _restricted_profile(v, FULL)
+    # every piece but the last ends where F reaches `consumed + ε`; a hit
+    # advances `consumed` by exactly ε, so bracket errors do not add up
     pieces: list[Interval] = []
     s, s_open = ZERO, False
-    consumed = ZERO
-    while consumed < ONE:
-        remaining = ONE - consumed
-        if remaining <= epsilon:
-            pieces.append(_span(s, s_open, ONE, True))
-            break
-        c, g_left, g_at = _invert_profile(atom_in, segments, consumed + epsilon)
-        if g_at == consumed + epsilon:
-            pieces.append(_span(s, s_open, c, True))
-            s, s_open, consumed = c, True, g_at
-        elif g_left > consumed:
+    consumed = ZERO  # F(s) if s_open else F(s-)
+    while ONE - consumed > epsilon:
+        t = consumed + epsilon
+        c, g_left, g_at = _invert(v, s, ONE, t, tol)
+        if g_at > t and g_left > consumed:  # stop short of the atom at c
             pieces.append(_span(s, s_open, c, False))
             s, s_open, consumed = c, False, g_left
-        else:  # a lone atom at c (weight <= epsilon) plus a zero-mass run-up
+        else:  # a hit, or a lone atom at c after a zero-mass run-up
             pieces.append(_span(s, s_open, c, True))
             s, s_open, consumed = c, True, g_at
-    return [normalize([p]) for p in pieces]
-
-
-def _slice_bisect(v: Valuation, epsilon: Fraction, tol: Fraction) -> list[IntervalSet]:
-    pieces: list[Interval] = []
-    s, s_open = ZERO, False
-    consumed = ZERO  # midpoint estimate of F(s)
-    max_steps = int(2 / epsilon) + 4
-    for _ in range(max_steps):
-        if ONE - consumed <= epsilon:
-            pieces.append(_span(s, s_open, ONE, True))
-            break
-        t = consumed + epsilon
-        lo_c, hi_c = s, ONE
-        c = ONE
-        for _ in range(400):
-            mid_c = (lo_c + hi_c) / 2
-            f = cdf(v, mid_c, "at", tol / 8)
-            if abs(f.midpoint - t) <= tol / 2:
-                c = mid_c
-                consumed = f.midpoint
-                break
-            if f.midpoint < t:
-                lo_c = mid_c
-            else:
-                hi_c = mid_c
-        else:
-            c = hi_c
-            consumed = cdf(v, c, "at", tol / 8).midpoint
-        pieces.append(_span(s, s_open, c, True))
-        s, s_open = c, True
+    pieces.append(_span(s, s_open, ONE, True))
     return [normalize([p]) for p in pieces]

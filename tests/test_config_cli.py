@@ -161,6 +161,10 @@ class TestExitCodes:
         assert main(["cut", str(bundled_config_path("dirac")), "[0,1]", "1/2"]) == 1
         assert "AtomObstruction" in capsys.readouterr().err
 
+    def test_negative_cantor_stage_is_1(self, capsys):
+        assert main(["cantor", "1/3", "-1"]) == 1
+        assert "BadParameter" in capsys.readouterr().err
+
     def test_missing_config_is_2(self):
         assert main(["evaluate", "/no/such.json", "[0,1]"]) == 2
 

@@ -135,6 +135,17 @@ class TestIterateDescent:
         assert staged._components is None
 
     @pytest.mark.parametrize("p", RATIOS)
+    def test_length_matches_components(self, p):
+        for n in range(9):
+            staged = cantor_iterate(p, n).set
+            assert staged.length == normalize(list(staged)).length
+
+    def test_length_builds_no_components(self):
+        staged = cantor_iterate(F(1, 3), 40).set
+        assert total_length(staged) == 1 - removed_mass(F(1, 3), 40)
+        assert staged._components is None
+
+    @pytest.mark.parametrize("p", RATIOS)
     def test_cantor_part_matches_components(self, p):
         v = make_valuation(
             atoms=[(F(1, 3), F(1, 4))],

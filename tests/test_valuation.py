@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from cakecalc import (
     EMPTY,
@@ -19,8 +20,10 @@ from cakecalc import (
     ZeroMass,
     ZeroPiece,
     atoms,
+    bundled_config_path,
     cantor_valuation,
     cdf,
+    contains,
     cut,
     decomposition_masses,
     difference,
@@ -28,8 +31,10 @@ from cakecalc import (
     evaluate,
     intersect,
     interval_set,
+    load_valuation,
     make_box_valuation,
     make_valuation,
+    prefix_with_value,
     slice_valuation,
     total_length,
     uniform_valuation,
@@ -37,7 +42,7 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from conftest import interval_sets, rand_scfree_valuation
+from conftest import interval_sets, rand_scfree_valuation, small_fractions
 
 F = Fraction
 
@@ -258,6 +263,70 @@ class TestCut:
         got = evaluate(v, piece, tol)
         assert abs(got.midpoint - F(1, 3)) <= 2 * tol
 
+    @pytest.mark.parametrize(
+        "v",
+        [
+            cantor_valuation(F(1, 3)),
+            cantor_valuation(F(1, 4)),
+            cantor_valuation(F(1, 5)),
+            load_valuation(bundled_config_path("cantor_mix")),  # atom at 1/3
+        ],
+        ids=["C_1/3", "C_1/4", "C_1/5", "cantor_mix"],
+    )
+    @pytest.mark.parametrize(
+        "a",
+        [
+            interval_set((0, "1/4"), ("1/2", 1)),
+            interval_set(
+                ("1/10", "1/5", False, True), ("1/3", "1/2", False, False), ("3/4", 1)
+            ),
+        ],
+        ids=["two_parts", "three_parts"],
+    )
+    def test_sc_cut_within_tol_on_sets(self, v, a):
+        tol = F(1, 2**30)
+        fine = tol / 2**10
+        va = evaluate(v, a, fine)
+        for alpha in (F(1, 3), F(1, 2), F(5, 6)):
+            piece = cut(v, a, alpha, tol)
+            assert piece == intersect(a, interval_set((0, piece.components[-1].hi)))
+            got = evaluate(v, piece, fine)
+            assert max(got.hi - alpha * va.lo, alpha * va.hi - got.lo) <= tol
+
+    @settings(deadline=None, max_examples=100)
+    @given(interval_sets(), small_fractions)
+    def test_prefix_inversion_exact_and_minimal(self, a, share):
+        # atoms outside A, at open ends of A and zero-density plateaus included
+        v = rand_scfree_valuation(random.Random(str((a, share))))
+        assume(not any(contains(a, loc) for loc, _ in v.atoms))
+        va = evaluate(v, a).value
+        target = share * va
+        piece, c = prefix_with_value(v, a, target)
+        assert evaluate(v, piece).value == target
+        if target == 0:
+            assert (piece, c) == (EMPTY, 0)
+            return
+        assert piece == intersect(a, interval_set((0, c)))
+        if c > 0:
+            earlier = intersect(a, interval_set((0, max(F(0), c - F(1, 10**9)))))
+            assert evaluate(v, earlier).value < target
+        if 0 < target < va:
+            assert cut(v, a, share) == piece
+
+    def test_prefix_stops_in_the_component_that_reaches_the_target(self):
+        a = interval_set((0, "1/6"), ("1/2", 1))
+        piece, c = prefix_with_value(fig2_valuation(), a, F(2, 17))
+        assert (piece, c) == (interval_set((0, "1/6")), F(1, 6))
+
+    def test_uncertified_inversion_raises(self):
+        v = cantor_valuation(F(1, 4))
+        with pytest.raises(BadTolerance):
+            prefix_with_value(v, FULL, F(1, 3), tol=F(1, 2**300))
+        tol = F(1, 2**200)
+        _, c = prefix_with_value(v, FULL, F(1, 3), tol)
+        f = cdf(v, c, tol=tol / 2**10)
+        assert F(1, 3) - tol / 2 <= f.lo and f.hi <= F(1, 3) + tol / 2
+
 
 class TestSlice:
     def test_uniform_quarters(self):
@@ -314,3 +383,30 @@ class TestSlice:
             assert intersect(whole, p).is_empty
             whole = union(whole, p)
         assert whole == FULL
+        # every certified hit advances by exactly ε: ⌈1/ε⌉ pieces, no sliver
+        half = make_valuation(cantor_parts=[CantorComponent(civ(0, "1/2"), F(1, 3), F(1))])
+        for v, eps, tol in (
+            (cantor_valuation(), F(1, 17), F(1, 2**40)),
+            (half, F(1, 5), F(1, 2**16)),
+        ):
+            pieces = slice_valuation(v, eps, tol)
+            assert len(pieces) == ceil(1 / eps)
+            for p in pieces:
+                val = evaluate(v, p, tol)
+                assert 0 < val.lo and val.hi <= eps + tol
+
+    def test_slicer_contract_random_with_atoms(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            v = rand_scfree_valuation(rng)
+            for eps in (F(1, 3), F(1, 5), F(1, 6), F(1, 8)):
+                if any(w > eps for _, w in v.atoms):
+                    continue
+                pieces = slice_valuation(v, eps)
+                whole = EMPTY
+                for p in pieces:
+                    val = evaluate(v, p).value
+                    assert 0 < val <= eps
+                    assert intersect(whole, p).is_empty
+                    whole = union(whole, p)
+                assert whole == FULL
