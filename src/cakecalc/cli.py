@@ -4,6 +4,10 @@ All numeric I/O is exact-rational strings ("p/q"); brackets print as
 "[lo, hi]".  --json switches to machine-readable reports, --approx K adds a
 K-digit decimal column to human-readable output.  Exit codes: 0 success,
 1 domain error, 2 parse/usage error.
+
+Each command is a handler in COMMANDS: handler(args, tol) returns the JSON
+report and the human text as lines of cells, both holding library values
+(CdfValue, IntervalSet, Fraction) as they are, and `run` renders one of them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from .config import load_valuation
 from .errors import BadParameter, CakeError, ParseError
 from .foundations import cantor_iterate, disjoint_union_witness, removed_mass
-from .intervals import parse_interval_set, parse_rational, render_interval_set, total_length
+from .intervals import IntervalSet, parse_interval_set, parse_rational, total_length
 from .protocols import (
     Player,
     check_envy_free,
@@ -27,32 +31,7 @@ from .protocols import (
 )
 from .valuation import CdfValue, cdf, cut, evaluate, slice_valuation
 
-PROTOCOLS = {
-    "cut_and_choose": cut_and_choose,
-    "last_diminisher": last_diminisher,
-    "moving_knife": moving_knife,
-}
-
-
-def _decimal(x: Fraction, digits: int) -> str:
-    scaled = round(x * 10**digits)
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
-
-
-def _fmt_value(v: CdfValue, approx: int | None) -> str:
-    text = str(v)
-    if approx:
-        text += f" ≈ {_decimal(v.midpoint, approx)}"
-    return text
-
-
-def _json_value(v: CdfValue):
-    if v.is_exact:
-        return str(v.value)
-    return {"lo": str(v.lo), "hi": str(v.hi)}
+PROTOCOLS = {f.__name__: f for f in (cut_and_choose, last_diminisher, moving_knife)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,172 +48,156 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evaluate", help="value of an interval set")
-    p.add_argument("config")
-    p.add_argument("set_expr")
+    def command(name, help, *positional):
+        p = sub.add_parser(name, help=help)
+        for arg in positional:
+            p.add_argument(arg)
+        return p
 
-    p = sub.add_parser("cdf", help="distribution function F(x)")
-    p.add_argument("config")
-    p.add_argument("x")
-    p.add_argument("--side", choices=("at", "left_limit"), default="at")
-
-    p = sub.add_parser("cut", help="prefix piece worth alpha of v(A)")
-    p.add_argument("config")
-    p.add_argument("set_expr")
-    p.add_argument("alpha")
-
-    p = sub.add_parser("slice", help="split the cake into pieces of value <= epsilon")
-    p.add_argument("config")
-    p.add_argument("epsilon")
-
-    p = sub.add_parser("protocol", help="run a fair-division protocol")
+    command("evaluate", "value of an interval set", "config", "set_expr")
+    command("cdf", "distribution function F(x)", "config", "x").add_argument(
+        "--side", choices=("at", "left_limit"), default="at"
+    )
+    command("cut", "prefix piece worth alpha of v(A)", "config", "set_expr", "alpha")
+    command("slice", "split the cake into pieces of value <= epsilon", "config", "epsilon")
+    p = command("protocol", "run a fair-division protocol")
     p.add_argument("name", choices=sorted(PROTOCOLS))
     p.add_argument("configs", nargs="+")
-
-    p = sub.add_parser("cantor", help="table of Cantor iterates")
-    p.add_argument("p")
-    p.add_argument("n_max", type=int)
-
-    p = sub.add_parser("witness", help="n-component disjoint union witness")
-    p.add_argument("n", type=int)
-
+    command("cantor", "table of Cantor iterates", "p").add_argument("n_max", type=int)
+    command("witness", "n-component disjoint union witness").add_argument("n", type=int)
     return parser
 
 
-def _run_protocol(args, tol, out):
+def _evaluate(args, tol):
+    v = load_valuation(args.config)
+    a = parse_interval_set(args.set_expr)
+    value = evaluate(v, a, tol)
+    return {"command": "evaluate", "set": a, "value": value}, [[value]]
+
+
+def _cdf(args, tol):
+    v = load_valuation(args.config)
+    x = parse_rational(args.x)
+    value = cdf(v, x, args.side, tol)
+    return {"command": "cdf", "x": x, "side": args.side, "value": value}, [[value]]
+
+
+def _cut(args, tol):
+    v = load_valuation(args.config)
+    a = parse_interval_set(args.set_expr)
+    piece = cut(v, a, parse_rational(args.alpha), tol)
+    return {"command": "cut", "piece": piece}, [[piece]]
+
+
+def _slice(args, tol):
+    v = load_valuation(args.config)
+    pieces = slice_valuation(v, parse_rational(args.epsilon), tol)
+    values = [evaluate(v, s, tol) for s in pieces]
+    report = {"command": "slice", "pieces": pieces, "values": values}
+    return report, [[s, "  value ", val] for s, val in zip(pieces, values)]
+
+
+def _protocol(args, tol):
     if len(args.configs) < 2:
         raise ParseError("protocol needs at least 2 config files")
-    players = [
-        Player(i, load_valuation(path)) for i, path in enumerate(args.configs)
-    ]
+    players = [Player(i, load_valuation(path)) for i, path in enumerate(args.configs)]
     if args.name == "cut_and_choose":
         if len(players) != 2:
             raise ParseError("cut_and_choose needs exactly 2 players")
         alloc = cut_and_choose(players[0], players[1], tol)
     else:
         alloc = PROTOCOLS[args.name](players, tol)
-    prop = check_proportional(alloc, players, tol)
+    proportional = check_proportional(alloc, players, tol)["proportional"]
     envy = check_envy_free(alloc, players, tol)
-    if args.json:
-        report = {
-            "protocol": alloc.protocol,
-            "pieces": {str(i): render_interval_set(s) for i, s in alloc.pieces.items()},
-            "values": {
-                str(i): {str(j): _json_value(envy["values"][(i, j)]) for j in alloc.pieces}
-                for i in alloc.pieces
-            },
-            "proportional": prop["proportional"],
-            "envy_free": envy["envy_free"],
-            "trace": alloc.trace,
-        }
-        json.dump(report, out, ensure_ascii=False)
-        out.write("\n")
-        return
-    print(f"protocol: {alloc.protocol}", file=out)
-    for i in sorted(alloc.pieces):
-        own = envy["values"][(i, i)]
-        print(
-            f"player {i}: {render_interval_set(alloc.pieces[i])}"
-            f"  value {_fmt_value(own, args.approx)}",
-            file=out,
-        )
-    print(f"proportional: {prop['proportional']}", file=out)
-    print(f"envy_free: {envy['envy_free']}", file=out)
+    values = envy["values"]
+    report = {
+        "protocol": alloc.protocol,
+        "pieces": alloc.pieces,
+        "values": {i: {j: values[i, j] for j in alloc.pieces} for i in alloc.pieces},
+        "proportional": proportional,
+        "envy_free": envy["envy_free"],
+        "trace": alloc.trace,
+    }
+    lines = [[f"protocol: {alloc.protocol}"]]
+    lines += [
+        [f"player {i}: ", alloc.pieces[i], "  value ", values[i, i]]
+        for i in sorted(alloc.pieces)
+    ]
+    lines += [[f"proportional: {proportional}"], [f"envy_free: {envy['envy_free']}"]]
+    return report, lines
+
+
+_CANTOR_ROW = "{:>4} {:>12} {:>16} {:>16}"
+
+
+def _cantor(args, tol):
+    p = parse_rational(args.p)
+    if args.n_max < 0:
+        raise BadParameter(f"n_max {args.n_max} must be >= 0")
+    rows = []
+    for n in range(args.n_max + 1):
+        s = cantor_iterate(p, n).set
+        rows.append({"n": n, "components": len(s), "remaining": total_length(s),
+                     "removed": removed_mass(p, n)})
+    lines = [[_CANTOR_ROW.format("n", "components", "remaining", "removed")]]
+    lines += [[_CANTOR_ROW.format(*map(str, r.values()))] for r in rows]
+    return {"command": "cantor", "p": p, "rows": rows}, lines
+
+
+def _witness(args, tol):
+    w = disjoint_union_witness(args.n)
+    report = {"command": "witness", "n": args.n, "set": w, "components": len(w)}
+    return report, [[w], [f"components: {len(w)}"]]
+
+
+COMMANDS = {
+    "evaluate": _evaluate, "cdf": _cdf, "cut": _cut, "slice": _slice,
+    "protocol": _protocol, "cantor": _cantor, "witness": _witness,
+}
+
+
+def _jsonable(x):
+    """The report with library values as JSON: an exact value is "p/q", a
+    bracket {"lo", "hi"}, and interval sets and rationals their text."""
+    if isinstance(x, CdfValue):
+        return str(x) if x.is_exact else {"lo": str(x.lo), "hi": str(x.hi)}
+    if isinstance(x, (IntervalSet, Fraction)):
+        return str(x)
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_jsonable(v) for v in x]
+    return x
+
+
+def _decimal(x: Fraction, digits: int) -> str:
+    scaled = round(x * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    whole, frac = divmod(scaled, 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+
+
+def _cell(x, approx: int) -> str:
+    """Human text of one cell; --approx K appends a value's K-digit decimal."""
+    if isinstance(x, CdfValue) and approx:
+        return f"{x} ≈ {_decimal(x.midpoint, approx)}"
+    return str(x)
 
 
 def run(argv=None, out=None) -> int:
-    if out is None:
-        out = sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    out = sys.stdout if out is None else out
+    args = build_parser().parse_args(argv)
+    if args.approx < 0:
+        raise ParseError(f"--approx {args.approx} must be >= 0")
     tol = parse_rational(args.tol)
-
-    if args.command == "evaluate":
-        v = load_valuation(args.config)
-        a = parse_interval_set(args.set_expr)
-        val = evaluate(v, a, tol)
-        if args.json:
-            json.dump({"command": "evaluate", "set": render_interval_set(a),
-                       "value": _json_value(val)}, out, ensure_ascii=False)
-            out.write("\n")
-        else:
-            print(_fmt_value(val, args.approx), file=out)
-
-    elif args.command == "cdf":
-        v = load_valuation(args.config)
-        x = parse_rational(args.x)
-        val = cdf(v, x, args.side, tol)
-        if args.json:
-            json.dump({"command": "cdf", "x": str(x), "side": args.side,
-                       "value": _json_value(val)}, out, ensure_ascii=False)
-            out.write("\n")
-        else:
-            print(_fmt_value(val, args.approx), file=out)
-
-    elif args.command == "cut":
-        v = load_valuation(args.config)
-        a = parse_interval_set(args.set_expr)
-        piece = cut(v, a, parse_rational(args.alpha), tol)
-        if args.json:
-            json.dump({"command": "cut", "piece": render_interval_set(piece)},
-                      out, ensure_ascii=False)
-            out.write("\n")
-        else:
-            print(render_interval_set(piece), file=out)
-
-    elif args.command == "slice":
-        v = load_valuation(args.config)
-        pieces = slice_valuation(v, parse_rational(args.epsilon), tol)
-        values = [evaluate(v, s, tol) for s in pieces]
-        if args.json:
-            json.dump({"command": "slice",
-                       "pieces": [render_interval_set(s) for s in pieces],
-                       "values": [_json_value(val) for val in values]},
-                      out, ensure_ascii=False)
-            out.write("\n")
-        else:
-            for s, val in zip(pieces, values):
-                print(f"{render_interval_set(s)}  value {_fmt_value(val, args.approx)}",
-                      file=out)
-
-    elif args.command == "protocol":
-        _run_protocol(args, tol, out)
-
-    elif args.command == "cantor":
-        p = parse_rational(args.p)
-        if args.n_max < 0:
-            raise BadParameter(f"n_max {args.n_max} must be >= 0")
-        rows = []
-        for n in range(args.n_max + 1):
-            it = cantor_iterate(p, n)
-            rows.append({
-                "n": n,
-                "components": len(it.set),
-                "remaining": str(total_length(it.set)),
-                "removed": str(removed_mass(p, n)),
-            })
-        if args.json:
-            json.dump({"command": "cantor", "p": str(p), "rows": rows},
-                      out, ensure_ascii=False)
-            out.write("\n")
-        else:
-            print(f"{'n':>4} {'components':>12} {'remaining':>16} {'removed':>16}",
-                  file=out)
-            for r in rows:
-                print(f"{r['n']:>4} {r['components']:>12} {r['remaining']:>16} "
-                      f"{r['removed']:>16}", file=out)
-
-    elif args.command == "witness":
-        w = disjoint_union_witness(args.n)
-        if args.json:
-            json.dump({"command": "witness", "n": args.n,
-                       "set": render_interval_set(w), "components": len(w)},
-                      out, ensure_ascii=False)
-            out.write("\n")
-        else:
-            print(f"{render_interval_set(w)}", file=out)
-            print(f"components: {len(w)}", file=out)
-
+    report, lines = COMMANDS[args.command](args, tol)
+    if args.json:
+        json.dump(_jsonable(report), out, ensure_ascii=False)
+        out.write("\n")
+    else:
+        for cells in lines:
+            print("".join(_cell(c, args.approx) for c in cells), file=out)
     return 0
 
 

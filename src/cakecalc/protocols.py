@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
-from .intervals import FULL, IntervalSet, difference, render_interval_set
+from .intervals import FULL, IntervalSet, difference
 from .valuation import (
     DEFAULT_TOL,
     CdfValue,
@@ -64,18 +64,10 @@ def _choose_and_cut(
     better piece (tie -> left)."""
     left = cut(cutter.valuation, cake, Fraction(1, 2), tol)
     right = difference(cake, left)
-    trace.append(
-        {"event": "cut", "player": cutter.id, "piece": render_interval_set(left)}
-    )
+    trace.append({"event": "cut", "player": cutter.id, "piece": str(left)})
     takes_right = _value(chooser, right, tol) > _value(chooser, left, tol)
     chosen, rest = (right, left) if takes_right else (left, right)
-    trace.append(
-        {
-            "event": "choose",
-            "player": chooser.id,
-            "piece": render_interval_set(chosen),
-        }
-    )
+    trace.append({"event": "choose", "player": chooser.id, "piece": str(chosen)})
     return {chooser.id: chosen, cutter.id: rest}
 
 
@@ -111,13 +103,7 @@ def last_diminisher(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
                 )
                 holder = pl
         pieces[holder.id] = piece
-        trace.append(
-            {
-                "event": "take",
-                "player": holder.id,
-                "piece": render_interval_set(piece),
-            }
-        )
+        trace.append({"event": "take", "player": holder.id, "piece": str(piece)})
         remaining = difference(remaining, piece)
         active = [p for p in active if p.id != holder.id]
 
@@ -151,13 +137,7 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
         active = [p for p in active if p.id != winner_id]
 
     pieces[active[0].id] = remaining
-    trace.append(
-        {
-            "event": "take_rest",
-            "player": active[0].id,
-            "piece": render_interval_set(remaining),
-        }
-    )
+    trace.append({"event": "take_rest", "player": active[0].id, "piece": str(remaining)})
     return Allocation("moving_knife", pieces, trace)
 
 

@@ -214,10 +214,13 @@ def make_valuation(
 
 
 def _check_pairwise_disjoint(supports: Sequence[Interval], what: str) -> None:
-    for i, a in enumerate(supports):
-        for b in supports[i + 1 :]:
-            if not intersect(normalize([a]), normalize([b])).is_empty:
-                raise BadPartition(f"{what} overlap: {a} and {b}")
+    """Sorted by left end, closed before open, the intervals are pairwise
+    disjoint iff each one ends before the next begins, or meets it where one
+    of the two is open."""
+    ordered = sorted(supports, key=lambda iv: (iv.lo, not iv.lo_closed))
+    for a, b in zip(ordered, ordered[1:]):
+        if b.lo < a.hi or (b.lo == a.hi and a.hi_closed and b.lo_closed):
+            raise BadPartition(f"{what} overlap: {a} and {b}")
 
 
 def make_box_valuation(boxes: Iterable[tuple[Interval, int]]) -> Valuation:
@@ -242,7 +245,9 @@ def make_box_valuation(boxes: Iterable[tuple[Interval, int]]) -> Valuation:
     dens = tuple(
         (sup, Fraction(n, total) / sup.length) for sup, n in box_list if n > 0
     )
-    return make_valuation(density=dens)
+    # all that make_valuation would check holds: the supports are disjoint,
+    # the densities nonnegative and the masses n/total sum to exactly 1
+    return Valuation((), dens, ())
 
 
 def uniform_valuation() -> Valuation:
@@ -382,8 +387,9 @@ def prefix_with_value(
     v: Valuation, A: IntervalSet, target: Fraction, tol=DEFAULT_TOL
 ) -> tuple[IntervalSet, Fraction]:
     """Smallest c such that v(A ∩ [0,c]) equals `target`; returns
-    (A ∩ [0,c], c).  With singular parts present, c is a point where the
-    prefix value is certified to equal `target` within tol/2.
+    (A ∩ [0,c], c).  A target of 0 returns (EMPTY, 0), also when 0 ∈ A.
+    With singular parts present, c is a point where the prefix value is
+    certified to equal `target` within tol/2.
 
     Requires v to have no atom inside A; the distribution is then continuous
     on A and the prefix value sweeps [0, v(A)] exactly.

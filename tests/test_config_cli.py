@@ -171,3 +171,44 @@ class TestExitCodes:
     def test_success_is_0(self, capsys):
         assert main(["cdf", str(bundled_config_path("uniform")), "1/2"]) == 0
         assert capsys.readouterr().out.strip() == "1/2"
+
+
+def _halves(first_boxes):
+    """Box config with `first_boxes` on [0,1/2) and 1 box on [1/2,1]."""
+    return {"density_pieces": [
+        {"support": "[0,1/2)", "boxes": first_boxes},
+        {"support": "[1/2,1]", "boxes": 1},
+    ]}
+
+
+MALFORMED_CONFIGS = {
+    "boxes_string": _halves("x"),
+    "boxes_float": _halves(1.5),  # int() would read 1 and evaluate [0,1/2) to 1/2
+    "boxes_bool": _halves(True),
+    "atoms_of_strings": {"atoms": ["1/2"]},
+    "atoms_object": {"atoms": {"at": "1/2"}},
+    "density_pieces_string": {"density_pieces": "[0,1]"},
+    "at_number": {"atoms": [{"at": 0.5, "weight": "1"}]},
+    "weight_number": {"atoms": [{"at": "1/2", "weight": 1}]},
+    "support_number": {"density_pieces": [{"support": 7, "density": "1"}]},
+    "cantor_p_number": {"cantor": [{"support": "[0,1]", "p": 0.25, "weight": "1"}]},
+    "unknown_section": {"atom": [{"at": "1/2", "weight": "1"}]},
+    "root_list": [{"at": "1/2", "weight": "1"}],
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_parse_error(self, name, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MALFORMED_CONFIGS[name]))
+        with pytest.raises(ParseError):
+            load_valuation(path)
+        assert main(["evaluate", str(path), "[0,1/2)"]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_negative_approx_is_2(self, capsys):
+        argv = ["--approx", "-1", "evaluate", str(bundled_config_path("fig2")), "[0,2/6]"]
+        assert main(argv) == 2
+        assert main(["--json"] + argv) == 2
+        assert "--approx" in capsys.readouterr().err

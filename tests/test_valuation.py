@@ -6,6 +6,7 @@ from math import ceil
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cakecalc import (
     EMPTY,
@@ -34,6 +35,8 @@ from cakecalc import (
     load_valuation,
     make_box_valuation,
     make_valuation,
+    normalize,
+    parse_interval_set,
     prefix_with_value,
     slice_valuation,
     total_length,
@@ -42,7 +45,8 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from conftest import interval_sets, rand_scfree_valuation, small_fractions
+from cakecalc.valuation import _check_pairwise_disjoint
+from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
 
 F = Fraction
 
@@ -77,6 +81,22 @@ class TestConstruction:
     def test_all_zero_counts_rejected(self):
         with pytest.raises(ZeroMass):
             make_box_valuation([(civ(0, 1), 0)])
+
+    @given(st.lists(intervals(), max_size=6))
+    def test_disjointness_check_matches_pairwise_definition(self, ivs):
+        overlap = any(
+            not intersect(normalize([a]), normalize([b])).is_empty
+            for i, a in enumerate(ivs)
+            for b in ivs[i + 1 :]
+        )
+        try:
+            _check_pairwise_disjoint(ivs, "supports")
+        except BadPartition as exc:
+            assert overlap
+            a, b = (parse_interval_set(t) for t in str(exc).split(": ")[1].split(" and "))
+            assert not intersect(a, b).is_empty  # the named pair overlaps
+        else:
+            assert not overlap
 
     def test_two_piece_densities(self):
         v = make_box_valuation(
