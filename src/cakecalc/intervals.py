@@ -6,6 +6,12 @@ All endpoints are exact `Fraction`s; there is no floating point in this
 module.  Degenerate singletons [a,a] are legal intervals (they carry atoms
 and show up as intersection results); degenerate intervals with an open end
 are rejected rather than silently dropped.
+
+Interval ends are *cuts*: (x, 0) lies just before the point x and (x, 1)
+just after it.  An interval runs from its start cut, (lo, 0) closed or
+(lo, 1) open, to its end cut, (hi, 1) closed or (hi, 0) open, so tuple
+comparison answers every endpoint question (nonempty iff start < end), and
+the set operations are linear sweeps over cuts (`normalize` sorts first).
 """
 
 from __future__ import annotations
@@ -13,12 +19,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidInterval, OutOfCake, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Cut = tuple[Fraction, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,13 +40,24 @@ class Interval:
 
     def __post_init__(self):
         if not (ZERO <= self.lo and self.hi <= ONE):
-            raise OutOfCake(f"interval {self._render()} leaves [0,1]")
+            raise OutOfCake(f"interval {self} leaves [0,1]")
         if self.lo > self.hi:
-            raise InvalidInterval(f"lo > hi in {self._render()}")
+            raise InvalidInterval(f"lo > hi in {self}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise InvalidInterval(
-                f"degenerate interval {self._render()} with an open end is empty"
-            )
+            raise InvalidInterval(f"degenerate interval {self} with an open end is empty")
+
+    @classmethod
+    def from_cuts(cls, start: Cut, end: Cut) -> "Interval":
+        """The interval between two cuts, start < end."""
+        return cls(start[0], end[0], start[1] == 0, end[1] == 1)
+
+    @property
+    def start(self) -> Cut:
+        return (self.lo, 0 if self.lo_closed else 1)
+
+    @property
+    def end(self) -> Cut:
+        return (self.hi, 1 if self.hi_closed else 0)
 
     @property
     def length(self) -> Fraction:
@@ -49,39 +68,12 @@ class Interval:
         return self.lo == self.hi
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self.start <= (x, 0) and (x, 1) <= self.end
 
-    def _render(self) -> str:
+    def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
         return f"{lb}{self.lo},{self.hi}{rb}"
-
-    def __str__(self) -> str:
-        return self._render()
-
-
-def _mergeable(a: Interval, b: Interval) -> bool:
-    """a sorted before b: can a ∪ b be written as one interval?"""
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return a.hi_closed or b.lo_closed
-    return False
-
-
-def _merge(a: Interval, b: Interval) -> Interval:
-    # a.lo <= b.lo by the sort order
-    if b.hi > a.hi or (b.hi == a.hi and b.hi_closed):
-        hi, hi_closed = b.hi, b.hi_closed
-    else:
-        hi, hi_closed = a.hi, a.hi_closed
-    return Interval(a.lo, hi, a.lo_closed, hi_closed)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -133,14 +125,13 @@ FULL = IntervalSet((Interval(ZERO, ONE, True, True),))
 
 def normalize(raw: Iterable[Interval]) -> IntervalSet:
     """Unique canonical IntervalSet with the same point set.  Idempotent."""
-    comps = sorted(raw, key=lambda iv: (iv.lo, not iv.lo_closed))
-    merged: list[Interval] = []
-    for iv in comps:
-        if merged and _mergeable(merged[-1], iv):
-            merged[-1] = _merge(merged[-1], iv)
+    spans: list[list[Cut]] = []
+    for s, e in sorted((iv.start, iv.end) for iv in raw):
+        if spans and s <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], e)
         else:
-            merged.append(iv)
-    return IntervalSet(tuple(merged))
+            spans.append([s, e])
+    return IntervalSet(tuple(Interval.from_cuts(s, e) for s, e in spans))
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -148,51 +139,30 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 
 def complement(a: IntervalSet) -> IntervalSet:
-    """Complement relative to [0,1]."""
-    gaps: list[Interval] = []
-    cursor = ZERO
-    cursor_closed = True  # the point `cursor` is still available for a gap
-    for iv in a.components:
-        lo, lo_closed = cursor, cursor_closed
-        hi, hi_closed = iv.lo, not iv.lo_closed
-        if lo < hi or (lo == hi and lo_closed and hi_closed):
-            gaps.append(Interval(lo, hi, lo_closed, hi_closed))
-        cursor, cursor_closed = iv.hi, not iv.hi_closed
-    if cursor < ONE or (cursor == ONE and cursor_closed):
-        gaps.append(Interval(cursor, ONE, cursor_closed, True))
-    return IntervalSet(tuple(gaps))
-
-
-def _intersect_pair(a: Interval, b: Interval) -> Interval | None:
-    if a.lo > b.lo:
-        lo, lo_closed = a.lo, a.lo_closed
-    elif b.lo > a.lo:
-        lo, lo_closed = b.lo, b.lo_closed
-    else:
-        lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
-    if a.hi < b.hi:
-        hi, hi_closed = a.hi, a.hi_closed
-    elif b.hi < a.hi:
-        hi, hi_closed = b.hi, b.hi_closed
-    else:
-        hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
-    if lo > hi:
-        return None
-    if lo == hi and not (lo_closed and hi_closed):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+    """Complement relative to [0,1]: the gaps between consecutive cuts."""
+    cuts = [(ZERO, 0), *(c for iv in a.components for c in (iv.start, iv.end)), (ONE, 1)]
+    gaps = zip(cuts[::2], cuts[1::2])
+    return IntervalSet(tuple(Interval.from_cuts(s, e) for s, e in gaps if s < e))
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """One sweep over both operands.  Each piece lies in one component of
+    each, and components of one operand never touch: the result is canonical."""
+    xs = [(iv.start, iv.end, iv) for iv in a.components]
+    ys = [(iv.start, iv.end, iv) for iv in b.components]
     out: list[Interval] = []
-    for ia in a.components:
-        for ib in b.components:
-            if ib.lo > ia.hi:
-                break
-            piece = _intersect_pair(ia, ib)
-            if piece is not None:
-                out.append(piece)
-    return normalize(out)
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (s1, e1, x), (s2, e2, y) = xs[i], ys[j]
+        s, e = max(s1, s2), min(e1, e2)  # each is one of its arguments
+        if s < e:  # a whole component is kept as it is, not rebuilt
+            out.append(x if s is s1 and e is e1 else
+                       y if s is s2 and e is e2 else Interval.from_cuts(s, e))
+        if e is e1:  # the component that ends first is done
+            i += 1
+        else:
+            j += 1
+    return IntervalSet(tuple(out))
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -233,6 +203,10 @@ _INTERVAL_RE = re.compile(
 
 
 def parse_rational(text: str) -> Fraction:
+    """p/q, an integer or a plain decimal; an exponent would have Fraction
+    build 10**exponent, so exponent forms are rejected."""
+    if "e" in text.lower():
+        raise ParseError(f"bad rational {text!r}: exponent forms are not accepted")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from . import cantor
@@ -39,6 +39,7 @@ from .foundations import CantorIterateSet
 from .intervals import (
     EMPTY,
     FULL,
+    Cut,
     Interval,
     IntervalSet,
     contains,
@@ -51,6 +52,7 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 DEFAULT_TOL = Fraction(1, 2**40)
+_SIDES = {"left_limit": 0, "at": 1}  # cdf's side of x as the second entry of a cut
 
 
 @dataclass(frozen=True)
@@ -214,12 +216,11 @@ def make_valuation(
 
 
 def _check_pairwise_disjoint(supports: Sequence[Interval], what: str) -> None:
-    """Sorted by left end, closed before open, the intervals are pairwise
-    disjoint iff each one ends before the next begins, or meets it where one
-    of the two is open."""
-    ordered = sorted(supports, key=lambda iv: (iv.lo, not iv.lo_closed))
+    """Sorted by start cut, the intervals are pairwise disjoint iff each one
+    ends at or before the start of the next."""
+    ordered = sorted(supports, key=attrgetter("start"))
     for a, b in zip(ordered, ordered[1:]):
-        if b.lo < a.hi or (b.lo == a.hi and a.hi_closed and b.lo_closed):
+        if b.start < a.end:
             raise BadPartition(f"{what} overlap: {a} and {b}")
 
 
@@ -229,10 +230,10 @@ def make_box_valuation(boxes: Iterable[tuple[Interval, int]]) -> Valuation:
     The supports must partition [0,1]; piece i gets density
     count_i / (total * length_i), so the total mass is exactly 1.
     """
-    box_list = [(sup, int(n)) for sup, n in boxes]
+    box_list = [(sup, Fraction(n)) for sup, n in boxes]
     for sup, n in box_list:
-        if n < 0:
-            raise BadParameter(f"negative box count {n}")
+        if n < 0 or n.denominator != 1:
+            raise BadParameter(f"box count {n} is not a nonnegative integer")
         if sup.is_singleton:
             raise BadPartition(f"singleton {sup} cannot carry boxes")
     supports = [sup for sup, _ in box_list]
@@ -274,12 +275,13 @@ def _check_tol(tol) -> Fraction:
     return tol
 
 
-def _table_value(table, x: Fraction, left: bool) -> Fraction:
-    """G(x-) if `left` else G(x), read off a breakpoint table."""
+def _table_value(table, cut: Cut) -> Fraction:
+    """G at a cut, read off a breakpoint table: G(x-) at (x, 0), G(x) at (x, 1)."""
+    x, after = cut
     i = bisect_left(table, x, key=_X)
     bx, g_left, g_at = table[i]
     if bx == x:
-        return g_left if left else g_at
+        return g_at if after else g_left
     px, _, p_at = table[i - 1]
     return p_at + (g_left - p_at) * (x - px) / (bx - px)
 
@@ -290,10 +292,15 @@ def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     if not (ZERO <= x <= ONE):
         raise OutOfCake(f"point {x} is outside [0,1]")
     tol = _check_tol(tol)
-    if side not in ("at", "left_limit"):
+    if side not in _SIDES:
         raise BadParameter(f"unknown side {side!r}")
+    return _cdf(v, (x, _SIDES[side]), tol)
 
-    result = CdfValue.exact(_table_value(v._breakpoints, x, side == "left_limit"))
+
+def _cdf(v: Valuation, cut: Cut, tol: Fraction) -> CdfValue:
+    """F at a cut: F(x-) at (x, 0) and F(x) at (x, 1)."""
+    x = cut[0]
+    result = CdfValue.exact(_table_value(v._breakpoints, cut))
     if v.cantor:
         per_comp = tol / len(v.cantor)
         for comp in v.cantor:
@@ -309,7 +316,7 @@ def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
 
 
 def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
-    """v(A), component-wise from one-sided CDF values; exact when sc-free."""
+    """v(A), the sum of F(end) - F(start) over the components; exact when sc-free."""
     tol = _check_tol(tol)
     if A.is_empty:
         return CdfValue.exact(ZERO)
@@ -322,12 +329,12 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
         for loc, w in v.atoms:
             if contains(A, loc):
                 mass += w
-        return CdfValue.exact(min(mass, ONE))
+        assert mass <= ONE, mass
+        return CdfValue.exact(mass)
     per_call = tol / (2 * len(A.components))
     total = CdfValue.exact(ZERO)
     for iv in A.components:
-        upper = cdf(v, iv.hi, "at" if iv.hi_closed else "left_limit", per_call)
-        lower = cdf(v, iv.lo, "left_limit" if iv.lo_closed else "at", per_call)
+        upper, lower = _cdf(v, iv.end, per_call), _cdf(v, iv.start, per_call)
         total = total + (upper - lower).clamp(ZERO, ONE)
     return total.clamp()
 
@@ -406,8 +413,7 @@ def prefix_with_value(
     per_call = tol / (8 * max(1, len(comps)))
     below = CdfValue.exact(ZERO)
     for iv in comps:
-        base = cdf(v, iv.lo, "left_limit" if iv.lo_closed else "at", per_call)
-        top = cdf(v, iv.hi, "at" if iv.hi_closed else "left_limit", per_call)
+        base, top = _cdf(v, iv.start, per_call), _cdf(v, iv.end, per_call)
         upto = below + (top - base)
         if upto.midpoint >= target or (iv is comps[-1] and target <= upto.hi):
             t = target - below.midpoint + base.midpoint
@@ -438,10 +444,6 @@ def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
 # --- slicing -----------------------------------------------------------------
 
 
-def _span(lo: Fraction, lo_open: bool, hi: Fraction, hi_closed: bool) -> Interval:
-    return Interval(lo, hi, not lo_open, hi_closed)
-
-
 def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]:
     """Split [0,1] into finitely many disjoint pieces of value in (0, ε].
 
@@ -464,16 +466,16 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     # every piece but the last ends where F reaches `consumed + ε`; a hit
     # advances `consumed` by exactly ε, so bracket errors do not add up
     pieces: list[Interval] = []
-    s, s_open = ZERO, False
-    consumed = ZERO  # F(s) if s_open else F(s-)
+    start = (ZERO, 0)
+    consumed = ZERO  # F at the start cut
     while ONE - consumed > epsilon:
         t = consumed + epsilon
-        c, g_left, g_at = _invert(v, s, ONE, t, tol)
+        c, g_left, g_at = _invert(v, start[0], ONE, t, tol)
         if g_at > t and g_left > consumed:  # stop short of the atom at c
-            pieces.append(_span(s, s_open, c, False))
-            s, s_open, consumed = c, False, g_left
+            end, f_end = (c, 0), g_left
         else:  # a hit, or a lone atom at c after a zero-mass run-up
-            pieces.append(_span(s, s_open, c, True))
-            s, s_open, consumed = c, True, g_at
-    pieces.append(_span(s, s_open, ONE, True))
-    return [normalize([p]) for p in pieces]
+            end, f_end = (c, 1), g_at
+        pieces.append(Interval.from_cuts(start, end))
+        start, consumed = end, f_end
+    pieces.append(Interval.from_cuts(start, (ONE, 1)))
+    return [IntervalSet((p,)) for p in pieces]

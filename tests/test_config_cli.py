@@ -165,6 +165,11 @@ class TestExitCodes:
         assert main(["cantor", "1/3", "-1"]) == 1
         assert "BadParameter" in capsys.readouterr().err
 
+    def test_exponent_tolerance_is_2(self, capsys):
+        argv = ["--tol", "1e-10000000", "cdf", str(bundled_config_path("uniform")), "1/2"]
+        assert main(argv) == 2
+        assert "exponent" in capsys.readouterr().err
+
     def test_missing_config_is_2(self):
         assert main(["evaluate", "/no/such.json", "[0,1]"]) == 2
 

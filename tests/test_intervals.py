@@ -1,5 +1,6 @@
 """Canonical interval algebra: golden examples and algebraic laws."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from cakecalc import (
     FULL,
     Interval,
     InvalidInterval,
+    cantor_iterate,
     OutOfCake,
     ParseError,
     complement,
@@ -24,6 +26,7 @@ from cakecalc import (
     total_length,
     union,
 )
+from cakecalc.intervals import parse_rational
 from conftest import interval_sets, small_fractions
 
 F = Fraction
@@ -93,6 +96,11 @@ class TestOperations:
         assert not contains(interval_set((0, "1/2", True, False)), F(1, 2))
         assert contains(interval_set((0, "1/2")), F(1, 2))
 
+    def test_iterate_with_itself(self):
+        a = cantor_iterate(F(1, 3), 12).set
+        assert intersect(a, a) == a
+        assert difference(a, a) == EMPTY
+
     def test_contains_outside_cake(self):
         with pytest.raises(OutOfCake):
             contains(FULL, F(3, 2))
@@ -122,6 +130,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_interval_set("(1/2,1/2]")
 
+    def test_rational_forms(self):
+        assert parse_rational(" 3/4 ") == F(3, 4)
+        assert parse_rational("-2") == -2
+        assert parse_rational("+0.25") == F(1, 4)
+        assert parse_rational(".5") == F(1, 2)
+
+    @pytest.mark.parametrize("text", ["1e-10000000", "1E9", "2.5e3"])
+    def test_exponent_rejected_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+
 
 class TestLaws:
     @given(interval_sets())
@@ -148,6 +169,28 @@ class TestLaws:
         assert contains(union(a, b), x) == (contains(a, x) or contains(b, x))
         assert contains(intersect(a, b), x) == (contains(a, x) and contains(b, x))
         assert contains(complement(a), x) == (not contains(a, x))
+
+    @given(interval_sets(), interval_sets())
+    def test_membership_at_endpoints(self, a, b):
+        """Random points rarely land on an endpoint, where the endpoint kinds
+        decide membership: probe every endpoint of both operands, 0, 1 and
+        the midpoint between each pair of neighbours."""
+        comps = a.components + b.components
+        ends = sorted({F(0), F(1)} | {x for c in comps for x in (c.lo, c.hi)})
+        mids = [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+        for x in ends + mids:
+            in_a, in_b = contains(a, x), contains(b, x)
+            assert contains(normalize(b.components + a.components), x) == (in_a or in_b)
+            assert contains(union(a, b), x) == (in_a or in_b)
+            assert contains(intersect(a, b), x) == (in_a and in_b)
+            assert contains(complement(a), x) == (not in_a)
+            assert contains(difference(a, b), x) == (in_a and not in_b)
+
+    @given(interval_sets())
+    def test_contains_own_ends(self, a):
+        for c in a:
+            assert c.contains(c.lo) == c.lo_closed
+            assert c.contains(c.hi) == c.hi_closed
 
     @given(interval_sets(), interval_sets())
     def test_results_canonical(self, a, b):

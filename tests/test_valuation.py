@@ -12,6 +12,7 @@ from cakecalc import (
     EMPTY,
     FULL,
     AtomObstruction,
+    BadParameter,
     BadPartition,
     CantorComponent,
     Interval,
@@ -77,6 +78,11 @@ class TestConstruction:
     def test_box_overlap_rejected(self):
         with pytest.raises(BadPartition):
             make_box_valuation([(civ(0, "2/3"), 1), (civ("1/3", 1), 1)])
+
+    def test_fractional_box_count_rejected(self):
+        # int() would read 3/2 as 1 and value [0,1/2) at 1/2 instead of 3/5
+        with pytest.raises(BadParameter):
+            make_box_valuation([(civ(0, "1/2", True, False), F(3, 2)), (civ("1/2", 1), 1)])
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(ZeroMass):
@@ -162,7 +168,7 @@ class TestCdf:
 
     def test_bracket_width_respected(self):
         val = cdf(cantor_valuation(F(1, 4)), F(1, 7), tol=F(1, 2**20))
-        assert not val.is_exact or True
+        assert val.lo <= val.hi
         assert val.width <= F(1, 2**20)
 
 
