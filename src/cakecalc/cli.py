@@ -137,7 +137,7 @@ def _cantor(args, tol):
     rows = []
     for n in range(args.n_max + 1):
         s = cantor_iterate(p, n).set
-        rows.append({"n": n, "components": len(s), "remaining": total_length(s),
+        rows.append({"n": n, "components": 2**n, "remaining": total_length(s),
                      "removed": removed_mass(p, n)})
     lines = [[_CANTOR_ROW.format("n", "components", "remaining", "removed")]]
     lines += [[_CANTOR_ROW.format(*map(str, r.values()))] for r in rows]

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 from .cantor import check_ratio
 from .errors import BadIndex, BadParameter
-from .intervals import Interval, IntervalSet, normalize
+from .intervals import Cut, Interval, IntervalSet, normalize
 
 
 class CantorIterateSet(IntervalSet):
@@ -18,14 +18,15 @@ class CantorIterateSet(IntervalSet):
     At stage i every one of the 2^i components of A_i has the same length
     L_i = (L_(i-1) - p^i) / 2, and the open middle gap of length p^i is cut
     out of each component of A_(i-1).  The table keeps L_0 .. L_n as integer
-    numerators over the common denominator (2b)^n.  Components are built
-    from the table on first access and cached; `length_upto` and membership
-    walk down the table in O(n) steps without building them, and `len`,
-    `is_empty` and `length` read it directly.  Equality, hashing, iteration
-    and the set operations see the same components as a plain IntervalSet.
+    numerators over the common denominator (2b)^n.  The cut sequence is
+    built from the table on first access and cached in `_cuts`; from it the
+    base class builds `components`.  `length_upto` and membership walk down
+    the table in O(n) steps without building either, and `len`, `is_empty`
+    and `length` read it directly.  Equality, hashing, iteration and the set
+    operations see the same cuts as a plain IntervalSet.
     """
 
-    __slots__ = ("p", "n", "_den", "_lengths", "_components")
+    __slots__ = ("p", "n", "_den", "_lengths", "_cuts")
 
     def __init__(self, p: Fraction, n: int):
         a, b = p.numerator, p.denominator
@@ -39,14 +40,15 @@ class CantorIterateSet(IntervalSet):
         init(self, "n", n)
         init(self, "_den", den)
         init(self, "_lengths", tuple(lengths))
+        init(self, "_cuts", None)
         init(self, "_components", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
-    def components(self) -> tuple[Interval, ...]:
-        if self._components is None:
+    def cuts(self) -> tuple[Cut, ...]:
+        if self._cuts is None:
             # the right child of a stage-i component starts L_(i-1) - L_i
             # after the left child
             lengths = self._lengths
@@ -55,11 +57,10 @@ class CantorIterateSet(IntervalSet):
                 shift = lengths[i - 1] - lengths[i]
                 los = [x for lo in los for x in (lo, lo + shift)]
             den, leaf = self._den, lengths[-1]
-            object.__setattr__(self, "_components", tuple(
-                Interval(Fraction(lo, den), Fraction(lo + leaf, den), True, True)
-                for lo in los
+            object.__setattr__(self, "_cuts", tuple(
+                (Fraction(x, den), k) for lo in los for x, k in ((lo, 0), (lo + leaf, 1))
             ))
-        return self._components
+        return self._cuts
 
     def __len__(self):
         return 2**self.n

@@ -10,14 +10,18 @@ are rejected rather than silently dropped.
 Interval ends are *cuts*: (x, 0) lies just before the point x and (x, 1)
 just after it.  An interval runs from its start cut, (lo, 0) closed or
 (lo, 1) open, to its end cut, (hi, 1) closed or (hi, 0) open, so tuple
-comparison answers every endpoint question (nonempty iff start < end), and
-the set operations are linear sweeps over cuts (`normalize` sorts first).
+comparison answers every endpoint question (nonempty iff start < end).  A
+set is stored as the strictly increasing tuple of its components' cuts;
+the set operations are linear sweeps over it (`normalize` sorts first) and
+build no `Interval`.  `Interval` objects are made only where a caller asks
+for them: by the checked constructors and the `components` view.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -78,90 +82,100 @@ class Interval:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class IntervalSet:
-    """Canonical element of the algebra of finite unions of intervals.
+    """Canonical element of the algebra of finite unions of intervals, held as
+    the strictly increasing cuts (s0, e0, s1, e1, ...) of its components.
 
-    `x in A` tests whether the point x lies in the set.  Equality and
-    hashing go by the components alone, so a subclass that stores its set
-    in another form compares equal to the plain set with the same
-    components, in either operand order."""
+    The constructor takes an already canonical cut sequence and checks
+    nothing; `normalize`, `interval_set` and `parse_interval_set` are the
+    checked constructors.  `components` is a view built on first access and
+    cached.  x lies in the set iff an odd number of cuts are <= (x, 0).
+    Equality and hashing go by the cuts alone, also for subclasses."""
 
-    components: tuple[Interval, ...]
+    cuts: tuple[Cut, ...]
+    _components: tuple[Interval, ...] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def components(self) -> tuple[Interval, ...]:
+        if self._components is None:
+            comps = tuple(map(Interval.from_cuts, self.cuts[::2], self.cuts[1::2]))
+            object.__setattr__(self, "_components", comps)
+        return self._components
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self.components == other.components
+        return self.cuts == other.cuts
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self.cuts)
 
     def __iter__(self):
         return iter(self.components)
 
     def __contains__(self, x: Fraction) -> bool:
-        return any(iv.contains(x) for iv in self.components)
+        return bisect_right(self.cuts, (x, 0)) % 2 == 1
 
     def __len__(self):
-        return len(self.components)
+        return len(self.cuts) // 2
 
     @property
     def is_empty(self) -> bool:
-        return not self.components
+        return not self.cuts
 
     @property
     def length(self) -> Fraction:
         """Lebesgue measure of the set; endpoint kinds do not matter."""
-        return sum((iv.length for iv in self.components), ZERO)
+        c = self.cuts
+        return sum((x for x, _ in c[1::2]), ZERO) - sum((x for x, _ in c[::2]), ZERO)
 
     def __str__(self) -> str:
-        if not self.components:
-            return "∅"
-        return ", ".join(str(c) for c in self.components)
+        return ", ".join(map(str, self.components)) or "∅"
 
 
 EMPTY = IntervalSet(())
-FULL = IntervalSet((Interval(ZERO, ONE, True, True),))
+FULL = IntervalSet(((ZERO, 0), (ONE, 1)))
 
 
 def normalize(raw: Iterable[Interval]) -> IntervalSet:
     """Unique canonical IntervalSet with the same point set.  Idempotent."""
-    spans: list[list[Cut]] = []
+    cuts: list[Cut] = []
     for s, e in sorted((iv.start, iv.end) for iv in raw):
-        if spans and s <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], e)
+        if cuts and s <= cuts[-1]:
+            cuts[-1] = max(cuts[-1], e)
         else:
-            spans.append([s, e])
-    return IntervalSet(tuple(Interval.from_cuts(s, e) for s, e in spans))
+            cuts += (s, e)
+    return IntervalSet(tuple(cuts))
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return normalize(a.components + b.components)
+    return complement(intersect(complement(a), complement(b)))
 
 
 def complement(a: IntervalSet) -> IntervalSet:
-    """Complement relative to [0,1]: the gaps between consecutive cuts."""
-    cuts = [(ZERO, 0), *(c for iv in a.components for c in (iv.start, iv.end)), (ONE, 1)]
-    gaps = zip(cuts[::2], cuts[1::2])
-    return IntervalSet(tuple(Interval.from_cuts(s, e) for s, e in gaps if s < e))
+    """Complement relative to [0,1]: the gaps between consecutive cuts of
+    [(0,0), *a.cuts, (1,1)].  Only an end gap can be empty, so this toggles
+    the cuts (0,0) and (1,1) at the ends of the cake."""
+    lo, hi = FULL.cuts
+    c = a.cuts[1:] if a.cuts[:1] == (lo,) else (lo, *a.cuts)
+    return IntervalSet(c[:-1] if c[-1:] == (hi,) else (*c, hi))
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """One sweep over both operands.  Each piece lies in one component of
-    each, and components of one operand never touch: the result is canonical."""
-    xs = [(iv.start, iv.end, iv) for iv in a.components]
-    ys = [(iv.start, iv.end, iv) for iv in b.components]
-    out: list[Interval] = []
+    """One sweep over both operands' cut pairs.  Each piece lies in one
+    component of each, and one operand's components never touch: canonical."""
+    if a.is_empty or b.is_empty:  # the empty operand is the intersection
+        return a if a.is_empty else b
+    xs, ys = a.cuts, b.cuts
+    out: list[Cut] = []
     i = j = 0
     while i < len(xs) and j < len(ys):
-        (s1, e1, x), (s2, e2, y) = xs[i], ys[j]
-        s, e = max(s1, s2), min(e1, e2)  # each is one of its arguments
-        if s < e:  # a whole component is kept as it is, not rebuilt
-            out.append(x if s is s1 and e is e1 else
-                       y if s is s2 and e is e2 else Interval.from_cuts(s, e))
-        if e is e1:  # the component that ends first is done
-            i += 1
+        s, e = max(xs[i], ys[j]), min(xs[i + 1], ys[j + 1])
+        if s < e:
+            out += (s, e)
+        if e is xs[i + 1]:  # the component that ends first is done
+            i += 2
         else:
-            j += 1
+            j += 2
     return IntervalSet(tuple(out))
 
 
@@ -182,17 +196,13 @@ def total_length(a: IntervalSet) -> Fraction:
 
 
 def interval_set(*specs) -> IntervalSet:
-    """Convenience constructor from (lo, hi[, lo_closed, hi_closed]) tuples."""
-    ivs = []
-    for s in specs:
-        if isinstance(s, Interval):
-            ivs.append(s)
-        else:
-            lo, hi = Fraction(s[0]), Fraction(s[1])
-            lo_c = s[2] if len(s) > 2 else True
-            hi_c = s[3] if len(s) > 3 else True
-            ivs.append(Interval(lo, hi, lo_c, hi_c))
-    return normalize(ivs)
+    """Convenience constructor from Intervals and (lo, hi[, lo_closed,
+    hi_closed]) tuples, whose ends are closed unless a flag says otherwise."""
+    return normalize(s if isinstance(s, Interval) else _interval(*s) for s in specs)
+
+
+def _interval(lo, hi, lo_closed=True, hi_closed=True) -> Interval:
+    return Interval(Fraction(lo), Fraction(hi), lo_closed, hi_closed)
 
 
 # --- text grammar shared with the CLI -------------------------------------

@@ -318,24 +318,17 @@ def _cdf(v: Valuation, cut: Cut, tol: Fraction) -> CdfValue:
 def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
     """v(A), the sum of F(end) - F(start) over the components; exact when sc-free."""
     tol = _check_tol(tol)
-    if A.is_empty:
-        return CdfValue.exact(ZERO)
     if isinstance(A, CantorIterateSet) and not v.cantor:
-        # |A ∩ sup| and atom membership by descent, without building the 2^n
-        # components
-        mass = ZERO
-        for sup, d in v.density:
-            mass += d * (A.length_upto(sup.hi) - A.length_upto(sup.lo))
-        for loc, w in v.atoms:
-            if contains(A, loc):
-                mass += w
+        # |A ∩ sup| and atom membership by descent, without building A's cuts
+        mass = sum(d * (A.length_upto(s.hi) - A.length_upto(s.lo)) for s, d in v.density)
+        mass += sum(w for loc, w in v.atoms if loc in A)
         assert mass <= ONE, mass
         return CdfValue.exact(mass)
-    per_call = tol / (2 * len(A.components))
+    cuts = A.cuts
+    per_call = tol / max(2, len(cuts))
     total = CdfValue.exact(ZERO)
-    for iv in A.components:
-        upper, lower = _cdf(v, iv.end, per_call), _cdf(v, iv.start, per_call)
-        total = total + (upper - lower).clamp(ZERO, ONE)
+    for s, e in zip(cuts[::2], cuts[1::2]):
+        total = total + (_cdf(v, e, per_call) - _cdf(v, s, per_call)).clamp(ZERO, ONE)
     return total.clamp()
 
 
@@ -386,10 +379,6 @@ def _check_no_atoms(v: Valuation, A: IntervalSet) -> None:
         raise AtomObstruction(obstructing)
 
 
-def _prefix(A: IntervalSet, c: Fraction) -> IntervalSet:
-    return intersect(A, normalize([Interval(ZERO, c, True, True)]))
-
-
 def prefix_with_value(
     v: Valuation, A: IntervalSet, target: Fraction, tol=DEFAULT_TOL
 ) -> tuple[IntervalSet, Fraction]:
@@ -409,16 +398,16 @@ def prefix_with_value(
 
     # value the components once; the target is reached in the first one that
     # takes the running total to it, where v(A ∩ [0,c]) = below + F(c) - base
-    comps = A.components
-    per_call = tol / (8 * max(1, len(comps)))
+    cuts = A.cuts
+    per_call = tol / (4 * max(2, len(cuts)))
     below = CdfValue.exact(ZERO)
-    for iv in comps:
-        base, top = _cdf(v, iv.start, per_call), _cdf(v, iv.end, per_call)
+    for s, e in zip(cuts[::2], cuts[1::2]):
+        base, top = _cdf(v, s, per_call), _cdf(v, e, per_call)
         upto = below + (top - base)
-        if upto.midpoint >= target or (iv is comps[-1] and target <= upto.hi):
+        if upto.midpoint >= target or (e is cuts[-1] and target <= upto.hi):
             t = target - below.midpoint + base.midpoint
-            c, _, _ = _invert(v, iv.lo, iv.hi, t, tol)
-            return _prefix(A, c), c
+            c, _, _ = _invert(v, s[0], e[0], t, tol)
+            return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
         below = upto
     raise BadParameter(f"target {target} exceeds v(A)")
 
@@ -465,7 +454,7 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
 
     # every piece but the last ends where F reaches `consumed + ε`; a hit
     # advances `consumed` by exactly ε, so bracket errors do not add up
-    pieces: list[Interval] = []
+    pieces: list[IntervalSet] = []
     start = (ZERO, 0)
     consumed = ZERO  # F at the start cut
     while ONE - consumed > epsilon:
@@ -475,7 +464,6 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
             end, f_end = (c, 0), g_left
         else:  # a hit, or a lone atom at c after a zero-mass run-up
             end, f_end = (c, 1), g_at
-        pieces.append(Interval.from_cuts(start, end))
+        pieces.append(IntervalSet((start, end)))
         start, consumed = end, f_end
-    pieces.append(Interval.from_cuts(start, (ONE, 1)))
-    return [IntervalSet((p,)) for p in pieces]
+    return pieces + [IntervalSet((start, (ONE, 1)))]

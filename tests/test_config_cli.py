@@ -165,6 +165,15 @@ class TestExitCodes:
         assert main(["cantor", "1/3", "-1"]) == 1
         assert "BadParameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_max", [63, 64])
+    def test_cantor_past_the_word_size_is_0(self, capsys, n_max):
+        # len() cannot return 2^63 or more, so the count must not come from len()
+        assert main(["--json", "cantor", "1/3", str(n_max)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == n_max + 1 and rows[-1]["components"] == 2**n_max
+        assert main(["cantor", "1/3", str(n_max)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[1] == str(2**n_max)
+
     def test_exponent_tolerance_is_2(self, capsys):
         argv = ["--tol", "1e-10000000", "cdf", str(bundled_config_path("uniform")), "1/2"]
         assert main(argv) == 2

@@ -133,6 +133,7 @@ class TestIterateDescent:
         evaluate(v, staged)
         contains(staged, F(1, 3))
         assert staged._components is None
+        assert staged._cuts is None
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_length_matches_components(self, p):
@@ -144,6 +145,7 @@ class TestIterateDescent:
         staged = cantor_iterate(F(1, 3), 40).set
         assert total_length(staged) == 1 - removed_mass(F(1, 3), 40)
         assert staged._components is None
+        assert staged._cuts is None
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_cantor_part_matches_components(self, p):

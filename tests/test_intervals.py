@@ -11,6 +11,7 @@ from cakecalc import (
     EMPTY,
     FULL,
     Interval,
+    IntervalSet,
     InvalidInterval,
     cantor_iterate,
     OutOfCake,
@@ -196,3 +197,38 @@ class TestLaws:
     def test_results_canonical(self, a, b):
         for s in (union(a, b), intersect(a, b), complement(a), difference(a, b)):
             assert normalize(s.components) == s
+
+
+class TestCutsOnly:
+    """Set algebra works on the cut sequences alone: no `Interval` is built
+    for an operand or a result until its `components` are read."""
+
+    OPS = {
+        "complement": lambda a, b: complement(a),
+        "intersect": intersect,
+        "difference": difference,
+        "union": union,
+    }
+
+    def check(self, a, b):
+        for name, op in self.OPS.items():
+            assert op(a, b)._components is None, name
+        assert a._components is None and b._components is None
+        assert IntervalSet(a.cuts) == a
+        result = normalize(a.components)
+        assert result._components is None and result == a
+
+    @given(interval_sets(), interval_sets())
+    def test_small_sets(self, a, b):
+        self.check(a, b)
+
+    def test_cantor_iterate(self):
+        a12 = lambda p: cantor_iterate(p, 12).set
+        self.check(a12(F(1, 3)), interval_set((0, "1/2"), ("3/4", 1, False, True)))
+        self.check(a12(F(1, 4)), a12(F(1, 3)))
+
+    @given(interval_sets(), small_fractions)
+    def test_membership_reads_cuts_like_components(self, a, x):
+        ends = [e for c in a.components for e in (c.lo, c.hi)]
+        for y in ends + [x]:
+            assert (y in a) == any(c.contains(y) for c in a.components)
