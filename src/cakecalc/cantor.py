@@ -8,12 +8,14 @@ with l = (1-p)/2,
     F_p(y) = 1/2                       for y in [l, l+p],
     F_p(y) = 1/2 + 1/2 * F_p((y-l-p)/l) for y in [l+p, 1].
 
-Truncating the recursion at depth d yields a certified bracket of width
-2^-d; landing on a plateau (or on 0/1) makes the value exact.  For the
-classical case p = 1/3 the recursion maps rationals to rationals with a
-bounded denominator, so the orbit is eventually periodic and the value can
-be resolved exactly (this is the ternary-digit evaluation: digits 2 read as
-binary 1s, truncation at the first digit 1).
+One walk follows the orbit of y under these maps.  A plateau makes the
+value exact, and so does a repeat (0 and 1 repeat at once): F_p is affine
+along the orbit, so a cycle closes to the fixed point of that recursion,
+for every rational p.  Otherwise truncating at depth d leaves a certified
+bracket of width 2^-d.  For p = 1/3 the denominator of y never grows, so
+every rational orbit cycles and the walk needs no depth bound (this is the
+ternary-digit evaluation).  The inverse descent of `valuation` produces
+points with periodic orbits, so F is exact at its cuts for every p.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import BadParameter
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 
@@ -35,62 +36,42 @@ def check_ratio(p: Fraction) -> Fraction:
     return p
 
 
-def staircase_exact_third(y: Fraction) -> Fraction:
-    """Exact F_{1/3}(y) for rational y in [0,1] via orbit cycle detection."""
-    y = Fraction(y)
-    a, scale = ZERO, ONE
-    seen: dict[Fraction, tuple[Fraction, Fraction]] = {}
-    while True:
-        if y <= ZERO:
-            return a
-        if y >= ONE:
-            return a + scale
-        if THIRD <= y <= 2 * THIRD:
-            return a + scale * HALF
-        if y in seen:
-            a_prev, s_prev = seen[y]
-            t = (a - a_prev) / (s_prev - scale)  # fixed point of the affine orbit
-            return a_prev + s_prev * t
-        seen[y] = (a, scale)
-        if y < THIRD:
-            y = 3 * y
-        else:
-            a += scale * HALF
-            y = 3 * y - 2
-        scale *= HALF
-
-
-def staircase_bracket(p: Fraction, y: Fraction, depth: int) -> tuple[Fraction, Fraction]:
-    """Bracket [lo,hi] ∋ F_p(y) with hi-lo <= 2^-depth (exact on plateaus)."""
+def staircase_bracket(p: Fraction, y: Fraction, depth) -> tuple[Fraction, Fraction]:
+    """Bracket [lo,hi] ∋ F_p(y) with hi-lo <= 2^-depth, exact
+    (lo == hi) on plateaus and cycles; depth None walks until one of those,
+    which ends for every rational y only when p = 1/3."""
     p = check_ratio(p)
-    y = Fraction(y)
-    left = (1 - p) / 2
-    a, scale = ZERO, ONE
-    for _ in range(depth):
-        if y <= ZERO:
-            return a, a
-        if y >= ONE:
-            return a + scale, a + scale
-        if left <= y <= left + p:
-            v = a + scale * HALF
+    y = min(max(Fraction(y), ZERO), ONE)  # F_p is 0 left of 0 and 1 right of 1
+    left, right = (1 - p) / 2, (1 + p) / 2
+    a, scale = ZERO, ONE  # F_p(y) = a + scale * F_p(current y)
+    seen: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    while depth is None or len(seen) < depth:
+        if left <= y <= right:
+            v = a + scale / 2
+            return v, v
+        a0, s0 = seen.setdefault(y, (a, scale))
+        if s0 != scale:  # a repeat: the fixed point of the affine orbit
+            v = a0 + s0 * (a - a0) / (s0 - scale)
             return v, v
         if y < left:
             y = y / left
         else:
-            a += scale * HALF
-            y = (y - left - p) / left
-        scale *= HALF
+            a += scale / 2
+            y = (y - right) / left
+        scale /= 2
     return a, a + scale
 
 
+def staircase_exact_third(y: Fraction) -> Fraction:
+    """Exact F_{1/3}(y) for rational y in [0,1]."""
+    return staircase_bracket(THIRD, y, None)[0]
+
+
 def staircase(p: Fraction, y: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """F_p(y) as an exact pair (lo == hi) whenever possible, else a bracket
-    of width <= tol."""
+    """F_p(y) as an exact pair (lo == hi) whenever the walk closes, else a
+    bracket of width <= tol."""
     p = check_ratio(p)
-    if p == THIRD:
-        v = staircase_exact_third(y)
-        return v, v
-    depth = 1
-    while Fraction(1, 2**depth) > tol:
-        depth += 1
-    return staircase_bracket(p, y, depth)
+    tol = Fraction(tol)
+    # the smallest depth >= 1 with 2^-depth <= tol
+    depth = max(1, ((tol.denominator - 1) // tol.numerator).bit_length())
+    return staircase_bracket(p, y, None if p == THIRD else depth)

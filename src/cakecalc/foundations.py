@@ -3,6 +3,7 @@ and relative frequencies along a point sequence."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -63,6 +64,8 @@ class CantorIterateSet(IntervalSet):
         return self._cuts
 
     def __len__(self):
+        if 2**self.n > sys.maxsize:  # len() itself would raise OverflowError
+            raise BadParameter(f"len() overflows at 2**{self.n} components; use 2**n")
         return 2**self.n
 
     @property

@@ -15,17 +15,7 @@ from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
 from .intervals import FULL, IntervalSet, difference
-from .valuation import (
-    DEFAULT_TOL,
-    CdfValue,
-    Valuation,
-    cut,
-    evaluate,
-    prefix_with_value,
-)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .valuation import DEFAULT_TOL, Valuation, cut, evaluate, prefix_with_value
 
 
 @dataclass(frozen=True)

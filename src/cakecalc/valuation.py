@@ -9,10 +9,10 @@ to exactly 1 at construction time.
 The atom + density part of the distribution function F is compiled once
 per valuation into a table of breakpoints.  `cdf` and `evaluate` read F;
 `cut`, `prefix_with_value` and `slice_valuation` all invert it through one
-primitive, `_invert`.
+primitive, `_invert`, which descends through the cells of Cantor parts.
 
-All arithmetic is exact.  Only the singular-continuous components can force
-approximation; those results come back as certified brackets (CdfValue).
+All arithmetic is exact.  Only Cantor orbits that do not close within the
+tolerance force approximation: certified brackets (CdfValue) or points.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .intervals import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 DEFAULT_TOL = Fraction(1, 2**40)
 _SIDES = {"left_limit": 0, "at": 1}  # cdf's side of x as the second entry of a cut
@@ -96,6 +95,11 @@ class CdfValue:
         return CdfValue(self.lo - other, self.hi - other)
 
     def clamp(self, lo=ZERO, hi=ONE) -> "CdfValue":
+        """A bracket cut down to [lo, hi]; an exact value must lie in it,
+        since clamping it would hide an arithmetic error."""
+        if self.is_exact:
+            assert lo <= self.lo <= hi, (self, lo, hi)
+            return self
         return CdfValue(max(self.lo, lo), min(self.hi, hi))
 
     def __str__(self) -> str:
@@ -117,7 +121,7 @@ class CantorComponent:
 class Valuation:
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
     density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
-    cantor: tuple[CantorComponent, ...]
+    cantor: tuple[CantorComponent, ...]  # sorted by support
     # (x, G(x-), G(x)) for the atom + density part G of F, derived from the
     # fields above; see _breakpoint_table
     _breakpoints: tuple[tuple[Fraction, Fraction, Fraction], ...] = field(
@@ -132,10 +136,6 @@ class Valuation:
     @property
     def has_atoms(self) -> bool:
         return bool(self.atoms)
-
-    @property
-    def has_sc(self) -> bool:
-        return bool(self.cantor)
 
 
 def _breakpoint_table(atoms, density):
@@ -197,7 +197,7 @@ def make_valuation(
             raise BadParameter(f"negative density {d}")
     _check_pairwise_disjoint([sup for sup, _ in dens_list], "density supports")
 
-    sc_list = tuple(cantor_parts)
+    sc_list = tuple(sorted(cantor_parts, key=attrgetter("support.lo")))
     for comp in sc_list:
         cantor.check_ratio(comp.p)
         if comp.weight <= ZERO:
@@ -301,17 +301,14 @@ def _cdf(v: Valuation, cut: Cut, tol: Fraction) -> CdfValue:
     """F at a cut: F(x-) at (x, 0) and F(x) at (x, 1)."""
     x = cut[0]
     result = CdfValue.exact(_table_value(v._breakpoints, cut))
-    if v.cantor:
-        per_comp = tol / len(v.cantor)
-        for comp in v.cantor:
-            s, t = comp.support.lo, comp.support.hi
-            if x <= s:
-                continue
-            if x >= t:
-                result = result + comp.weight
-            else:
-                lo, hi = cantor.staircase(comp.p, (x - s) / (t - s), per_comp / comp.weight)
-                result = result + CdfValue(comp.weight * lo, comp.weight * hi)
+    for comp in v.cantor:
+        s, t = comp.support.lo, comp.support.hi
+        if x >= t:
+            result = result + comp.weight
+        elif x > s:
+            per_comp = tol / len(v.cantor)
+            lo, hi = cantor.staircase(comp.p, (x - s) / (t - s), per_comp / comp.weight)
+            result = result + CdfValue(comp.weight * lo, comp.weight * hi)
     return result.clamp()
 
 
@@ -334,40 +331,67 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
 
 # --- CDF inversion -----------------------------------------------------------
 
-_BISECTION_STEPS = 400
+
+def _invert_table(table, t: Fraction):
+    """The minimal x with G(x) >= t, or 1, with (G(x-), G(x))."""
+    i = bisect_left(table, t, hi=len(table) - 1, key=_AT)
+    x, g_left, g_at = table[i]
+    if i == 0 or g_left <= t:
+        return x, g_left, g_at
+    px, _, p_at = table[i - 1]  # G rises linearly from p_at to g_left
+    return px + (t - p_at) * (x - px) / (g_left - p_at), t, t
 
 
 def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction):
-    """A point c in [lo, hi] where F reaches t, with (F(c-), F(c)).
-
-    Callers guarantee F(c) < t for every c < lo, and t <= F(hi).  Without a
-    Cantor part c is the minimal point with F(c) >= t, read exactly off the
-    breakpoint table.  With one, no atom lies inside (lo, hi); bisection
-    stops at the first midpoint c whose certified bracket for F(c) lies
-    within tol/4 of t and reports F(c-) = F(c) = t, which leaves the rest
-    of tol to the callers' own brackets."""
+    """The minimal c with F(c) >= t, and (F(c-), F(c)), given F(x) < t for
+    x < lo, t <= F(hi) and no atom in (lo, hi).  Off the Cantor supports F is
+    G plus the Cantor mass to the left; on one, `_descend` finds c or a c
+    within tol/4 of it.  With a Cantor part F(c-) = F(c) = t is reported
+    (slicing allows no atoms then), and c is clamped to [lo, hi], which
+    bracket midpoints in the callers' t can miss."""
+    table = v._breakpoints
     if not v.cantor:
-        table = v._breakpoints
-        i = bisect_left(table, t, key=_AT)
-        x, g_left, g_at = table[i]
-        if i == 0 or g_left <= t:
-            return x, g_left, g_at
-        px, _, p_at = table[i - 1]  # G rises linearly from p_at to g_left
-        return px + (t - p_at) * (x - px) / (g_left - p_at), t, t
-    a, b = lo, hi
-    for _ in range(_BISECTION_STEPS):
-        c = (a + b) / 2
-        f = cdf(v, c, "at", tol / 8)
-        if t - tol / 4 <= f.lo and f.hi <= t + tol / 4:
-            return c, t, t
-        # a bracket this narrow on the wrong side of t would have been a hit
-        if f.midpoint < t:
-            a = c
+        return _invert_table(table, t)
+    offset = ZERO  # Cantor mass left of the current piece of the line
+    rate = max((d for _, d in v.density), default=ZERO)  # G's steepest slope, atoms aside
+    for comp in v.cantor:
+        if _table_value(table, (comp.support.hi, 0)) + offset + comp.weight >= t:
+            c = _descend(table, rate, comp, offset, t, tol)
+            break
+        offset += comp.weight
+    else:
+        c = _invert_table(table, t - offset)[0]
+    return min(max(c, lo), hi), t, t
+
+
+def _descend(table, rate, comp: CantorComponent, offset, t: Fraction, tol: Fraction):
+    """`_invert` left of the end of the support of `comp`: descent through
+    cells [a, b], Cantor mass `offset` left and m inside, F(a) = G(a) + offset
+    < t <= F(b-) = G(b-) + offset + m; once F(a) >= t, c is in the gap left of
+    the cell.  Where G is flat, (t - G(a) - offset)/m follows the doubling
+    orbit to an exact repeat; else stop once F rises by at most tol/4 across
+    the cell, apart from atoms, which lie outside (lo, hi)."""
+    shrink, quarter, seen = (1 - comp.p) / 2, tol / 4, {}
+    a, length, m = comp.support.lo, comp.support.length, comp.weight
+    g_a, g_b = _table_value(table, (a, 1)), _table_value(table, (a + length, 0))
+    while True:
+        if g_a + offset >= t:
+            return _invert_table(table, t - offset)[0]
+        flat = g_a == g_b
+        if flat:  # a repeat of the relative target closes the recursion
+            a0, length0 = seen.setdefault((t - g_a - offset) / m, (a, length))
+            if length0 != length:
+                return a0 + length0 * (a - a0) / (length0 - length)
+        if m + rate * length <= quarter:
+            return a + length
+        child = length * shrink
+        m /= 2
+        g_l = g_a if flat else _table_value(table, (a + child, 0))
+        if g_l + offset + m >= t:
+            length, g_b = child, g_l
         else:
-            b = c
-    raise BadTolerance(
-        f"tolerance {tol} not reached after {_BISECTION_STEPS} bisection steps"
-    )
+            g_r = g_b if flat else _table_value(table, (a + length - child, 1))
+            a, length, g_a, offset = a + length - child, child, g_r, offset + m
 
 
 # --- proportional cuts ------------------------------------------------------
@@ -384,8 +408,8 @@ def prefix_with_value(
 ) -> tuple[IntervalSet, Fraction]:
     """Smallest c such that v(A ∩ [0,c]) equals `target`; returns
     (A ∩ [0,c], c).  A target of 0 returns (EMPTY, 0), also when 0 ∈ A.
-    With singular parts present, c is a point where the prefix value is
-    certified to equal `target` within tol/2.
+    With singular parts present, c is exact where the Cantor orbits close,
+    else a point where the prefix value is certified within tol/2.
 
     Requires v to have no atom inside A; the distribution is then continuous
     on A and the prefix value sweeps [0, v(A)] exactly.
@@ -437,8 +461,8 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     """Split [0,1] into finitely many disjoint pieces of value in (0, ε].
 
     Atoms of weight <= ε come out as singleton pieces; heavier atoms make the
-    valuation non-sliceable.  With singular parts present each value is
-    certified only within tol/2, so the bound degrades to ε + tol/2.
+    valuation non-sliceable.  A value that a Cantor orbit leaves open is
+    certified within min(tol, ε)/2, and the bound degrades by that much.
     """
     tol = _check_tol(tol)
     epsilon = Fraction(epsilon)
@@ -447,13 +471,14 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     heavy = [(loc, w) for loc, w in v.atoms if w > epsilon]
     if heavy:
         raise NotSliceable(heavy)
-    if v.has_sc and v.has_atoms:
+    if v.cantor and v.atoms:
         # mixed atom+singular slicing is not needed anywhere; keep the exact
         # paths honest instead of guessing
         raise NotSliceable(list(v.atoms))
 
     # every piece but the last ends where F reaches `consumed + ε`; a hit
     # advances `consumed` by exactly ε, so bracket errors do not add up
+    tol = min(tol, epsilon)  # a hit within tol/4 past t stops short of t + ε
     pieces: list[IntervalSet] = []
     start = (ZERO, 0)
     consumed = ZERO  # F at the start cut

@@ -1,6 +1,8 @@
-"""Devil's staircase evaluation: exact p=1/3 path, brackets, digit-map oracle."""
+"""Devil's staircase evaluation: exact p=1/3 path, orbit cycles for every p,
+brackets, digit-map and cell oracles."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,59 @@ class TestBrackets:
         l = (1 - p) / 2
         lo, hi = staircase(p, l + p / 2, F(1, 2**10))
         assert lo == hi == F(1, 2)
+
+
+def cell_oracle(p, n):
+    """y -> [lo,hi] ∋ F_p(y), read off the 2^n level-n cells of C_p: the
+    cell with binary address d_1..d_n starts at the sum of d_i (1-l) l^(i-1)
+    and has length l^n, F_p rises across it from the sum of d_i 2^-i by
+    2^-n, and F_p is flat between cells."""
+    l = (1 - p) / 2
+    starts = [F(0)]
+    for i in range(n):
+        starts = [s + d * (1 - l) * l**i for s in starts for d in (0, 1)]
+    step = F(1, 2**n)
+
+    def bracket(y):
+        k = bisect_right(starts, y)  # cell k-1 is the last one starting at or before y
+        if k and y <= starts[k - 1] + l**n:
+            return (k - 1) * step, k * step
+        return k * step, k * step
+
+    return bracket
+
+
+class TestOrbitCycles:
+    def test_periodic_point_is_exact_for_quarter(self):
+        # 3/11 -> 8/11 -> 3/11 under the two branches of C_1/4
+        assert staircase(F(1, 4), F(3, 11), F(1, 2**10)) == (F(1, 3), F(1, 3))
+        assert staircase(F(1, 4), F(8, 11), F(1, 2**10)) == (F(2, 3), F(2, 3))
+
+    def test_outside_the_unit_interval(self):
+        # the distribution function is 0 left of 0 and 1 right of 1; the
+        # unbounded p = 1/3 walk must not follow an orbit that runs away
+        assert staircase_exact_third(F(-1, 2)) == 0
+        assert staircase_exact_third(F(3, 2)) == 1
+        assert staircase(F(1, 4), F(5, 4), F(1, 2**10)) == (1, 1)
+
+    @pytest.mark.parametrize("p", [F(1, 4), F(1, 5), F(2, 7)])
+    def test_brackets_nest_and_hold_the_oracle_value(self, p):
+        # points k/97 of the way into a random level-12 cell: their orbits
+        # reach k/97 after 12 steps, so most are still open at depth 14
+        rng = random.Random(13)
+        l = (1 - p) / 2
+        oracle = cell_oracle(p, 10)
+        brackets = 0
+        for _ in range(40):
+            start = sum(rng.randint(0, 1) * (1 - l) * l**i for i in range(12))
+            y = start + l**12 * F(rng.randint(0, 97), 97)
+            olo, ohi = oracle(y)
+            lo1, hi1 = staircase_bracket(p, y, 12)
+            lo2, hi2 = staircase_bracket(p, y, 14)
+            assert olo <= lo1 <= lo2 <= hi2 <= hi1 <= ohi
+            assert hi2 - lo2 <= F(1, 2**14)
+            brackets += lo2 != hi2
+        assert brackets  # the sample reaches points whose orbit does not close
 
 
 class TestValidation:

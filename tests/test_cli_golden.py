@@ -2,7 +2,9 @@
 
 Each case is one argv (config names in braces stand for config paths) and
 the exact text the command writes.  `c4` is a Cantor valuation with ratio
-1/4 whose staircase forces bracket values at the tolerance used here.
+1/4.  Its staircase is exact on plateaus and where the orbit of a point
+closes, as at the slice cuts 3/11 and 8/11; at points like 2/15, whose
+orbit does not close within the tolerance used here, it prints a bracket.
 """
 
 import io
@@ -51,10 +53,14 @@ GOLDEN = [
      '[0,26/75]  value 1/5 ≈ 0.200\n(26/75,23/50]  value 1/5 ≈ 0.200\n(23/50,27/40]  value 1/5 ≈ 0.200\n(27/40,49/60]  value 1/5 ≈ 0.200\n(49/60,1]  value 1/5 ≈ 0.200\n'),
     ('--json --approx 3 slice {fig2} 1/5',
      '{"command": "slice", "pieces": ["[0,26/75]", "(26/75,23/50]", "(23/50,27/40]", "(27/40,49/60]", "(49/60,1]"], "values": ["1/5", "1/5", "1/5", "1/5", "1/5"]}\n'),
+    ('--tol 1/1024 cdf {c4} 2/15',
+     '[225/1024, 113/512]\n'),
+    ('--json --tol 1/1024 cdf {c4} 2/15',
+     '{"command": "cdf", "x": "2/15", "side": "at", "value": {"lo": "225/1024", "hi": "113/512"}}\n'),
     ('--tol 1/1024 slice {c4} 1/3',
-     '[0,8937/32768]  value 683/2048\n(8937/32768,190651/262144]  value [341/1024, 683/2048]\n(190651/262144,1]  value [341/1024, 683/2048]\n'),
+     '[0,3/11]  value 1/3\n(3/11,8/11]  value 1/3\n(8/11,1]  value 1/3\n'),
     ('--json --tol 1/1024 slice {c4} 1/3',
-     '{"command": "slice", "pieces": ["[0,8937/32768]", "(8937/32768,190651/262144]", "(190651/262144,1]"], "values": ["683/2048", {"lo": "341/1024", "hi": "683/2048"}, {"lo": "341/1024", "hi": "683/2048"}]}\n'),
+     '{"command": "slice", "pieces": ["[0,3/11]", "(3/11,8/11]", "(8/11,1]"], "values": ["1/3", "1/3", "1/3"]}\n'),
     ('--approx 3 protocol cut_and_choose {fig2} {uniform}',
      'protocol: cut_and_choose\nplayer 0: (13/24,1]  value 1/2 ≈ 0.500\nplayer 1: [0,13/24]  value 13/24 ≈ 0.542\nproportional: True\nenvy_free: True\n'),
     ('--json --approx 3 protocol cut_and_choose {fig2} {uniform}',
@@ -68,9 +74,9 @@ GOLDEN = [
     ('--json --approx 2 protocol moving_knife {fig2} {uniform} {fig2}',
      '{"protocol": "moving_knife", "pieces": {"1": "[0,1/3]", "0": "(1/3,5/9]", "2": "(5/9,1]"}, "values": {"1": {"1": "1/3", "0": "2/9", "2": "4/9"}, "0": {"1": "3/17", "0": "1/3", "2": "25/51"}, "2": {"1": "3/17", "0": "1/3", "2": "25/51"}}, "proportional": true, "envy_free": false, "trace": [{"event": "claim", "player": 1, "position": "1/3"}, {"event": "claim", "player": 0, "position": "5/9"}, {"event": "take_rest", "player": 2, "piece": "(5/9,1]"}]}\n'),
     ('--tol 1/1024 --approx 3 protocol moving_knife {c4} {uniform}',
-     'protocol: moving_knife\nplayer 0: [0,1/2]  value 1/2 ≈ 0.500\nplayer 1: (1/2,1]  value 1/2 ≈ 0.500\nproportional: True\nenvy_free: True\n'),
+     'protocol: moving_knife\nplayer 0: [0,3/8]  value 1/2 ≈ 0.500\nplayer 1: (3/8,1]  value 5/8 ≈ 0.625\nproportional: True\nenvy_free: True\n'),
     ('--json --tol 1/1024 --approx 3 protocol moving_knife {c4} {uniform}',
-     '{"protocol": "moving_knife", "pieces": {"0": "[0,1/2]", "1": "(1/2,1]"}, "values": {"0": {"0": "1/2", "1": "1/2"}, "1": {"0": "1/2", "1": "1/2"}}, "proportional": true, "envy_free": true, "trace": [{"event": "claim", "player": 0, "position": "1/2"}, {"event": "take_rest", "player": 1, "piece": "(1/2,1]"}]}\n'),
+     '{"protocol": "moving_knife", "pieces": {"0": "[0,3/8]", "1": "(3/8,1]"}, "values": {"0": {"0": "1/2", "1": "1/2"}, "1": {"0": "3/8", "1": "5/8"}}, "proportional": true, "envy_free": true, "trace": [{"event": "claim", "player": 0, "position": "3/8"}, {"event": "take_rest", "player": 1, "piece": "(3/8,1]"}]}\n'),
     ('cantor 1/3 3',
      '   n   components        remaining          removed\n   0            1                1                0\n   1            2              2/3              1/3\n   2            4              4/9              5/9\n   3            8             8/27            19/27\n'),
     ('--json cantor 1/3 3',

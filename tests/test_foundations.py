@@ -56,6 +56,11 @@ class TestCantorIterate:
                 assert difference(cur, prev).is_empty
             prev = cur
 
+    def test_len_past_the_word_size_is_a_named_error(self):
+        assert len(cantor_iterate(F(1, 3), 62).set) == 2**62
+        with pytest.raises(BadParameter, match=r"2\*\*63"):
+            len(cantor_iterate(F(1, 3), 63).set)
+
     @pytest.mark.parametrize("p", [F(1, 3), F(1, 4), F(2, 7)])
     def test_length_plus_removed_is_one(self, p):
         for n in range(8):

@@ -9,12 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cakecalc import (
+    DEFAULT_TOL,
     EMPTY,
     FULL,
     AtomObstruction,
     BadParameter,
     BadPartition,
     CantorComponent,
+    CdfValue,
     Interval,
     NotNormalized,
     NotSliceable,
@@ -165,6 +167,12 @@ class TestCdf:
     def test_bad_tolerance(self):
         with pytest.raises(BadTolerance):
             cdf(uniform_valuation(), F(1, 2), "at", F(0))
+
+    def test_clamp_cuts_brackets_and_checks_exact_values(self):
+        assert CdfValue(F(-1, 8), F(1, 2)).clamp() == CdfValue(F(0), F(1, 2))
+        assert CdfValue.exact(F(1, 3)).clamp() == CdfValue.exact(F(1, 3))
+        with pytest.raises(AssertionError):
+            CdfValue.exact(F(9, 8)).clamp()
 
     def test_bracket_width_respected(self):
         val = cdf(cantor_valuation(F(1, 4)), F(1, 7), tol=F(1, 2**20))
@@ -344,14 +352,78 @@ class TestCut:
         piece, c = prefix_with_value(fig2_valuation(), a, F(2, 17))
         assert (piece, c) == (interval_set((0, "1/6")), F(1, 6))
 
-    def test_uncertified_inversion_raises(self):
-        v = cantor_valuation(F(1, 4))
-        with pytest.raises(BadTolerance):
-            prefix_with_value(v, FULL, F(1, 3), tol=F(1, 2**300))
-        tol = F(1, 2**200)
-        _, c = prefix_with_value(v, FULL, F(1, 3), tol)
+    def test_inversion_exact_or_certified(self):
+        tol = F(1, 2**300)
+        # the relative target 1/3 -> 2/3 -> 1/3 closes the descent exactly
+        c4 = cantor_valuation(F(1, 4))
+        piece, c = prefix_with_value(c4, FULL, F(1, 3), tol)
+        assert (piece, c) == (interval_set((0, "3/11")), F(3, 11))
+        assert cdf(c4, c).value == F(1, 3)
+        # a density overlapping the Cantor support: no cycle, a certified point
+        mix = load_valuation(bundled_config_path("cantor_mix"))
+        a = interval_set(("1/2", 1))
+        base = cdf(mix, F(1, 2), "left_limit").value
+        target = F(1, 10)
+        _, c = prefix_with_value(mix, a, target, tol)
+        f = cdf(mix, c, tol=tol / 2**10)
+        assert f.width <= tol / 2**10
+        assert base + target - tol / 2 <= f.lo and f.hi <= base + target + tol / 2
+        # a density far heavier than the Cantor part, and a target reached at
+        # 1/4, a point of C_1/3: no gap ends the descent, the density bounds it
+        w = F(1, 2**20)
+        heavy = make_valuation(density=[(civ(0, 1), 1 - w)],
+                               cantor_parts=[CantorComponent(civ(0, 1), F(1, 3), w)])
+        t = (1 - w) / 4 + w / 3  # F(1/4)
+        _, c = prefix_with_value(heavy, FULL, t)
+        f = cdf(heavy, c, tol=DEFAULT_TOL / 2**10)
+        assert t - DEFAULT_TOL / 2 <= f.lo and f.hi <= t + DEFAULT_TOL / 2
+
+    def test_sc_target_next_to_an_atom_at_a_cell_end(self):
+        # cantor_mix has its atom at 1/3, the right end of a level-1 cell of
+        # C_1/3; all of [0,1/3) is reached at 1/3, left of the atom
+        mix = load_valuation(bundled_config_path("cantor_mix"))
+        a = interval_set((0, "1/3", True, False))
+        assert prefix_with_value(mix, a, evaluate(mix, a).value) == (a, F(1, 3))
+
+    @pytest.mark.parametrize("p", [F(1, 4), F(1, 5)])
+    def test_sc_target_at_the_bracket_top_stays_in_a(self, p):
+        # the top of v(A)'s bracket can exceed the true v(A); the cut must
+        # still end inside A, not past its end
+        v = cantor_valuation(p)
+        tol = F(1, 2**10)
+        l = (1 - p) / 2
+        rng = random.Random(5)
+        brackets = 0
+        for _ in range(20):
+            # k/97 of the way into a level-8 cell, so F(e) is a bracket
+            start = sum(rng.randint(0, 1) * (1 - l) * l**i for i in range(8))
+            e = start + l**8 * F(rng.randint(1, 96), 97)
+            a = interval_set((0, e))
+            va = evaluate(v, a, tol / 4)  # the brackets prefix_with_value reads
+            brackets += not va.is_exact
+            piece, c = prefix_with_value(v, a, va.hi, tol)
+            assert c <= e and piece == intersect(a, interval_set((0, c)))
+        assert brackets
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([F(1, 3), F(1, 4), F(1, 5), F(2, 7)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=16).filter(bool),
+        st.sampled_from([F(1), F(1, 2), F(1, 2**20)]),
+    )
+    def test_cantor_inversion_certified_minimal_and_exact(self, p, t, weight):
+        # C_p of the given weight under a uniform density of the rest
+        unit = civ(0, 1)
+        density = [(unit, 1 - weight)] if weight < 1 else []
+        v = make_valuation(density=density, cantor_parts=[CantorComponent(unit, p, weight)])
+        tol = DEFAULT_TOL
+        _, c = prefix_with_value(v, FULL, t, tol)
         f = cdf(v, c, tol=tol / 2**10)
-        assert F(1, 3) - tol / 2 <= f.lo and f.hi <= F(1, 3) + tol / 2
+        assert t - tol / 2 <= f.lo and f.hi <= t + tol / 2
+        if c > F(1, 2**40):
+            assert cdf(v, c - F(1, 2**40), tol=tol / 2**10).hi < t
+        if weight == 1:
+            assert f.value == t
 
 
 class TestSlice:
@@ -420,6 +492,36 @@ class TestSlice:
             for p in pieces:
                 val = evaluate(v, p, tol)
                 assert 0 < val.lo and val.hi <= eps + tol
+
+    def test_two_cantor_supports_slice_exactly(self):
+        # supports given right to left, a density between them: G is flat
+        # on each support, so every cut closes an orbit and is exact
+        v = make_valuation(
+            density=[(civ("1/4", "3/4"), F(1, 2))],
+            cantor_parts=[
+                CantorComponent(civ("3/4", 1), F(1, 4), F(3, 8)),
+                CantorComponent(civ(0, "1/4"), F(1, 3), F(3, 8)),
+            ],
+        )
+        pieces = slice_valuation(v, F(1, 8))
+        assert len(pieces) == 8
+        assert pieces[0] == interval_set((0, "1/16"))  # F_1/3(1/4) = 1/3
+        assert all(evaluate(v, p).value == F(1, 8) for p in pieces)
+        assert intersect(pieces[3], interval_set(("1/4", "3/4"))) == pieces[3]
+
+    def test_sc_slicing_with_tol_coarser_than_epsilon(self):
+        # a stop within tol/4 past a target could reach the next target and
+        # leave an empty piece; the descent stops within epsilon/4 instead
+        v = cantor_valuation(F(1, 4))
+        eps = F(1, 17)
+        pieces = slice_valuation(v, eps, F(1, 2))
+        assert len(pieces) == 17
+        whole = EMPTY
+        for p in pieces:
+            val = evaluate(v, p, F(1, 2**30))
+            assert eps * 3 / 4 <= val.lo and val.hi <= eps * 5 / 4
+            whole = union(whole, p)
+        assert whole == FULL
 
     def test_slicer_contract_random_with_atoms(self):
         rng = random.Random(5)
