@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .config import load_valuation
 from .errors import BadParameter, CakeError, ParseError
@@ -34,6 +35,7 @@ from .valuation import CdfValue, cdf, cut, evaluate, slice_valuation
 PROTOCOLS = {f.__name__: f for f in (cut_and_choose, last_diminisher, moving_knife)}
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cakecalc",

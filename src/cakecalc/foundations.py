@@ -4,13 +4,14 @@ and relative frequencies along a point sequence."""
 from __future__ import annotations
 
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from .cantor import check_ratio
 from .errors import BadIndex, BadParameter
-from .intervals import Cut, Interval, IntervalSet, normalize
+from .intervals import Interval, IntervalSet, normalize, translate_keys
 
 
 class CantorIterateSet(IntervalSet):
@@ -18,50 +19,44 @@ class CantorIterateSet(IntervalSet):
 
     At stage i every one of the 2^i components of A_i has the same length
     L_i = (L_(i-1) - p^i) / 2, and the open middle gap of length p^i is cut
-    out of each component of A_(i-1).  The table keeps L_0 .. L_n as integer
-    numerators over the common denominator (2b)^n.  The cut sequence is
-    built from the table on first access and cached in `_cuts`; from it the
-    base class builds `components`.  `length_upto` and membership walk down
-    the table in O(n) steps without building either, and `len`, `is_empty`
-    and `length` read it directly.  Equality, hashing, iteration and the set
-    operations see the same cuts as a plain IntervalSet.
+    out of each component of A_(i-1).  Every endpoint is a sum of stage
+    shifts L_(i-1) - L_i, plus L_n at a right end, so over (2b)^n the gcd of
+    (2b)^n, L_n and the shifts reduces the table to the set's own `den`, and
+    the table keeps L_0 .. L_n as integers over it.  The keys are built from
+    the table on first access and cached in `_keys`; from them the base
+    class builds `cuts` and `components`.  `length_upto` and membership walk
+    down the table in O(n) steps without building any of these, and `len`,
+    `is_empty` and `length` read it directly.  Equality, hashing, iteration
+    and the set operations see the same keys as a plain IntervalSet.
     """
 
-    __slots__ = ("p", "n", "_den", "_lengths", "_cuts")
+    __slots__ = ("p", "n", "_lengths", "_keys")
 
     def __init__(self, p: Fraction, n: int):
         a, b = p.numerator, p.denominator
-        den = (2 * b) ** n
-        lengths = [den]
+        scale = (2 * b) ** n
+        lengths = [scale]
         for i in range(1, n + 1):
-            gap = a**i * 2**n * b ** (n - i)  # p^i in units of 1/den
+            gap = a**i * 2**n * b ** (n - i)  # p^i in units of 1/scale
             lengths.append((lengths[-1] - gap) // 2)
+        g = gcd(scale, lengths[-1], *(x - y for x, y in zip(lengths, lengths[1:])))
         init = object.__setattr__
         init(self, "p", p)
         init(self, "n", n)
-        init(self, "_den", den)
-        init(self, "_lengths", tuple(lengths))
-        init(self, "_cuts", None)
-        init(self, "_components", None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        init(self, "den", scale // g)
+        init(self, "_lengths", tuple(x // g for x in lengths))
+        for cache in ("_keys", "_cuts", "_components"):
+            init(self, cache, None)
 
     @property
-    def cuts(self) -> tuple[Cut, ...]:
-        if self._cuts is None:
+    def keys(self) -> tuple[int, ...]:
+        if self._keys is None:
             # the right child of a stage-i component starts L_(i-1) - L_i
             # after the left child
             lengths = self._lengths
-            los = [0]
-            for i in range(1, self.n + 1):
-                shift = lengths[i - 1] - lengths[i]
-                los = [x for lo in los for x in (lo, lo + shift)]
-            den, leaf = self._den, lengths[-1]
-            object.__setattr__(self, "_cuts", tuple(
-                (Fraction(x, den), k) for lo in los for x, k in ((lo, 0), (lo + leaf, 1))
-            ))
-        return self._cuts
+            shifts = (lengths[i - 1] - lengths[i] for i in range(self.n, 0, -1))
+            object.__setattr__(self, "_keys", translate_keys(lengths[-1], shifts))
+        return self._keys
 
     def __len__(self):
         if 2**self.n > sys.maxsize:  # len() itself would raise OverflowError
@@ -75,7 +70,7 @@ class CantorIterateSet(IntervalSet):
     @property
     def length(self) -> Fraction:
         # 2^n components of length L_n each
-        return Fraction(self._lengths[-1] << self.n, self._den)
+        return Fraction(self._lengths[-1] << self.n, self.den)
 
     def __reduce__(self):
         return CantorIterateSet, (self.p, self.n)
@@ -88,7 +83,7 @@ class CantorIterateSet(IntervalSet):
         between them.  The arithmetic is on integers in units of 1/(den*q),
         q the denominator of x."""
         q = x.denominator
-        target = x.numerator * self._den
+        target = x.numerator * self.den
         lengths = self._lengths
         n, leaf = self.n, lengths[-1]
         below = 0  # mass of the components left of the current one
@@ -99,8 +94,8 @@ class CantorIterateSet(IntervalSet):
             below += leaf << (n - i)
             start += lengths[i - 1] - lengths[i]
             if target < start * q:
-                return Fraction(below, self._den), False
-        return Fraction(below * q + target - start * q, self._den * q), True
+                return Fraction(below, self.den), False
+        return Fraction(below * q + target - start * q, self.den * q), True
 
     def length_upto(self, c: Fraction) -> Fraction:
         """|A_n ∩ [0,c]| for c in [0,1]."""

@@ -2,28 +2,35 @@
 
 Every set is kept in a unique canonical form: components are pairwise
 disjoint, sorted, and no two of them can be merged into a single interval.
-All endpoints are exact `Fraction`s; there is no floating point in this
+All endpoints are exact rationals; there is no floating point in this
 module.  Degenerate singletons [a,a] are legal intervals (they carry atoms
 and show up as intersection results); degenerate intervals with an open end
 are rejected rather than silently dropped.
 
 Interval ends are *cuts*: (x, 0) lies just before the point x and (x, 1)
 just after it.  An interval runs from its start cut, (lo, 0) closed or
-(lo, 1) open, to its end cut, (hi, 1) closed or (hi, 0) open, so tuple
-comparison answers every endpoint question (nonempty iff start < end).  A
-set is stored as the strictly increasing tuple of its components' cuts;
-the set operations are linear sweeps over it (`normalize` sorts first) and
-build no `Interval`.  `Interval` objects are made only where a caller asks
-for them: by the checked constructors and the `components` view.
+(lo, 1) open, to its end cut, (hi, 1) closed or (hi, 0) open, so comparing
+cuts answers every endpoint question (nonempty iff start < end).
+
+A set is stored as a positive integer `den` and the strictly increasing
+tuple `keys` of its components' cuts, where the cut (x, side) has the
+integer key 2*x*den + side.  `den` is the lcm of the denominators of the
+cut points present, so (den, keys) is unique to the point set.  The set
+operations are sweeps over integers that build no `Fraction`: a binary one
+rescales both operands to the lcm of their dens and divides the result's
+den by the gcd of its points.  Only this module knows the encoding; the
+`Fraction` cuts and the `Interval` components are views built on demand.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import gcd, lcm
+from operator import itemgetter, lt
+from typing import Iterable, Sequence
 
 from .errors import InvalidInterval, OutOfCake, ParseError
 
@@ -50,11 +57,6 @@ class Interval:
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise InvalidInterval(f"degenerate interval {self} with an open end is empty")
 
-    @classmethod
-    def from_cuts(cls, start: Cut, end: Cut) -> "Interval":
-        """The interval between two cuts, start < end."""
-        return cls(start[0], end[0], start[1] == 0, end[1] == 1)
-
     @property
     def start(self) -> Cut:
         return (self.lo, 0 if self.lo_closed else 1)
@@ -80,71 +82,188 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+_set_lo, _set_hi, _set_lo_closed, _set_hi_closed = (
+    getattr(Interval, f).__set__ for f in Interval.__slots__
+)
+
+
+def _component(den: int, start: int, end: int) -> Interval:
+    """The Interval between two keys of a canonical set.  `__post_init__`'s
+    checks hold by construction, so the fields are set without them."""
+    iv = object.__new__(Interval)
+    _set_lo(iv, Fraction(start >> 1, den))
+    _set_hi(iv, Fraction(end >> 1, den))
+    _set_lo_closed(iv, not start & 1)
+    _set_hi_closed(iv, end & 1 == 1)
+    return iv
+
+
 class IntervalSet:
-    """Canonical element of the algebra of finite unions of intervals, held as
-    the strictly increasing cuts (s0, e0, s1, e1, ...) of its components.
+    """Canonical element of the algebra of finite unions of intervals.
 
-    The constructor takes an already canonical cut sequence and checks
-    nothing; `normalize`, `interval_set` and `parse_interval_set` are the
-    checked constructors.  `components` is a view built on first access and
-    cached.  x lies in the set iff an odd number of cuts are <= (x, 0).
-    Equality and hashing go by the cuts alone, also for subclasses."""
+    Held as `den` and `keys`: the strictly increasing keys 2*x*den + side of
+    the cuts (s0, e0, s1, e1, ...) of its components, over the lcm `den` of
+    their points' denominators.  `IntervalSet(cuts)` takes a canonical
+    sequence of (Fraction, side) cuts, checks it and keeps it as the `cuts`
+    view; `normalize`, `interval_set` and `parse_interval_set` build a set
+    from intervals.  `cuts` and `components` are otherwise built from the
+    keys on first access and cached.  x lies in the set iff an odd number of
+    keys are <= the key of (x, 0).  Equality and hashing go by (den, keys)
+    alone, also for subclasses."""
 
-    cuts: tuple[Cut, ...]
-    _components: tuple[Interval, ...] | None = field(default=None, init=False, repr=False)
+    __slots__ = ("den", "keys", "_cuts", "_components")
+
+    def __init__(self, cuts: Iterable[Cut] = ()):
+        cuts = tuple(cuts)
+        den, keys = _encode(cuts)
+        keys = tuple(keys)
+        # strictly increasing from the key of (0,0) to that of (1,1) is canonical
+        if len(keys) % 2 or not {side for _, side in cuts} <= {0, 1} or not all(
+            map(lt, (-1, *keys), (*keys, 2 * den + 2))
+        ):
+            raise InvalidInterval(f"cuts {cuts} are not those of a canonical set")
+        _init(self, den, keys, cuts)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def cuts(self) -> tuple[Cut, ...]:
+        """The cuts as (Fraction, side) pairs."""
+        if self._cuts is None:
+            den = self.den
+            cuts = tuple((Fraction(k >> 1, den), k & 1) for k in self.keys)
+            object.__setattr__(self, "_cuts", cuts)
+        return self._cuts
 
     @property
     def components(self) -> tuple[Interval, ...]:
         if self._components is None:
-            comps = tuple(map(Interval.from_cuts, self.cuts[::2], self.cuts[1::2]))
+            den, keys = self.den, self.keys
+            comps = tuple(_component(den, s, e) for s, e in zip(keys[::2], keys[1::2]))
             object.__setattr__(self, "_components", comps)
         return self._components
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self.cuts == other.cuts
+        return self.den == other.den and self.keys == other.keys
 
     def __hash__(self):
-        return hash(self.cuts)
+        return hash((self.den, self.keys))
+
+    def __reduce__(self):
+        return _from_keys, (self.den, self.keys)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(den={self.den}, keys={self.keys})"
 
     def __iter__(self):
         return iter(self.components)
 
     def __contains__(self, x: Fraction) -> bool:
-        return bisect_right(self.cuts, (x, 0)) % 2 == 1
+        # the key of (x, 0) if x*den is an integer, else the odd key just below it
+        v, r = divmod(x.numerator * self.den, x.denominator)
+        return bisect_right(self.keys, 2 * v + (r != 0)) % 2 == 1
 
     def __len__(self):
-        return len(self.cuts) // 2
+        return len(self.keys) // 2
+
+    def __bool__(self):
+        return not self.is_empty
 
     @property
     def is_empty(self) -> bool:
-        return not self.cuts
+        return not self.keys
 
     @property
     def length(self) -> Fraction:
         """Lebesgue measure of the set; endpoint kinds do not matter."""
-        c = self.cuts
-        return sum((x for x, _ in c[1::2]), ZERO) - sum((x for x, _ in c[::2]), ZERO)
+        points = [k >> 1 for k in self.keys]
+        return Fraction(sum(points[1::2]) - sum(points[::2]), self.den)
 
     def __str__(self) -> str:
         return ", ".join(map(str, self.components)) or "∅"
 
 
-EMPTY = IntervalSet(())
+_set_den, _set_keys, _set_cuts, _set_components = (
+    getattr(IntervalSet, f).__set__ for f in IntervalSet.__slots__
+)
+
+
+def _init(s: IntervalSet, den: int, keys: tuple[int, ...], cuts) -> None:
+    _set_den(s, den)
+    _set_keys(s, keys)
+    _set_cuts(s, cuts)
+    _set_components(s, None)
+
+
+def _from_keys(den: int, keys: tuple[int, ...], cuts=None) -> IntervalSet:
+    """The set of canonical `keys` over its canonical `den`, unchecked."""
+    s = object.__new__(IntervalSet)
+    _init(s, den, keys, cuts)
+    return s
+
+
+def _encode(cuts: Sequence[Cut]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of the cut points, and the cuts' keys."""
+    den = lcm(*{x.denominator for x, _ in cuts})
+    return den, [2 * x.numerator * (den // x.denominator) + side for x, side in cuts]
+
+
+def _reduced(den: int, keys: Iterable[int], cuts=None) -> IntervalSet:
+    """The set of canonical `keys` over `den`, with `den` divided by the gcd
+    of its points, so that it is the lcm of their denominators."""
+    keys = tuple(keys)
+    g = den
+    for k in keys:
+        g = gcd(g, k >> 1)
+        if g == 1:
+            return _from_keys(den, keys, cuts)
+    return _from_keys(den // g, tuple((k >> 1) // g * 2 + (k & 1) for k in keys), cuts)
+
+
+def _rescaled(a: IntervalSet, den: int) -> Sequence[int]:
+    """The keys of `a` over a multiple `den` of its own."""
+    f = den // a.den
+    if f == 1:
+        return a.keys
+    return [(k >> 1) * 2 * f + (k & 1) for k in a.keys]
+
+
+def translate_keys(length: int, shifts: Iterable[int]) -> tuple[int, ...]:
+    """The keys of the union of the closed intervals [t, t + length], in
+    integer positions over the set's den, for t every sum of a subset of
+    `shifts`.  Each shift must exceed the span of the union that the shifts
+    before it make, so that each translated copy lies right of the last."""
+    keys = [0, 2 * length + 1]
+    for shift in shifts:
+        step = 2 * shift
+        keys += [k + step for k in keys]
+    return tuple(keys)
+
+
+EMPTY = IntervalSet()
 FULL = IntervalSet(((ZERO, 0), (ONE, 1)))
 
 
 def normalize(raw: Iterable[Interval]) -> IntervalSet:
     """Unique canonical IntervalSet with the same point set.  Idempotent."""
+    ends = [cut for iv in raw for cut in (iv.start, iv.end)]
+    den, encoded = _encode(ends)
+    spans = sorted(
+        zip(encoded[::2], encoded[1::2], ends[::2], ends[1::2]), key=itemgetter(0, 1)
+    )
+    keys: list[int] = []
     cuts: list[Cut] = []
-    for s, e in sorted((iv.start, iv.end) for iv in raw):
-        if cuts and s <= cuts[-1]:
-            cuts[-1] = max(cuts[-1], e)
+    for ks, ke, s, e in spans:
+        if keys and ks <= keys[-1]:
+            if ke > keys[-1]:
+                keys[-1], cuts[-1] = ke, e
         else:
+            keys += (ks, ke)
             cuts += (s, e)
-    return IntervalSet(tuple(cuts))
+    return _reduced(den, keys, tuple(cuts))
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -154,29 +273,38 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 def complement(a: IntervalSet) -> IntervalSet:
     """Complement relative to [0,1]: the gaps between consecutive cuts of
     [(0,0), *a.cuts, (1,1)].  Only an end gap can be empty, so this toggles
-    the cuts (0,0) and (1,1) at the ends of the cake."""
-    lo, hi = FULL.cuts
-    c = a.cuts[1:] if a.cuts[:1] == (lo,) else (lo, *a.cuts)
-    return IntervalSet(c[:-1] if c[-1:] == (hi,) else (*c, hi))
+    the keys of (0,0) and (1,1).  No other point comes or goes, so neither
+    does a factor of `den`."""
+    keys, top = a.keys, 2 * a.den + 1
+    c = keys[1:] if keys[:1] == (0,) else (0, *keys)
+    return _from_keys(a.den, c[:-1] if c[-1:] == (top,) else (*c, top))
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """One sweep over both operands' cut pairs.  Each piece lies in one
-    component of each, and one operand's components never touch: canonical."""
-    if a.is_empty or b.is_empty:  # the empty operand is the intersection
-        return a if a.is_empty else b
-    xs, ys = a.cuts, b.cuts
-    out: list[Cut] = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        s, e = max(xs[i], ys[j]), min(xs[i + 1], ys[j + 1])
-        if s < e:
-            out += (s, e)
-        if e is xs[i + 1]:  # the component that ends first is done
-            i += 2
-        else:
-            j += 2
-    return IntervalSet(tuple(out))
+    """Each component [s, e] of the operand with fewer keys is bisected into
+    the other operand's keys ys: its piece starts at s if s lies inside the
+    other operand, takes the keys of ys strictly between s and e, and ends
+    at e if e lies inside.  So the work is O(k log m + output) for k and m
+    components, and the keys rise strictly across pieces: canonical."""
+    if len(a.keys) > len(b.keys):
+        a, b = b, a
+    if a.is_empty:  # the empty operand is the intersection
+        return a
+    den = lcm(a.den, b.den)
+    xs, ys = _rescaled(a, den), _rescaled(b, den)
+    out: list[int] = []
+    append = out.append
+    for s, e in zip(xs[::2], xs[1::2]):
+        i = bisect_right(ys, s)
+        j = bisect_left(ys, e, i)
+        if i & 1:
+            append(s)
+        out += ys[i:j]
+        if j & 1:
+            append(e)
+    result = _reduced(den, out)
+    # an operand that is the result may have its views built already
+    return a if result == a else b if result == b else result
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:

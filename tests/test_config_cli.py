@@ -16,7 +16,7 @@ from cakecalc import (
     parse_interval_set,
     valuation_from_dict,
 )
-from cakecalc.cli import main, run
+from cakecalc.cli import build_parser, main, run
 
 F = Fraction
 
@@ -126,6 +126,15 @@ class TestCli:
         code, out = cli("cantor", "1/3", "4")
         remaining = [line.split()[2] for line in out.strip().splitlines()[1:]]
         assert remaining == ["1", "2/3", "4/9", "8/27", "16/81"]
+
+    def test_one_parser_serves_every_run(self, capsys):
+        fresh = build_parser.__wrapped__()
+        cli("--json", "cdf", str(bundled_config_path("dirac")), "1/2", "--side", "left_limit")
+        with pytest.raises(SystemExit):
+            run(["cut", "--approx"])
+        assert build_parser() is build_parser()
+        assert build_parser().format_help() == fresh.format_help()
+        assert cli("cdf", str(bundled_config_path("dirac")), "1/2")[1].strip() == "1"
 
     def test_witness(self):
         code, out = cli("--json", "witness", "6")

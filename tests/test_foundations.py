@@ -58,8 +58,11 @@ class TestCantorIterate:
 
     def test_len_past_the_word_size_is_a_named_error(self):
         assert len(cantor_iterate(F(1, 3), 62).set) == 2**62
-        with pytest.raises(BadParameter, match=r"2\*\*63"):
-            len(cantor_iterate(F(1, 3), 63).set)
+        for n in (63, 64):
+            huge = cantor_iterate(F(1, 3), n).set
+            assert huge  # truth reads is_empty, not len()
+            with pytest.raises(BadParameter, match=rf"2\*\*{n}"):
+                len(huge)
 
     @pytest.mark.parametrize("p", [F(1, 3), F(1, 4), F(2, 7)])
     def test_length_plus_removed_is_one(self, p):
@@ -139,6 +142,7 @@ class TestIterateDescent:
         contains(staged, F(1, 3))
         assert staged._components is None
         assert staged._cuts is None
+        assert staged._keys is None
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_length_matches_components(self, p):
@@ -151,6 +155,7 @@ class TestIterateDescent:
         assert total_length(staged) == 1 - removed_mass(F(1, 3), 40)
         assert staged._components is None
         assert staged._cuts is None
+        assert staged._keys is None
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_cantor_part_matches_components(self, p):
@@ -168,7 +173,7 @@ class TestIterateDescent:
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_equal_and_same_hash_as_plain_set(self, p):
-        for n in range(6):
+        for n in range(9):
             plain = normalize(list(cantor_iterate(p, n).set))
             assert cantor_iterate(p, n).set == plain
             assert plain == cantor_iterate(p, n).set
@@ -176,6 +181,16 @@ class TestIterateDescent:
             assert not cantor_iterate(p, n).set != plain
             assert not plain != cantor_iterate(p, n).set
             assert pickle.loads(pickle.dumps(cantor_iterate(p, n).set)) == plain
+            assert pickle.loads(pickle.dumps(plain)) == cantor_iterate(p, n).set
+
+    def test_den_is_reduced_from_the_stage_table(self):
+        """For p = 1/3 the endpoints of A_n are ternary: den is 3^n, not the
+        table's (2b)^n = 6^n, and a plain set of the same points agrees."""
+        for n in range(9):
+            staged = cantor_iterate(F(1, 3), n).set
+            plain = normalize(list(staged))
+            assert staged.den == plain.den == 3**n
+            assert staged.keys == plain.keys
 
 
 class TestRemovedMass:

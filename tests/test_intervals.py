@@ -1,19 +1,24 @@
 """Canonical interval algebra: golden examples and algebraic laws."""
 
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cakecalc import (
     EMPTY,
     FULL,
     Interval,
+    CantorComponent,
     IntervalSet,
     InvalidInterval,
     cantor_iterate,
+    make_valuation,
+    prefix_with_value,
     OutOfCake,
     ParseError,
     complement,
@@ -28,7 +33,7 @@ from cakecalc import (
     union,
 )
 from cakecalc.intervals import parse_rational
-from conftest import interval_sets, small_fractions
+from conftest import interval_sets, intervals, small_fractions
 
 F = Fraction
 
@@ -53,6 +58,18 @@ class TestInvariants:
     def test_singleton_allowed(self):
         s = iv("1/2", "1/2")
         assert s.is_singleton and s.length == 0
+
+    @pytest.mark.parametrize("cuts", [
+        [(F(1, 2), 1), (F(1, 2), 1)],  # (1/2,1/2]
+        [(F(1, 2), 0), (F(1, 3), 1)],  # out of order
+        [(F(0), 0), (F(1, 3), 1), (F(1, 3), 1), (F(1), 1)],  # [0,1/3] touches (1/3,1]
+        [(F(0), 0)],  # no end
+        [(F(0), 0), (F(1, 2), 2)],  # no side
+        [(F(0), 0), (F(3, 2), 1)],  # off the cake
+    ])
+    def test_cut_constructor_rejects_non_canonical_cuts(self, cuts):
+        with pytest.raises(InvalidInterval):
+            IntervalSet(cuts)
 
 
 class TestNormalize:
@@ -199,6 +216,112 @@ class TestLaws:
             assert normalize(s.components) == s
 
 
+def present_lcm(a: IntervalSet) -> int:
+    """The lcm of the denominators of the cut points of `a`."""
+    return lcm(*(x.denominator for x, _ in a.cuts))
+
+
+# The plain `Fraction`-cut algorithms the integer keys replace, as references.
+
+def ref_normalize(ivs) -> tuple:
+    cuts = []
+    for s, e in sorted((i.start, i.end) for i in ivs):
+        if cuts and s <= cuts[-1]:
+            cuts[-1] = max(cuts[-1], e)
+        else:
+            cuts += (s, e)
+    return tuple(cuts)
+
+
+def ref_complement(xs) -> tuple:
+    c = [(F(0), 0), *xs, (F(1), 1)]
+    return tuple(cut for s, e in zip(c[::2], c[1::2]) if s < e for cut in (s, e))
+
+
+def ref_intersect(xs, ys) -> tuple:
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        s, e = max(xs[i], ys[j]), min(xs[i + 1], ys[j + 1])
+        if s < e:
+            out += (s, e)
+        if xs[i + 1] <= ys[j + 1]:
+            i += 2
+        else:
+            j += 2
+    return tuple(out)
+
+
+# A cut with a 47-digit denominator, as prefix_with_value returns where a
+# density overlaps a Cantor support and no orbit closes.
+_, LONG_CUT = prefix_with_value(
+    make_valuation(
+        density=[(iv(0, 1), F(1, 2))],
+        cantor_parts=[CantorComponent(iv(0, 1), F(1, 4), F(1, 2))],
+    ),
+    FULL, F(1, 17), F(1, 2**50),
+)
+# pairwise coprime apart from LONG_CUT's, which shares the factor 2
+LARGE_DENS = [2**133, 3**84, 5**57, 2**127 - 1, LONG_CUT.denominator]
+
+
+@st.composite
+def large_points(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from([F(0), F(1), LONG_CUT]))
+    d = draw(st.sampled_from(LARGE_DENS))
+    return F(draw(st.integers(0, d)), d)
+
+
+@st.composite
+def large_intervals(draw):
+    a, b = sorted((draw(large_points()), draw(large_points())))
+    if a == b:
+        return Interval(a, b, True, True)
+    return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
+
+
+large_interval_lists = st.lists(st.one_of(large_intervals(), intervals()), max_size=5)
+
+
+class TestIntegerKeys:
+    """The integer-key algebra against the plain `Fraction`-cut algorithms,
+    on cut points with large coprime denominators."""
+
+    LONG = [Interval(F(0), LONG_CUT, True, True), Interval(LONG_CUT, F(1), False, True)]
+
+    @given(large_interval_lists, large_interval_lists, large_points())
+    @example(LONG[:1], LONG[1:], LONG_CUT)
+    def test_matches_fraction_reference(self, ivs_a, ivs_b, x):
+        a, b = normalize(ivs_a), normalize(ivs_b)
+        xs, ys = ref_normalize(ivs_a), ref_normalize(ivs_b)
+        assert a.cuts == xs and b.cuts == ys
+        assert IntervalSet(xs) == a and hash(IntervalSet(xs)) == hash(a)
+        expected = {
+            "complement": ref_complement(xs),
+            "intersect": ref_intersect(xs, ys),
+            "difference": ref_intersect(xs, ref_complement(ys)),
+            "union": ref_complement(ref_intersect(ref_complement(xs), ref_complement(ys))),
+        }
+        for name, op in TestCutsOnly.OPS.items():
+            got = op(a, b)
+            assert got.cuts == expected[name], name
+            assert got.den == present_lcm(got), name
+        assert (x in a) == (bisect_right(xs, (x, 0)) % 2 == 1)
+        assert a.length == sum(e[0] - s[0] for s, e in zip(xs[::2], xs[1::2]))
+
+    def test_chained_differences_keep_den_canonical(self):
+        """Twelve pieces taken off the left of the cake one after another,
+        as last_diminisher does: each cut point leaves with its piece, and so
+        does its factor of `den`."""
+        cake = FULL
+        for k in range(1, 13):
+            c = F(k, k + 12)
+            cake = difference(cake, interval_set((0, c)))
+            assert cake == interval_set((c, 1, False, True))
+            assert cake.den == present_lcm(cake) == c.denominator
+
+
 class TestCutsOnly:
     """Set algebra works on the cut sequences alone: no `Interval` is built
     for an operand or a result until its `components` are read."""
@@ -221,6 +344,13 @@ class TestCutsOnly:
     @given(interval_sets(), interval_sets())
     def test_small_sets(self, a, b):
         self.check(a, b)
+
+    def test_cantor_iterate_operands_build_no_cuts(self):
+        a, b = cantor_iterate(F(1, 4), 12).set, cantor_iterate(F(1, 3), 9).set
+        for name, op in self.OPS.items():
+            result = op(a, b)
+            assert result._cuts is None and result._components is None, name
+        assert a._cuts is None and b._cuts is None
 
     def test_cantor_iterate(self):
         a12 = lambda p: cantor_iterate(p, 12).set
