@@ -27,7 +27,6 @@ from .intervals import (
     interval_set,
     normalize,
     parse_interval_set,
-    render_interval_set,
     total_length,
     union,
 )

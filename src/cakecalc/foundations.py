@@ -76,14 +76,17 @@ class CantorIterateSet(IntervalSet):
         return CantorIterateSet, (self.p, self.n)
 
     def _descend(self, x: Fraction) -> tuple[Fraction, bool]:
-        """(|A_n ∩ [0,x]|, x ∈ A_n) for x in [0,1].
+        """(|A_n ∩ [0,x]|, x ∈ A_n) for any rational x.
 
-        Every stage either keeps x in the left child, skips the left child's
-        mass 2^(n-i) * L_n and moves to the right child, or ends in the gap
-        between them.  The arithmetic is on integers in units of 1/(den*q),
-        q the denominator of x."""
-        q = x.denominator
-        target = x.numerator * self.den
+        Outside [0,1] x lies left or right of all of A_n.  Inside, every
+        stage either keeps x in the left child, skips the left child's mass
+        2^(n-i) * L_n and moves to the right child, or ends in the gap between
+        them.  The arithmetic is on integers in units of 1/(den*q), q the
+        denominator of x."""
+        num, q = x.numerator, x.denominator
+        if not 0 <= num <= q:
+            return (Fraction(0) if num < 0 else self.length), False
+        target = num * self.den
         lengths = self._lengths
         n, leaf = self.n, lengths[-1]
         below = 0  # mass of the components left of the current one
@@ -98,7 +101,7 @@ class CantorIterateSet(IntervalSet):
         return Fraction(below * q + target - start * q, self.den * q), True
 
     def length_upto(self, c: Fraction) -> Fraction:
-        """|A_n ∩ [0,c]| for c in [0,1]."""
+        """|A_n ∩ [0,c]|."""
         return self._descend(c)[0]
 
     def __contains__(self, x: Fraction) -> bool:

@@ -18,8 +18,9 @@ integer key 2*x*den + side.  `den` is the lcm of the denominators of the
 cut points present, so (den, keys) is unique to the point set.  The set
 operations are sweeps over integers that build no `Fraction`: a binary one
 rescales both operands to the lcm of their dens and divides the result's
-den by the gcd of its points.  Only this module knows the encoding; the
-`Fraction` cuts and the `Interval` components are views built on demand.
+den by the gcd of its points.  Only this module knows the encoding.  A set
+keeps nothing else, not even the cuts it was built from: the `Fraction`
+cuts and the `Interval` components are views built from the keys on demand.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import InvalidInterval, OutOfCake, ParseError
@@ -82,34 +83,18 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
-_set_lo, _set_hi, _set_lo_closed, _set_hi_closed = (
-    getattr(Interval, f).__set__ for f in Interval.__slots__
-)
-
-
-def _component(den: int, start: int, end: int) -> Interval:
-    """The Interval between two keys of a canonical set.  `__post_init__`'s
-    checks hold by construction, so the fields are set without them."""
-    iv = object.__new__(Interval)
-    _set_lo(iv, Fraction(start >> 1, den))
-    _set_hi(iv, Fraction(end >> 1, den))
-    _set_lo_closed(iv, not start & 1)
-    _set_hi_closed(iv, end & 1 == 1)
-    return iv
-
-
 class IntervalSet:
     """Canonical element of the algebra of finite unions of intervals.
 
     Held as `den` and `keys`: the strictly increasing keys 2*x*den + side of
     the cuts (s0, e0, s1, e1, ...) of its components, over the lcm `den` of
-    their points' denominators.  `IntervalSet(cuts)` takes a canonical
-    sequence of (Fraction, side) cuts, checks it and keeps it as the `cuts`
-    view; `normalize`, `interval_set` and `parse_interval_set` build a set
-    from intervals.  `cuts` and `components` are otherwise built from the
-    keys on first access and cached.  x lies in the set iff an odd number of
-    keys are <= the key of (x, 0).  Equality and hashing go by (den, keys)
-    alone, also for subclasses."""
+    their points' denominators, and nothing else.  `IntervalSet(cuts)` takes
+    a canonical sequence of (Fraction, side) cuts, checks it and keeps only
+    its keys; `normalize`, `interval_set` and `parse_interval_set` build a
+    set from intervals.  The `cuts` and `components` views are always built
+    from the keys on first access and cached.  x lies in the set iff an odd
+    number of keys are <= the key of (x, 0).  Equality and hashing go by
+    (den, keys) alone, also for subclasses."""
 
     __slots__ = ("den", "keys", "_cuts", "_components")
 
@@ -122,7 +107,7 @@ class IntervalSet:
             map(lt, (-1, *keys), (*keys, 2 * den + 2))
         ):
             raise InvalidInterval(f"cuts {cuts} are not those of a canonical set")
-        _init(self, den, keys, cuts)
+        _from_keys(den, keys, self)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -140,7 +125,12 @@ class IntervalSet:
     def components(self) -> tuple[Interval, ...]:
         if self._components is None:
             den, keys = self.den, self.keys
-            comps = tuple(_component(den, s, e) for s, e in zip(keys[::2], keys[1::2]))
+            comps = tuple(
+                Interval(
+                    Fraction(s >> 1, den), Fraction(e >> 1, den), not s & 1, e & 1 == 1
+                )
+                for s, e in zip(keys[::2], keys[1::2])
+            )
             object.__setattr__(self, "_components", comps)
         return self._components
 
@@ -186,22 +176,17 @@ class IntervalSet:
         return ", ".join(map(str, self.components)) or "∅"
 
 
-_set_den, _set_keys, _set_cuts, _set_components = (
-    getattr(IntervalSet, f).__set__ for f in IntervalSet.__slots__
-)
-
-
-def _init(s: IntervalSet, den: int, keys: tuple[int, ...], cuts) -> None:
-    _set_den(s, den)
-    _set_keys(s, keys)
-    _set_cuts(s, cuts)
-    _set_components(s, None)
-
-
-def _from_keys(den: int, keys: tuple[int, ...], cuts=None) -> IntervalSet:
-    """The set of canonical `keys` over its canonical `den`, unchecked."""
-    s = object.__new__(IntervalSet)
-    _init(s, den, keys, cuts)
+def _from_keys(
+    den: int, keys: tuple[int, ...], s: IntervalSet | None = None
+) -> IntervalSet:
+    """The set of canonical `keys` over its canonical `den`, unchecked; it is
+    `s` if given, else a new one.  The views are built on first access."""
+    s = object.__new__(IntervalSet) if s is None else s
+    init = object.__setattr__
+    init(s, "den", den)
+    init(s, "keys", keys)
+    init(s, "_cuts", None)
+    init(s, "_components", None)
     return s
 
 
@@ -211,7 +196,7 @@ def _encode(cuts: Sequence[Cut]) -> tuple[int, list[int]]:
     return den, [2 * x.numerator * (den // x.denominator) + side for x, side in cuts]
 
 
-def _reduced(den: int, keys: Iterable[int], cuts=None) -> IntervalSet:
+def _reduced(den: int, keys: Iterable[int]) -> IntervalSet:
     """The set of canonical `keys` over `den`, with `den` divided by the gcd
     of its points, so that it is the lcm of their denominators."""
     keys = tuple(keys)
@@ -219,8 +204,8 @@ def _reduced(den: int, keys: Iterable[int], cuts=None) -> IntervalSet:
     for k in keys:
         g = gcd(g, k >> 1)
         if g == 1:
-            return _from_keys(den, keys, cuts)
-    return _from_keys(den // g, tuple((k >> 1) // g * 2 + (k & 1) for k in keys), cuts)
+            return _from_keys(den, keys)
+    return _from_keys(den // g, tuple((k >> 1) // g * 2 + (k & 1) for k in keys))
 
 
 def _rescaled(a: IntervalSet, den: int) -> Sequence[int]:
@@ -251,19 +236,13 @@ def normalize(raw: Iterable[Interval]) -> IntervalSet:
     """Unique canonical IntervalSet with the same point set.  Idempotent."""
     ends = [cut for iv in raw for cut in (iv.start, iv.end)]
     den, encoded = _encode(ends)
-    spans = sorted(
-        zip(encoded[::2], encoded[1::2], ends[::2], ends[1::2]), key=itemgetter(0, 1)
-    )
     keys: list[int] = []
-    cuts: list[Cut] = []
-    for ks, ke, s, e in spans:
-        if keys and ks <= keys[-1]:
-            if ke > keys[-1]:
-                keys[-1], cuts[-1] = ke, e
+    for start, end in sorted(zip(encoded[::2], encoded[1::2])):
+        if keys and start <= keys[-1]:
+            keys[-1] = max(keys[-1], end)
         else:
-            keys += (ks, ke)
-            cuts += (s, e)
-    return _reduced(den, keys, tuple(cuts))
+            keys += (start, end)
+    return _reduced(den, keys)
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -371,7 +350,3 @@ def parse_interval_set(text: str) -> IntervalSet:
             raise ParseError(str(exc)) from exc
         pos = m.end()
     return normalize(ivs)
-
-
-def render_interval_set(a: IntervalSet) -> str:
-    return str(a)

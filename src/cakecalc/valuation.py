@@ -416,6 +416,8 @@ def prefix_with_value(
     """
     tol = _check_tol(tol)
     target = Fraction(target)
+    if target < ZERO:
+        raise BadParameter(f"target {target} is negative")
     _check_no_atoms(v, A)
     if target == ZERO:
         return EMPTY, ZERO

@@ -2,7 +2,10 @@
 
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +139,21 @@ class TestCli:
         assert build_parser().format_help() == fresh.format_help()
         assert cli("cdf", str(bundled_config_path("dirac")), "1/2")[1].strip() == "1"
 
+    def test_cli_imports_only_the_standard_library(self):
+        # -S keeps site-packages off sys.path, as on a bare interpreter
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import cakecalc.cli; "
+            "print(*{m.partition('.')[0] for m in sys.modules})"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(src)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = set(out.split())
+        assert "cakecalc" in loaded
+        assert loaded - set(sys.stdlib_module_names) <= {"cakecalc", "__main__"}
+
     def test_witness(self):
         code, out = cli("--json", "witness", "6")
         report = json.loads(out)
@@ -188,6 +206,11 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "exponent" in capsys.readouterr().err
 
+    def test_cut_and_choose_with_three_configs_is_2(self, capsys):
+        uniform = str(bundled_config_path("uniform"))
+        assert main(["protocol", "cut_and_choose", uniform, uniform, uniform]) == 2
+        assert "exactly 2 players" in capsys.readouterr().err
+
     def test_missing_config_is_2(self):
         assert main(["evaluate", "/no/such.json", "[0,1]"]) == 2
 
@@ -214,6 +237,9 @@ MALFORMED_CONFIGS = {
     "at_number": {"atoms": [{"at": 0.5, "weight": "1"}]},
     "weight_number": {"atoms": [{"at": "1/2", "weight": 1}]},
     "support_number": {"density_pieces": [{"support": 7, "density": "1"}]},
+    "support_two_intervals": {
+        "density_pieces": [{"support": "[0,1/4], [1/2,1]", "density": "4/3"}]
+    },
     "cantor_p_number": {"cantor": [{"support": "[0,1]", "p": 0.25, "weight": "1"}]},
     "unknown_section": {"atom": [{"at": "1/2", "weight": "1"}]},
     "root_list": [{"at": "1/2", "weight": "1"}],

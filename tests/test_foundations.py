@@ -130,6 +130,10 @@ class TestIterateDescent:
             assert contains(staged, x) == contains(plain, x)
             prefix = intersect(plain, interval_set((0, x)))
             assert staged.length_upto(x) == total_length(prefix)
+        # `in` and `length_upto` take any point, unlike `contains`
+        for x in (F(-1, 2), F(-1, 3**n), 1 + F(1, 3**n), F(2)):
+            assert (x in staged) == (x in plain)
+            assert staged.length_upto(x) == (0 if x < 0 else plain.length)
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_descent_builds_no_components(self, p):
@@ -196,6 +200,8 @@ class TestIterateDescent:
 class TestRemovedMass:
     def test_zero_stage(self):
         assert removed_mass(F(1, 4), 0) == 0
+        with pytest.raises(BadParameter):
+            removed_mass(F(1, 4), -1)
 
     def test_third_geometric(self):
         assert removed_mass(F(1, 3), 10) == 1 - F(2, 3) ** 10

@@ -159,6 +159,12 @@ class TestMovingKnife:
         assert a1.pieces == a2.pieces and a1.trace == a2.trace
 
 
+@pytest.mark.parametrize("protocol", [last_diminisher, moving_knife])
+def test_one_player_rejected(protocol):
+    with pytest.raises(BadParameter):
+        protocol([Player(0, uniform_valuation())])
+
+
 class TestFairnessChecks:
     def test_random_box_proportionality(self):
         rng = random.Random(100)

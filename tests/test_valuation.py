@@ -76,6 +76,8 @@ class TestConstruction:
     def test_box_partition_required(self):
         with pytest.raises(BadPartition):
             make_box_valuation([(civ(0, "1/2"), 1)])
+        with pytest.raises(BadPartition):
+            make_box_valuation([(civ("1/2", "1/2"), 1), (civ(0, 1), 1)])
 
     def test_box_overlap_rejected(self):
         with pytest.raises(BadPartition):
@@ -89,6 +91,46 @@ class TestConstruction:
     def test_all_zero_counts_rejected(self):
         with pytest.raises(ZeroMass):
             make_box_valuation([(civ(0, 1), 0)])
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ({"atoms": [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))]}, BadParameter),
+            ({"atoms": [(F(3, 2), F(1))]}, OutOfCake),
+            ({"atoms": [(F(1, 2), F(0))], "density": [(civ(0, 1), F(1))]}, BadParameter),
+            (
+                {"density": [(civ(0, "1/2", True, False), F(-1)), (civ("1/2", 1), F(3))]},
+                BadParameter,
+            ),
+            (
+                {
+                    "density": [(civ(0, 1), F(1))],
+                    "cantor_parts": [CantorComponent(civ(0, 1), F(1, 3), F(0))],
+                },
+                BadParameter,
+            ),
+            (
+                {"cantor_parts": [CantorComponent(civ("1/2", "1/2"), F(1, 3), F(1))]},
+                BadParameter,
+            ),
+            (
+                {"cantor_parts": [CantorComponent(civ(0, 1, False), F(1, 3), F(1))]},
+                BadParameter,
+            ),
+        ],
+        ids=[
+            "duplicate_atom",
+            "atom_outside",
+            "atom_weight_zero",
+            "negative_density",
+            "cantor_weight_zero",
+            "singleton_cantor_support",
+            "open_cantor_support",
+        ],
+    )
+    def test_bad_generator_data_rejected(self, data, error):
+        with pytest.raises(error):
+            make_valuation(**data)
 
     @given(st.lists(intervals(), max_size=6))
     def test_disjointness_check_matches_pairwise_definition(self, ivs):
@@ -167,6 +209,10 @@ class TestCdf:
     def test_bad_tolerance(self):
         with pytest.raises(BadTolerance):
             cdf(uniform_valuation(), F(1, 2), "at", F(0))
+
+    def test_unknown_side(self):
+        with pytest.raises(BadParameter):
+            cdf(uniform_valuation(), F(1, 2), "right_limit")
 
     def test_clamp_cuts_brackets_and_checks_exact_values(self):
         assert CdfValue(F(-1, 8), F(1, 2)).clamp() == CdfValue(F(0), F(1, 2))
@@ -289,6 +335,23 @@ class TestCut:
             ]
         )
         assert cut(v, FULL, F(1, 2)) == interval_set((0, "1/4"))
+
+    @pytest.mark.parametrize("target", [F(-1, 2), F(3, 4)])
+    def test_prefix_target_outside_zero_to_value_of_a(self, target):
+        # v(A) = 1/2 for A = [0,1/2]
+        with pytest.raises(BadParameter):
+            prefix_with_value(uniform_valuation(), interval_set((0, "1/2")), target)
+
+    def test_table_inversion_right_of_the_cantor_supports(self):
+        # F = 1/2 at 1/2, so targets above 1/2 are met on the density alone
+        v = make_valuation(
+            density=[(civ("1/2", 1, False, True), F(1))],
+            cantor_parts=[CantorComponent(civ(0, "1/2"), F(1, 3), F(1, 2))],
+        )
+        assert cut(v, FULL, F(3, 4)) == interval_set((0, "3/4"))
+        pieces = slice_valuation(v, F(1, 5))
+        assert len(pieces) == 5
+        assert all(evaluate(v, p).value == F(1, 5) for p in pieces)
 
     def test_cut_with_sc_within_tol(self):
         v = cantor_valuation()
@@ -441,6 +504,17 @@ class TestSlice:
     def test_not_sliceable(self):
         with pytest.raises(NotSliceable):
             slice_valuation(dirac_valuation(F(1, 2)), F(1, 2))
+        mixed = make_valuation(
+            atoms=[(F(1, 2), F(1, 4))],
+            cantor_parts=[CantorComponent(civ(0, 1), F(1, 3), F(3, 4))],
+        )
+        with pytest.raises(NotSliceable):
+            slice_valuation(mixed, F(1, 2))
+
+    @pytest.mark.parametrize("epsilon", [F(0), F(-1, 4)])
+    def test_nonpositive_epsilon(self, epsilon):
+        with pytest.raises(BadParameter):
+            slice_valuation(uniform_valuation(), epsilon)
 
     def test_small_atoms_become_singletons(self):
         v = make_valuation(
