@@ -23,17 +23,10 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError
-from .intervals import Interval, parse_interval_set, parse_rational
+from .intervals import parse_interval, parse_rational
 from .valuation import CantorComponent, Valuation, make_box_valuation, make_valuation
 
 BUNDLED = ("fig2", "uniform", "dirac", "cantor_mix")
-
-
-def _parse_interval(text: str) -> Interval:
-    ivset = parse_interval_set(text)
-    if len(ivset) != 1:
-        raise ParseError(f"expected a single interval, got {text!r}")
-    return ivset.components[0]
 
 
 def _entries(data: dict, section: str) -> list[dict]:
@@ -56,7 +49,7 @@ def _field(entry: dict, key: str):
         return value
     if not isinstance(value, str):
         raise ParseError(f"{key!r} must be a string, got {value!r}")
-    return _parse_interval(value) if key == "support" else parse_rational(value)
+    return parse_interval(value) if key == "support" else parse_rational(value)
 
 
 def valuation_from_dict(data: dict) -> Valuation:

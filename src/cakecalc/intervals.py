@@ -18,9 +18,11 @@ integer key 2*x*den + side.  `den` is the lcm of the denominators of the
 cut points present, so (den, keys) is unique to the point set.  The set
 operations are sweeps over integers that build no `Fraction`: a binary one
 rescales both operands to the lcm of their dens and divides the result's
-den by the gcd of its points.  Only this module knows the encoding.  A set
-keeps nothing else, not even the cuts it was built from: the `Fraction`
-cuts and the `Interval` components are views built from the keys on demand.
+den by the gcd of its points.  Only this module and the sweep that reads a
+valuation at a set's cuts (`valuation._table_at_keys`) know the encoding.
+A set keeps nothing else, not even the cuts it was built from: the
+`Fraction` cuts and the `Interval` components are views built from the
+keys on demand.
 """
 
 from __future__ import annotations
@@ -315,7 +317,7 @@ def _interval(lo, hi, lo_closed=True, hi_closed=True) -> Interval:
 # --- text grammar shared with the CLI -------------------------------------
 
 _INTERVAL_RE = re.compile(
-    r"\s*([\[\(])\s*([0-9]+(?:/[0-9]+)?)\s*,\s*([0-9]+(?:/[0-9]+)?)\s*([\]\)])\s*,?"
+    r"\s*([\[\(])\s*([0-9]+(?:/[0-9]+)?)\s*,\s*([0-9]+(?:/[0-9]+)?)\s*([\]\)])\s*"
 )
 
 
@@ -330,6 +332,18 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
+def parse_interval(text: str) -> Interval:
+    """Parse exactly one interval, such as "(1/4,1]"."""
+    m = _INTERVAL_RE.fullmatch(text)
+    if not m:
+        raise ParseError(f"expected a single interval, got {text!r}")
+    lb, lo, hi, rb = m.groups()
+    try:
+        return Interval(parse_rational(lo), parse_rational(hi), lb == "[", rb == "]")
+    except (InvalidInterval, OutOfCake) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def parse_interval_set(text: str) -> IntervalSet:
     """Parse "[0,1/3], (1/2,1]" into a canonical IntervalSet."""
     text = text.strip()
@@ -341,12 +355,6 @@ def parse_interval_set(text: str) -> IntervalSet:
         m = _INTERVAL_RE.match(text, pos)
         if not m:
             raise ParseError(f"cannot parse interval set at {text[pos:]!r}")
-        lb, lo, hi, rb = m.groups()
-        try:
-            ivs.append(
-                Interval(parse_rational(lo), parse_rational(hi), lb == "[", rb == "]")
-            )
-        except (InvalidInterval, OutOfCake) as exc:
-            raise ParseError(str(exc)) from exc
-        pos = m.end()
+        ivs.append(parse_interval(m.group()))
+        pos = m.end() + text.startswith(",", m.end())  # a comma may follow an interval
     return normalize(ivs)

@@ -6,10 +6,13 @@ Cantor measures (the singular-continuous part).  The induced measure is
 computed on demand on any canonical IntervalSet; the total mass is pinned
 to exactly 1 at construction time.
 
-The atom + density part of the distribution function F is compiled once
-per valuation into a table of breakpoints.  `cdf` and `evaluate` read F;
-`cut`, `prefix_with_value` and `slice_valuation` all invert it through one
-primitive, `_invert`, which descends through the cells of Cantor parts.
+The atom + density part G of the distribution function F is compiled once
+per valuation into one integer table (`_Table`).  G is read at the cuts of
+a set in one sweep over the set's integer keys and the rows, both rescaled
+to the lcm of their denominators, and builds one `Fraction` per answer.
+`cdf` and `evaluate` read F; `cut`, `prefix_with_value` and
+`slice_valuation` all invert it through one primitive, `_invert`, which
+descends through the cells of Cantor parts.
 
 All arithmetic is exact.  Only Cantor orbits that do not close within the
 tolerance force approximation: certified brackets (CdfValue) or points.
@@ -17,11 +20,12 @@ tolerance force approximation: certified brackets (CdfValue) or points.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence
+from math import lcm
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from . import cantor
 from .errors import (
@@ -89,10 +93,8 @@ class CdfValue:
             return CdfValue(self.lo + other.lo, self.hi + other.hi)
         return CdfValue(self.lo + other, self.hi + other)
 
-    def __sub__(self, other):
-        if isinstance(other, CdfValue):
-            return CdfValue(self.lo - other.hi, self.hi - other.lo)
-        return CdfValue(self.lo - other, self.hi - other)
+    def __sub__(self, other: "CdfValue") -> "CdfValue":
+        return CdfValue(self.lo - other.hi, self.hi - other.lo)
 
     def clamp(self, lo=ZERO, hi=ONE) -> "CdfValue":
         """A bracket cut down to [lo, hi]; an exact value must lie in it,
@@ -117,49 +119,65 @@ class CantorComponent:
     weight: Fraction
 
 
+class _Table(NamedTuple):
+    """The atom + density part G of F in integers: row i is the point
+    X[i]/D, with G(x-) = GL[i]/QD and G(x) = GA[i]/QD there, and G rises
+    with slope R[i]/Q from there to the next row.  D is the lcm of the
+    denominators of the row points, Q that of the atom weights and the
+    densities, and QD is Q·D."""
+
+    D: int
+    QD: int
+    X: list[int]
+    GL: list[int]
+    GA: list[int]
+    R: list[int]
+
+
 @dataclass(frozen=True)
 class Valuation:
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
     density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
     cantor: tuple[CantorComponent, ...]  # sorted by support
-    # (x, G(x-), G(x)) for the atom + density part G of F, derived from the
-    # fields above; see _breakpoint_table
-    _breakpoints: tuple[tuple[Fraction, Fraction, Fraction], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # G, the atom + density part of F, derived from the fields above
+    _table: _Table = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_breakpoints", _breakpoint_table(self.atoms, self.density)
-        )
+        object.__setattr__(self, "_table", _integer_table(self.atoms, self.density))
 
     @property
     def has_atoms(self) -> bool:
         return bool(self.atoms)
 
 
-def _breakpoint_table(atoms, density):
-    """Rows (x, G(x-), G(x)) of the atom + density part G of the distribution
-    function, sorted by x, at 0, 1, every atom and every density endpoint.
-    Density supports are disjoint, so G is linear between adjacent rows."""
-    jump = dict(atoms)
-    slope: dict[Fraction, Fraction] = {}  # change of the density at x
-    for sup, d in density:
-        slope[sup.lo] = slope.get(sup.lo, ZERO) + d
-        slope[sup.hi] = slope.get(sup.hi, ZERO) - d
-    rows = []
-    g = rate = prev = ZERO
-    for x in sorted({ZERO, ONE} | jump.keys() | slope.keys()):
+def _integer_table(atoms, density) -> _Table:
+    """The atom + density part G of the distribution function as a `_Table`,
+    with a row at 0, 1, every atom and every density endpoint.  Density
+    supports are disjoint, so G is linear between adjacent rows."""
+    ends = [e for sup, _ in density for e in (sup.lo, sup.hi)]
+    D = lcm(*(a.denominator for a, _ in atoms), *(e.denominator for e in ends))
+    Q = lcm(*(w.denominator for _, w in atoms), *(d.denominator for _, d in density))
+    QD = Q * D
+    ends = [e.numerator * (D // e.denominator) for e in ends]  # over D
+    jump = {a.numerator * (D // a.denominator): w.numerator * (QD // w.denominator)
+            for a, w in atoms}
+    slope = dict.fromkeys((0, D, *jump, *ends), 0)  # change of Q·density at a point
+    for (_, d), lo, hi in zip(density, ends[::2], ends[1::2]):
+        r = d.numerator * (Q // d.denominator)
+        slope[lo] += r
+        slope[hi] -= r
+    X = sorted(slope)
+    g_left, g_at, rates = [], [], []
+    g = rate = prev = 0
+    for x in X:
         g += rate * (x - prev)
-        g_at = g + jump.get(x, ZERO)
-        rows.append((x, g, g_at))
-        g, prev = g_at, x
-        rate += slope.get(x, ZERO)
-    return tuple(rows)
-
-
-_X = itemgetter(0)
-_AT = itemgetter(2)
+        g_left.append(g)
+        g += jump.get(x, 0)
+        g_at.append(g)
+        rate += slope[x]
+        rates.append(rate)
+        prev = x
+    return _Table(D, QD, X, g_left, g_at, rates)
 
 
 def atoms(v: Valuation) -> list[tuple[Fraction, Fraction]]:
@@ -209,7 +227,7 @@ def make_valuation(
     _check_pairwise_disjoint([c.support for c in sc_list], "Cantor supports")
 
     v = Valuation(atom_list, dens_list, sc_list)
-    total = sum(decomposition_masses(v), ZERO)
+    total = _table_value(v._table, (ONE, 1)) + sum(c.weight for c in sc_list)
     if total != ONE:
         raise NotNormalized(total)
     return v
@@ -275,15 +293,11 @@ def _check_tol(tol) -> Fraction:
     return tol
 
 
-def _table_value(table, cut: Cut) -> Fraction:
-    """G at a cut, read off a breakpoint table: G(x-) at (x, 0), G(x) at (x, 1)."""
-    x, after = cut
-    i = bisect_left(table, x, key=_X)
-    bx, g_left, g_at = table[i]
-    if bx == x:
-        return g_at if after else g_left
-    px, _, p_at = table[i - 1]
-    return p_at + (g_left - p_at) * (x - px) / (bx - px)
+def _table_value(table: _Table, cut: Cut) -> Fraction:
+    """G at a cut: G(x-) at (x, 0), G(x) at (x, 1)."""
+    x, side = cut
+    (g,), q = _table_at_keys(table, x.denominator, (2 * x.numerator + side,))
+    return Fraction(g, q)
 
 
 def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
@@ -300,7 +314,7 @@ def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
 def _cdf(v: Valuation, cut: Cut, tol: Fraction) -> CdfValue:
     """F at a cut: F(x-) at (x, 0) and F(x) at (x, 1)."""
     x = cut[0]
-    result = CdfValue.exact(_table_value(v._breakpoints, cut))
+    result = CdfValue.exact(_table_value(v._table, cut))
     for comp in v.cantor:
         s, t = comp.support.lo, comp.support.hi
         if x >= t:
@@ -321,6 +335,9 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
         mass += sum(w for loc, w in v.atoms if loc in A)
         assert mass <= ONE, mass
         return CdfValue.exact(mass)
+    if not v.cantor:
+        g, q = _table_at_keys(v._table, A.den, A.keys)
+        return CdfValue.exact(Fraction(sum(g[1::2]) - sum(g[::2]), q))
     cuts = A.cuts
     per_call = tol / max(2, len(cuts))
     total = CdfValue.exact(ZERO)
@@ -329,17 +346,41 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
     return total.clamp()
 
 
+def _table_at_keys(table: _Table, den: int, keys: Sequence[int]) -> tuple[list[int], int]:
+    """G at increasing cuts, given as `IntervalSet` keys over `den`, as
+    integers over one denominator q, returned with them: one sweep over the
+    keys and the rows, both rescaled to L = lcm(D, den), so q = QD·L/D.  A
+    point P/L lies in the row of the last X[i] <= floor(P / (L/D))."""
+    D, QD, X, GL, GA, R = table
+    L = lcm(D, den)
+    f, g = L // D, L // den
+    values = []
+    i = 0
+    for k in keys:
+        p = (k >> 1) * g
+        i = bisect_right(X, p // f, i) - 1
+        x = X[i] * f
+        if x == p:
+            values.append((GA[i] if k & 1 else GL[i]) * f)
+        else:
+            values.append(GA[i] * f + R[i] * (p - x))
+    return values, QD * f
+
+
 # --- CDF inversion -----------------------------------------------------------
 
 
-def _invert_table(table, t: Fraction):
-    """The minimal x with G(x) >= t, or 1, with (G(x-), G(x))."""
-    i = bisect_left(table, t, hi=len(table) - 1, key=_AT)
-    x, g_left, g_at = table[i]
-    if i == 0 or g_left <= t:
-        return x, g_left, g_at
-    px, _, p_at = table[i - 1]  # G rises linearly from p_at to g_left
-    return px + (t - p_at) * (x - px) / (g_left - p_at), t, t
+def _invert_table(table: _Table, t: Fraction):
+    """The minimal x with G(x) >= t, or 1, with (G(x-), G(x)).  With
+    t·QD = a/b, the row is the first with GA[i] >= ceil(a/b)."""
+    D, QD, X, GL, GA, R = table
+    a, b = t.numerator * QD, t.denominator
+    i = bisect_left(GA, -(-a // b), 0, len(X) - 1)
+    if i == 0 or GL[i] * b <= a:
+        return Fraction(X[i], D), Fraction(GL[i], QD), Fraction(GA[i], QD)
+    # G rises linearly from GA[i-1] at X[i-1] with slope R[i-1]/Q
+    i -= 1
+    return Fraction(X[i] * R[i] * b + a - GA[i] * b, D * R[i] * b), t, t
 
 
 def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction):
@@ -349,7 +390,7 @@ def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction
     within tol/4 of it.  With a Cantor part F(c-) = F(c) = t is reported
     (slicing allows no atoms then), and c is clamped to [lo, hi], which
     bracket midpoints in the callers' t can miss."""
-    table = v._breakpoints
+    table = v._table
     if not v.cantor:
         return _invert_table(table, t)
     offset = ZERO  # Cantor mass left of the current piece of the line
@@ -424,6 +465,16 @@ def prefix_with_value(
 
     # value the components once; the target is reached in the first one that
     # takes the running total to it, where v(A ∩ [0,c]) = below + F(c) - base
+    if not v.cantor:  # so in integers over q, with target·q = n/d
+        g, q = _table_at_keys(v._table, A.den, A.keys)
+        n, d = target.numerator * q, target.denominator
+        upto = 0
+        for base, top in zip(g[::2], g[1::2]):
+            upto += top - base
+            if upto * d >= n:
+                c = _invert_table(v._table, Fraction(n - (upto - top) * d, q * d))[0]
+                return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
+        raise BadParameter(f"target {target} exceeds v(A)")
     cuts = A.cuts
     per_call = tol / (4 * max(2, len(cuts)))
     below = CdfValue.exact(ZERO)

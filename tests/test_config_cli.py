@@ -240,6 +240,11 @@ MALFORMED_CONFIGS = {
     "support_two_intervals": {
         "density_pieces": [{"support": "[0,1/4], [1/2,1]", "density": "4/3"}]
     },
+    # both read as [0,1] if parsed as a set
+    "support_two_touching_intervals": {
+        "density_pieces": [{"support": "[0,1/4],[1/4,1]", "density": "1"}]
+    },
+    "support_trailing_comma": {"density_pieces": [{"support": "[0,1],", "density": "1"}]},
     "cantor_p_number": {"cantor": [{"support": "[0,1]", "p": 0.25, "weight": "1"}]},
     "unknown_section": {"atom": [{"at": "1/2", "weight": "1"}]},
     "root_list": [{"at": "1/2", "weight": "1"}],

@@ -1,11 +1,13 @@
 """Valuations: construction, CDF, evaluation, cuts, slicing, decomposition."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import ceil
+from operator import itemgetter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cakecalc import (
@@ -48,7 +50,7 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.valuation import _check_pairwise_disjoint
+from cakecalc.valuation import _check_pairwise_disjoint, _invert_table
 from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
 
 F = Fraction
@@ -220,6 +222,15 @@ class TestCdf:
         with pytest.raises(AssertionError):
             CdfValue.exact(F(9, 8)).clamp()
 
+    def test_value_of_a_bracket_is_an_error(self):
+        assert CdfValue.exact(F(1, 3)).value == F(1, 3)
+        with pytest.raises(ValueError, match="not exact"):
+            CdfValue(F(1, 4), F(1, 3)).value
+        val = cdf(cantor_valuation(F(1, 4)), F(1, 10), tol=F(1, 16))
+        assert val == CdfValue(F(1, 8), F(3, 16))
+        with pytest.raises(ValueError):
+            val.value
+
     def test_bracket_width_respected(self):
         val = cdf(cantor_valuation(F(1, 4)), F(1, 7), tol=F(1, 2**20))
         assert val.lo <= val.hi
@@ -282,6 +293,145 @@ class TestEvaluate:
         coarse = evaluate(v, a, tol=F(1, 2**12))
         fine = evaluate(v, a, tol=F(1, 2**22))
         assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
+
+
+# The `Fraction` breakpoint table the integer table replaces, as references:
+# rows (x, G(x-), G(x)) of the atom + density part G of F.
+
+def ref_breakpoint_table(atoms, density):
+    jump = dict(atoms)
+    slope = {}
+    for sup, d in density:
+        slope[sup.lo] = slope.get(sup.lo, F(0)) + d
+        slope[sup.hi] = slope.get(sup.hi, F(0)) - d
+    rows = []
+    g = rate = prev = F(0)
+    for x in sorted({F(0), F(1)} | jump.keys() | slope.keys()):
+        g += rate * (x - prev)
+        g_at = g + jump.get(x, F(0))
+        rows.append((x, g, g_at))
+        g, prev = g_at, x
+        rate += slope.get(x, F(0))
+    return tuple(rows)
+
+
+def ref_table_value(table, cut):
+    x, after = cut
+    i = bisect_left(table, x, key=itemgetter(0))
+    bx, g_left, g_at = table[i]
+    if bx == x:
+        return g_at if after else g_left
+    px, _, p_at = table[i - 1]
+    return p_at + (g_left - p_at) * (x - px) / (bx - px)
+
+
+def ref_invert_table(table, t):
+    i = bisect_left(table, t, hi=len(table) - 1, key=itemgetter(2))
+    x, g_left, g_at = table[i]
+    if i == 0 or g_left <= t:
+        return x, g_left, g_at
+    px, _, p_at = table[i - 1]
+    return px + (t - p_at) * (x - px) / (g_left - p_at), t, t
+
+
+# A cut with a 35+-digit denominator, as prefix_with_value returns where a
+# density overlaps a Cantor support and no orbit closes.
+_, LONG_CUT = prefix_with_value(
+    make_valuation(
+        density=[(civ(0, 1), F(1, 2))],
+        cantor_parts=[CantorComponent(civ(0, 1), F(1, 4), F(1, 2))],
+    ),
+    FULL, F(1, 17), F(1, 2**50),
+)
+BIG_DENS = [2**133, 2**127 - 1, LONG_CUT.denominator, 7, 12]
+
+
+@st.composite
+def big_points(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from([F(0), F(1), LONG_CUT]))
+    d = draw(st.sampled_from(BIG_DENS))
+    return F(draw(st.integers(0, d)), d)
+
+
+@st.composite
+def big_intervals(draw):
+    a, b = sorted((draw(big_points()), draw(big_points())))
+    if a == b:
+        return civ(a, b)
+    return civ(a, b, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def table_valuations(draw):
+    """Atom + density valuations, atoms at 0 and 1 among them, on touching
+    density supports and zero-density gaps between row points with large
+    denominators, scaled to mass 1."""
+    points = sorted(set(draw(st.lists(big_points(), min_size=2, max_size=6))))
+    pieces = [
+        (civ(a, b, False), F(draw(st.integers(0, 5))))
+        for a, b in zip(points, points[1:])
+        if draw(st.booleans())
+    ]
+    locs = draw(st.lists(st.sampled_from([F(0), F(1), *points]), unique=True, max_size=4))
+    atoms = [(a, F(draw(st.integers(1, 5)))) for a in locs]
+    total = sum(w for _, w in atoms) + sum(d * sup.length for sup, d in pieces)
+    assume(total > 0)
+    return make_valuation(
+        atoms=[(a, w / total) for a, w in atoms],
+        density=[(sup, d / total) for sup, d in pieces],
+    )
+
+
+class TestIntegerTable:
+    """The integer table against the `Fraction` breakpoint table it
+    replaces, on row points and cuts with large coprime denominators."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(table_valuations(), st.lists(big_points(), max_size=6))
+    @example(
+        make_valuation(
+            atoms=[(F(0), F(1, 4)), (F(1), F(1, 4)), (LONG_CUT, F(1, 4))],
+            density=[(civ(0, F(1, 2**133), False), F(2**131)),
+                     (civ(F(3, 2**127 - 1), F(1, 2), False), F(0))],
+        ),
+        [LONG_CUT + F(1, 2**133), F(1, 2**133) - F(1, 2**127 - 1)],
+    )
+    def test_cdf_matches_fraction_reference(self, v, xs):
+        ref = ref_breakpoint_table(v.atoms, v.density)
+        # every row point, its neighbours 2^-140 away, and the drawn points
+        near = [y for x, _, _ in ref for y in (x - F(1, 2**140), x, x + F(1, 2**140))]
+        for x in near + xs:
+            if 0 <= x <= 1:
+                for side, after in (("left_limit", 0), ("at", 1)):
+                    assert cdf(v, x, side).value == ref_table_value(ref, (x, after))
+
+    @settings(deadline=None, max_examples=150)
+    @given(table_valuations(), st.lists(big_intervals(), max_size=5))
+    def test_evaluate_matches_fraction_reference(self, v, ivs):
+        ref = ref_breakpoint_table(v.atoms, v.density)
+        a = normalize(ivs)
+        expected = sum(
+            ref_table_value(ref, e) - ref_table_value(ref, s)
+            for s, e in zip(a.cuts[::2], a.cuts[1::2])
+        )
+        assert evaluate(v, a).value == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(table_valuations(), st.lists(big_points(), max_size=6))
+    def test_inversion_matches_reference_and_is_minimal(self, v, ts):
+        ref = ref_breakpoint_table(v.atoms, v.density)
+        targets = [g for _, gl, ga in ref for g in (gl, ga)] + ts
+        for t in targets:
+            x, g_left, g_at = got = _invert_table(v._table, t)
+            assert got == ref_invert_table(ref, t)
+            assert ref_table_value(ref, (x, 1)) == g_at >= t
+            assert ref_table_value(ref, (x, 0)) == g_left <= t
+            # G < t on [0, x): G(x-) <= t and G is linear up to x from a
+            # row point p, with G(p) < t
+            rows_left = [r for r in ref if r[0] < x]
+            if rows_left:
+                assert rows_left[-1][2] < t
 
 
 class TestCut:
