@@ -349,6 +349,8 @@ def parse_interval_set(text: str) -> IntervalSet:
     text = text.strip()
     if text in ("", "∅", "{}"):
         return EMPTY
+    if text.endswith(","):  # a comma only separates two intervals
+        raise ParseError(f"trailing comma in interval set {text!r}")
     pos = 0
     ivs = []
     while pos < len(text):

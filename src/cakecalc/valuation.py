@@ -7,12 +7,18 @@ computed on demand on any canonical IntervalSet; the total mass is pinned
 to exactly 1 at construction time.
 
 The atom + density part G of the distribution function F is compiled once
-per valuation into one integer table (`_Table`).  G is read at the cuts of
-a set in one sweep over the set's integer keys and the rows, both rescaled
-to the lcm of their denominators, and builds one `Fraction` per answer.
-`cdf` and `evaluate` read F; `cut`, `prefix_with_value` and
-`slice_valuation` all invert it through one primitive, `_invert`, which
-descends through the cells of Cantor parts.
+per valuation into one integer table (`_Table`), and each Cantor part into
+integer pairs (support ends, ratio and weight).  F is read at the
+cuts of a set in one sweep over the set's integer keys: G from the rows,
+both rescaled to the lcm of their denominators, plus, per key inside a
+Cantor support, the integer orbit walk `cantor.walk`, summed in integers
+into one `Fraction` pair per answer.  `cdf` is this sweep on one key, and
+`evaluate` and `prefix_with_value` run it over the keys of their set.
+`cut`, `prefix_with_value` and `slice_valuation` all invert F through one
+primitive, `_invert`, which descends through the cells of a Cantor part
+in integers: a cell is [A, A + L]/M, G is read at its ends as an integer
+over Q·M, the masses are integers over a power of two, and the one
+`Fraction` made is the returned point.
 
 All arithmetic is exact.  Only Cantor orbits that do not close within the
 tolerance force approximation: certified brackets (CdfValue) or points.
@@ -23,9 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import cantor
 from .errors import (
@@ -88,10 +94,8 @@ class CdfValue:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __add__(self, other):
-        if isinstance(other, CdfValue):
-            return CdfValue(self.lo + other.lo, self.hi + other.hi)
-        return CdfValue(self.lo + other, self.hi + other)
+    def __add__(self, other: "CdfValue") -> "CdfValue":
+        return CdfValue(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "CdfValue") -> "CdfValue":
         return CdfValue(self.lo - other.hi, self.hi - other.lo)
@@ -134,16 +138,27 @@ class _Table(NamedTuple):
     R: list[int]
 
 
+def _integer_part(comp: CantorComponent) -> tuple[int, ...]:
+    """(E, S, T, pn, pd, wn, wd): support [S/E, T/E], ratio pn/pd, weight wn/wd."""
+    s, t, p, w = comp.support.lo, comp.support.hi, Fraction(comp.p), Fraction(comp.weight)
+    E = lcm(s.denominator, t.denominator)
+    return (E, s.numerator * (E // s.denominator), t.numerator * (E // t.denominator),
+            p.numerator, p.denominator, w.numerator, w.denominator)
+
+
 @dataclass(frozen=True)
 class Valuation:
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
     density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
     cantor: tuple[CantorComponent, ...]  # sorted by support
-    # G, the atom + density part of F, derived from the fields above
+    # G, the atom + density part of F, and the Cantor parts in integers,
+    # derived from the fields above
     _table: _Table = field(init=False, repr=False, compare=False)
+    _parts: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_table", _integer_table(self.atoms, self.density))
+        object.__setattr__(self, "_parts", tuple(map(_integer_part, self.cantor)))
 
     @property
     def has_atoms(self) -> bool:
@@ -308,22 +323,38 @@ def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     tol = _check_tol(tol)
     if side not in _SIDES:
         raise BadParameter(f"unknown side {side!r}")
-    return _cdf(v, (x, _SIDES[side]), tol)
+    return next(_cdf_at_keys(v, x.denominator, (2 * x.numerator + _SIDES[side],), tol))
 
 
-def _cdf(v: Valuation, cut: Cut, tol: Fraction) -> CdfValue:
-    """F at a cut: F(x-) at (x, 0) and F(x) at (x, 1)."""
-    x = cut[0]
-    result = CdfValue.exact(_table_value(v._table, cut))
-    for comp in v.cantor:
-        s, t = comp.support.lo, comp.support.hi
-        if x >= t:
-            result = result + comp.weight
-        elif x > s:
-            per_comp = tol / len(v.cantor)
-            lo, hi = cantor.staircase(comp.p, (x - s) / (t - s), per_comp / comp.weight)
-            result = result + CdfValue(comp.weight * lo, comp.weight * hi)
-    return result.clamp()
+def _cdf_at_keys(v: Valuation, den: int, keys: Sequence[int], tol: Fraction) -> Iterator[CdfValue]:
+    """F at increasing cuts, given as `IntervalSet` keys over `den`, each a
+    bracket of width <= tol or exact: G from `_table_at_keys`, plus for
+    each Cantor part its weight right of its support [s, t] and
+    w·F_p((x - s)/(t - s)) on it, by `cantor.walk` within tol/(len·w).  The
+    sum is kept as integers over one denominator and makes one `Fraction`
+    pair per cut."""
+    g, q = _table_at_keys(v._table, den, keys)
+    tn, td = tol.numerator, tol.denominator * len(v._parts)
+    # the smallest depth >= 1 with 2^-depth <= tol/(len·w); p = 1/3 always closes
+    depths = [None if (pn, pd) == (1, 3) else max(1, ((td * wn - 1) // (tn * wd)).bit_length())
+              for _, _, _, pn, pd, wn, wd in v._parts]
+    for k, lo in zip(keys, g):
+        x, hi, d = k >> 1, lo, q
+        for (E, S, T, pn, pd, wn, wd), depth in zip(v._parts, depths):
+            if x * E >= T * den:
+                a_lo, a_hi, b = wn, wn, wd
+            elif x * E > S * den:
+                a_lo, a_hi, b = cantor.walk(pn, pd, x * E - S * den, den * (T - S), depth)
+                a_lo, a_hi, b = wn * a_lo, wn * a_hi, wd * b
+            else:  # the supports are sorted and disjoint
+                break
+            lo, hi, d = lo * b + a_lo * d, hi * b + a_hi * d, d * b
+        if lo == hi:
+            assert 0 <= lo <= d, (lo, d)
+            f = Fraction(lo, d)
+            yield CdfValue(f, f)
+        else:  # a bracket may overshoot 1
+            yield CdfValue(Fraction(lo, d), Fraction(min(hi, d), d))
 
 
 def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
@@ -338,11 +369,10 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
     if not v.cantor:
         g, q = _table_at_keys(v._table, A.den, A.keys)
         return CdfValue.exact(Fraction(sum(g[1::2]) - sum(g[::2]), q))
-    cuts = A.cuts
-    per_call = tol / max(2, len(cuts))
+    values = _cdf_at_keys(v, A.den, A.keys, tol / max(2, len(A.keys)))
     total = CdfValue.exact(ZERO)
-    for s, e in zip(cuts[::2], cuts[1::2]):
-        total = total + (_cdf(v, e, per_call) - _cdf(v, s, per_call)).clamp(ZERO, ONE)
+    for s, e in zip(values, values):
+        total = total + (e - s).clamp(ZERO, ONE)
     return total.clamp()
 
 
@@ -393,46 +423,63 @@ def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction
     table = v._table
     if not v.cantor:
         return _invert_table(table, t)
-    offset = ZERO  # Cantor mass left of the current piece of the line
     rate = max((d for _, d in v.density), default=ZERO)  # G's steepest slope, atoms aside
-    for comp in v.cantor:
-        if _table_value(table, (comp.support.hi, 0)) + offset + comp.weight >= t:
-            c = _descend(table, rate, comp, offset, t, tol)
+    rate = rate.numerator * (table.QD // table.D // rate.denominator)  # over Q
+    rest = t  # t less the Cantor mass left of the current piece of the line
+    for comp, part in zip(v.cantor, v._parts):
+        if _table_value(table, (comp.support.hi, 0)) + comp.weight >= rest:
+            c = _descend(table, rate, part, rest, tol)
             break
-        offset += comp.weight
+        rest -= comp.weight
     else:
-        c = _invert_table(table, t - offset)[0]
+        c = _invert_table(table, rest)[0]
     return min(max(c, lo), hi), t, t
 
 
-def _descend(table, rate, comp: CantorComponent, offset, t: Fraction, tol: Fraction):
-    """`_invert` left of the end of the support of `comp`: descent through
-    cells [a, b], Cantor mass `offset` left and m inside, F(a) = G(a) + offset
-    < t <= F(b-) = G(b-) + offset + m; once F(a) >= t, c is in the gap left of
-    the cell.  Where G is flat, (t - G(a) - offset)/m follows the doubling
-    orbit to an exact repeat; else stop once F rises by at most tol/4 across
-    the cell, apart from atoms, which lie outside (lo, hi)."""
-    shrink, quarter, seen = (1 - comp.p) / 2, tol / 4, {}
-    a, length, m = comp.support.lo, comp.support.length, comp.weight
-    g_a, g_b = _table_value(table, (a, 1)), _table_value(table, (a + length, 0))
+def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):
+    """`_invert` left of the end of the support of `part`, given t less the
+    Cantor mass left of the support: descent through cells [A, A + L]/M with
+    r = t less the Cantor mass left of the cell and m inside, G(a) < r <=
+    G(b-) + m; once G(a) >= r, c is in the gap left of the cell.  Where G is
+    flat, (r - G(a))/m follows the doubling orbit to an exact repeat; else
+    stop once F rises by at most tol/4 across the cell, apart from atoms,
+    which lie outside (lo, hi).  `rate` is G's steepest slope, over Q.
+
+    In integers: D | M and G is over Q·M; r and m are over W = lcm(t, w)·2^k
+    at level k.  A level scales M, A and G by 2·pd and L by pd - pn, which
+    keeps both children integral; a `Fraction` is built only for c."""
+    E, S, T, pn, pd, wn, wd = part
+    Q, M = table.QD // table.D, lcm(table.D, E)
+    A, L = S * (M // E), (T - S) * (M // E)
+    W = lcm(t.denominator, wd)
+    r, m = t.numerator * (W // t.denominator), wn * (W // wd)
+    qn, qd = tol.numerator, 4 * tol.denominator
+
+    def g_at(x, side):  # G(x/M-) or G(x/M) over Q·M
+        return _table_at_keys(table, M, (2 * x + side,))[0][0]
+
+    g_a, g_b, seen = g_at(A, 1), g_at(A + L, 0), {}
     while True:
-        if g_a + offset >= t:
-            return _invert_table(table, t - offset)[0]
+        QM = Q * M
+        if g_a * W >= r * QM:
+            return _invert_table(table, Fraction(r, W))[0]
         flat = g_a == g_b
         if flat:  # a repeat of the relative target closes the recursion
-            a0, length0 = seen.setdefault((t - g_a - offset) / m, (a, length))
-            if length0 != length:
-                return a0 + length0 * (a - a0) / (length0 - length)
-        if m + rate * length <= quarter:
-            return a + length
-        child = length * shrink
-        m /= 2
-        g_l = g_a if flat else _table_value(table, (a + child, 0))
-        if g_l + offset + m >= t:
-            length, g_b = child, g_l
+            num, den = r * QM - g_a * W, m * QM
+            h = gcd(num, den)
+            M0, A0, L0 = seen.setdefault((num // h, den // h), (M, A, L))
+            if M0 != M:
+                return Fraction(L0 * A - A0 * L, L0 * M - L * M0)
+        if qd * (m * QM + rate * L * W) <= qn * W * QM:
+            return Fraction(A + L, M)
+        M, A, g_a, g_b, W, r = M * 2 * pd, A * 2 * pd, g_a * 2 * pd, g_b * 2 * pd, 2 * W, 2 * r
+        right, L = A + L * (pd + pn), L * (pd - pn)
+        g_l = g_a if flat else g_at(A + L, 0)
+        if g_l * W >= (r - m) * Q * M:
+            g_b = g_l
         else:
-            g_r = g_b if flat else _table_value(table, (a + length - child, 1))
-            a, length, g_a, offset = a + length - child, child, g_r, offset + m
+            g_a = g_b if flat else g_at(right, 1)
+            A, r = right, r - m
 
 
 # --- proportional cuts ------------------------------------------------------
@@ -475,15 +522,15 @@ def prefix_with_value(
                 c = _invert_table(v._table, Fraction(n - (upto - top) * d, q * d))[0]
                 return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
         raise BadParameter(f"target {target} exceeds v(A)")
-    cuts = A.cuts
-    per_call = tol / (4 * max(2, len(cuts)))
+    keys = A.keys
+    values = _cdf_at_keys(v, A.den, keys, tol / (4 * max(2, len(keys))))
     below = CdfValue.exact(ZERO)
-    for s, e in zip(cuts[::2], cuts[1::2]):
-        base, top = _cdf(v, s, per_call), _cdf(v, e, per_call)
+    for i, (base, top) in enumerate(zip(values, values)):
         upto = below + (top - base)
-        if upto.midpoint >= target or (e is cuts[-1] and target <= upto.hi):
+        if upto.midpoint >= target or (2 * i + 2 == len(keys) and target <= upto.hi):
             t = target - below.midpoint + base.midpoint
-            c, _, _ = _invert(v, s[0], e[0], t, tol)
+            s, e = (Fraction(k >> 1, A.den) for k in keys[2 * i:2 * i + 2])
+            c, _, _ = _invert(v, s, e, t, tol)
             return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
         below = upto
     raise BadParameter(f"target {target} exceeds v(A)")

@@ -184,6 +184,11 @@ class TestExitCodes:
         assert main(["evaluate", str(bundled_config_path("fig2")), "oops"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[0,1/3],", "[0,1/3] , "])
+    def test_trailing_comma_in_a_set_is_2(self, capsys, text):
+        assert main(["evaluate", str(bundled_config_path("fig2")), text]) == 2
+        assert "trailing comma" in capsys.readouterr().err
+
     def test_domain_error_is_1(self, capsys):
         assert main(["cut", str(bundled_config_path("dirac")), "[0,1]", "1/2"]) == 1
         assert "AtomObstruction" in capsys.readouterr().err

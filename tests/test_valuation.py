@@ -50,7 +50,7 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.valuation import _check_pairwise_disjoint, _invert_table
+from cakecalc.valuation import _check_pairwise_disjoint, _invert, _invert_table
 from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
 
 F = Fraction
@@ -432,6 +432,199 @@ class TestIntegerTable:
             rows_left = [r for r in ref if r[0] < x]
             if rows_left:
                 assert rows_left[-1][2] < t
+
+
+# The `Fraction` Cantor readers that the integer orbit walk, the key sweep
+# and the integer descent replace, as references over the `Fraction`
+# breakpoint table above.
+
+def ref_staircase_bracket(p, y, depth):
+    y = min(max(y, F(0)), F(1))
+    left, right = (1 - p) / 2, (1 + p) / 2
+    a, scale = F(0), F(1)
+    seen = {}
+    while depth is None or len(seen) < depth:
+        if left <= y <= right:
+            v = a + scale / 2
+            return v, v
+        a0, s0 = seen.setdefault(y, (a, scale))
+        if s0 != scale:
+            v = a0 + s0 * (a - a0) / (s0 - scale)
+            return v, v
+        if y < left:
+            y = y / left
+        else:
+            a += scale / 2
+            y = (y - right) / left
+        scale /= 2
+    return a, a + scale
+
+
+def ref_cdf(v, table, cut, tol):
+    x = cut[0]
+    result = CdfValue.exact(ref_table_value(table, cut))
+    for comp in v.cantor:
+        s, t = comp.support.lo, comp.support.hi
+        if x >= t:
+            result = result + CdfValue.exact(comp.weight)
+        elif x > s:
+            w_tol = tol / len(v.cantor) / comp.weight
+            depth = max(1, ((w_tol.denominator - 1) // w_tol.numerator).bit_length())
+            lo, hi = ref_staircase_bracket(
+                comp.p, (x - s) / (t - s), None if comp.p == F(1, 3) else depth
+            )
+            result = result + CdfValue(comp.weight * lo, comp.weight * hi)
+    return result.clamp()
+
+
+def ref_evaluate(v, table, a, tol):
+    cuts = a.cuts
+    per_call = tol / max(2, len(cuts))
+    total = CdfValue.exact(F(0))
+    for s, e in zip(cuts[::2], cuts[1::2]):
+        value = ref_cdf(v, table, e, per_call) - ref_cdf(v, table, s, per_call)
+        total = total + value.clamp(F(0), F(1))
+    return total.clamp()
+
+
+def ref_descend(table, rate, comp, offset, t, tol):
+    shrink, quarter, seen = (1 - comp.p) / 2, tol / 4, {}
+    a, length, m = comp.support.lo, comp.support.length, comp.weight
+    g_a, g_b = ref_table_value(table, (a, 1)), ref_table_value(table, (a + length, 0))
+    while True:
+        if g_a + offset >= t:
+            return ref_invert_table(table, t - offset)[0]
+        flat = g_a == g_b
+        if flat:
+            a0, length0 = seen.setdefault((t - g_a - offset) / m, (a, length))
+            if length0 != length:
+                return a0 + length0 * (a - a0) / (length0 - length)
+        if m + rate * length <= quarter:
+            return a + length
+        child = length * shrink
+        m /= 2
+        g_l = g_a if flat else ref_table_value(table, (a + child, 0))
+        if g_l + offset + m >= t:
+            length, g_b = child, g_l
+        else:
+            g_r = g_b if flat else ref_table_value(table, (a + length - child, 1))
+            a, length, g_a, offset = a + length - child, child, g_r, offset + m
+
+
+def ref_invert(v, table, lo, hi, t, tol):
+    offset = F(0)
+    rate = max((d for _, d in v.density), default=F(0))
+    for comp in v.cantor:
+        if ref_table_value(table, (comp.support.hi, 0)) + offset + comp.weight >= t:
+            c = ref_descend(table, rate, comp, offset, t, tol)
+            break
+        offset += comp.weight
+    else:
+        c = ref_invert_table(table, t - offset)[0]
+    return min(max(c, lo), hi), t, t
+
+
+GRID = sorted({F(k, d) for d in range(1, 13) for k in range(d + 1)})
+RATIOS = [F(1, 3), F(1, 4), F(1, 5), F(2, 7)]  # 2/7: a ratio with numerator 2
+TOLS = [F(1, 2**12), F(1, 2**20), F(3, 2**31), F(1, 2**40)]
+ORBIT_DENS = [7, 11, 97, 3**5 * 7, 2**7 * 5]
+
+
+@st.composite
+def cantor_mixes(draw, with_atoms=True):
+    """One or two Cantor components on supports drawn from a grid, over
+    half-open density pieces on a grid partition that may or may not
+    overlap them, and atoms anywhere, scaled to mass 1."""
+    n = draw(st.integers(1, 2))
+    ends = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2 * n, max_size=2 * n,
+                                unique=True)))
+    parts = [
+        (civ(a, b), draw(st.sampled_from(RATIOS)), F(draw(st.integers(1, 4))))
+        for a, b in zip(ends[::2], ends[1::2])
+    ]
+    points = sorted({F(0), F(1), *draw(st.lists(st.sampled_from(GRID), max_size=4))})
+    pieces = [
+        (civ(a, b, a == 0), F(draw(st.integers(0, 3))))
+        for a, b in zip(points, points[1:])
+        if draw(st.booleans())
+    ]
+    locs = draw(st.lists(st.sampled_from(GRID), unique=True, max_size=2)) if with_atoms else []
+    atoms = [(a, F(draw(st.integers(1, 3)))) for a in locs]
+    total = sum(w for _, _, w in parts) + sum(w for _, w in atoms)
+    total += sum(d * sup.length for sup, d in pieces)
+    return make_valuation(
+        atoms=[(a, w / total) for a, w in atoms],
+        density=[(sup, d / total) for sup, d in pieces],
+        cantor_parts=[CantorComponent(sup, p, w / total) for sup, p, w in parts],
+    )
+
+
+@st.composite
+def cantor_points(draw, v):
+    """Points of [0,1]: on the grid, at a support end, or inside a support
+    at k/d of the way into a random level-n cell of the Cantor set, so that
+    the orbit stays on the set for n steps and then follows that of k/d;
+    n up to 60 reaches past the walk's depth, where F is a bracket."""
+    comp = draw(st.sampled_from(v.cantor))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.sampled_from(GRID))
+    if kind == 1:
+        return draw(st.sampled_from([comp.support.lo, comp.support.hi]))
+    n, d = draw(st.integers(0, 60)), draw(st.sampled_from(ORBIT_DENS))
+    bits = draw(st.integers(0, 2**n - 1))
+    l = (1 - comp.p) / 2
+    y = sum((1 - l) * l**i for i in range(n) if bits >> i & 1) + l**n * F(draw(st.integers(0, d)), d)
+    return comp.support.lo + comp.support.length * y
+
+
+TWO_PARTS_OVER_A_DENSITY = make_valuation(
+    density=[(civ(0, 1), F(1, 4))],
+    cantor_parts=[
+        CantorComponent(civ(F(1, 6), F(1, 3)), F(2, 7), F(1, 4)),
+        CantorComponent(civ(F(1, 2), F(5, 6)), F(1, 4), F(1, 2)),
+    ],
+)
+
+
+class TestIntegerCantorReaders:
+    """`cdf`, `evaluate` and `_invert` against the `Fraction` walk, sweep and
+    descent they replace: the same lo and hi, and the same points."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data(), cantor_mixes(), st.sampled_from(TOLS))
+    @example(None, cantor_valuation(F(1, 4)), F(1, 2**40)).via("3/11 is periodic for p = 1/4")
+    @example(None, TWO_PARTS_OVER_A_DENSITY, F(1, 2**12))
+    def test_cdf_and_evaluate_match_the_fraction_reference(self, data, v, tol):
+        table = ref_breakpoint_table(v.atoms, v.density)
+        if data is None:
+            xs = [F(3, 11), F(8, 11), F(1, 6), F(1, 3), F(1, 2), F(5, 6), F(2, 5)]
+        else:
+            xs = data.draw(st.lists(cantor_points(v), min_size=1, max_size=6))
+        for x in xs:
+            for side, after in (("left_limit", 0), ("at", 1)):
+                assert cdf(v, x, side, tol) == ref_cdf(v, table, (x, after), tol)
+        a = normalize(civ(*sorted(pair)) for pair in zip(xs[::2], xs[1::2]))
+        assert evaluate(v, a, tol) == ref_evaluate(v, table, a, tol)
+
+    @settings(deadline=None, max_examples=100)
+    @given(cantor_mixes(with_atoms=False), st.lists(small_fractions, max_size=4),
+           st.sampled_from(TOLS))
+    @example(TWO_PARTS_OVER_A_DENSITY, [F(1, 3), F(1, 2), F(7, 9)], F(1, 2**40))
+    @example(
+        make_valuation(density=[(civ(0, F(1, 2), True, False), F(1))],
+                       cantor_parts=[CantorComponent(civ(F(1, 2), 1), F(1, 4), F(1, 2))]),
+        [F(2, 3), F(5, 7)], F(1, 2**30),
+    ).via("G is flat and positive on the support")
+    def test_invert_matches_the_fraction_reference(self, v, ts, tol):
+        table = ref_breakpoint_table(v.atoms, v.density)
+        # targets drawn, and F at every support end, where the answer is a
+        # support end or a gap end
+        ends = [c.support.lo for c in v.cantor] + [c.support.hi for c in v.cantor]
+        targets = [t for t in ts if t > 0] + [ref_cdf(v, table, (x, 1), tol).hi for x in ends]
+        for t in targets:
+            if 0 < t <= 1:
+                assert _invert(v, F(0), F(1), t, tol) == ref_invert(v, table, F(0), F(1), t, tol)
 
 
 class TestCut:
