@@ -192,6 +192,11 @@ def run(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     if args.approx < 0:
         raise ParseError(f"--approx {args.approx} must be >= 0")
+    # Python's cap on the digits of an int turned into text, 0 for none
+    # (Pythons before 3.10.7 have neither the cap nor its getter)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if 0 < limit < args.approx:
+        raise ParseError(f"--approx {args.approx} exceeds Python's {limit}-digit int-to-str limit")
     tol = parse_rational(args.tol)
     report, lines = COMMANDS[args.command](args, tol)
     if args.json:

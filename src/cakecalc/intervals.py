@@ -18,8 +18,9 @@ integer key 2*x*den + side.  `den` is the lcm of the denominators of the
 cut points present, so (den, keys) is unique to the point set.  The set
 operations are sweeps over integers that build no `Fraction`: a binary one
 rescales both operands to the lcm of their dens and divides the result's
-den by the gcd of its points.  Only this module and the sweep that reads a
-valuation at a set's cuts (`valuation._table_at_keys`) know the encoding.
+den by the gcd of its points.  Only this module and the reader of a
+valuation's distribution function at a set's cuts (`valuation._cdf_at_keys`
+and the table sweep `valuation._table_at_keys` under it) know the encoding.
 A set keeps nothing else, not even the cuts it was built from: the
 `Fraction` cuts and the `Interval` components are views built from the
 keys on demand.
@@ -353,10 +354,14 @@ def parse_interval_set(text: str) -> IntervalSet:
         raise ParseError(f"trailing comma in interval set {text!r}")
     pos = 0
     ivs = []
-    while pos < len(text):
+    while True:
         m = _INTERVAL_RE.match(text, pos)
         if not m:
             raise ParseError(f"cannot parse interval set at {text[pos:]!r}")
         ivs.append(parse_interval(m.group()))
-        pos = m.end() + text.startswith(",", m.end())  # a comma may follow an interval
-    return normalize(ivs)
+        pos = m.end()
+        if pos == len(text):
+            return normalize(ivs)
+        if text[pos] != ",":  # exactly one comma separates two intervals
+            raise ParseError(f"expected a comma between intervals at {text[pos:]!r}")
+        pos += 1

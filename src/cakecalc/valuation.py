@@ -8,17 +8,12 @@ to exactly 1 at construction time.
 
 The atom + density part G of the distribution function F is compiled once
 per valuation into one integer table (`_Table`), and each Cantor part into
-integer pairs (support ends, ratio and weight).  F is read at the
-cuts of a set in one sweep over the set's integer keys: G from the rows,
-both rescaled to the lcm of their denominators, plus, per key inside a
-Cantor support, the integer orbit walk `cantor.walk`, summed in integers
-into one `Fraction` pair per answer.  `cdf` is this sweep on one key, and
-`evaluate` and `prefix_with_value` run it over the keys of their set.
-`cut`, `prefix_with_value` and `slice_valuation` all invert F through one
-primitive, `_invert`, which descends through the cells of a Cantor part
-in integers: a cell is [A, A + L]/M, G is read at its ends as an integer
-over Q·M, the masses are integers over a power of two, and the one
-`Fraction` made is the returned point.
+integers.  `cdf`, `evaluate` and `prefix_with_value`, whatever the parts
+of the valuation, read F through one reader, `_cdf_at_keys`: integer
+bracket ends over one denominator at a set's cuts, from one sweep over its
+keys plus the integer orbit walk `cantor.walk` inside Cantor supports.
+`cut`, `prefix_with_value` and `slice_valuation` invert F through
+`_invert`, which descends through the cells of a Cantor part in integers.
 
 All arithmetic is exact.  Only Cantor orbits that do not close within the
 tolerance force approximation: certified brackets (CdfValue) or points.
@@ -31,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import cantor
 from .errors import (
@@ -49,7 +44,6 @@ from .foundations import CantorIterateSet
 from .intervals import (
     EMPTY,
     FULL,
-    Cut,
     Interval,
     IntervalSet,
     contains,
@@ -242,7 +236,7 @@ def make_valuation(
     _check_pairwise_disjoint([c.support for c in sc_list], "Cantor supports")
 
     v = Valuation(atom_list, dens_list, sc_list)
-    total = _table_value(v._table, (ONE, 1)) + sum(c.weight for c in sc_list)
+    total = Fraction(v._table.GA[-1], v._table.QD) + sum(c.weight for c in sc_list)
     if total != ONE:
         raise NotNormalized(total)
     return v
@@ -308,13 +302,6 @@ def _check_tol(tol) -> Fraction:
     return tol
 
 
-def _table_value(table: _Table, cut: Cut) -> Fraction:
-    """G at a cut: G(x-) at (x, 0), G(x) at (x, 1)."""
-    x, side = cut
-    (g,), q = _table_at_keys(table, x.denominator, (2 * x.numerator + side,))
-    return Fraction(g, q)
-
-
 def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     """F(x) = v([0,x]) for side="at"; the left limit F(x-) for side="left_limit"."""
     x = Fraction(x)
@@ -323,38 +310,58 @@ def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     tol = _check_tol(tol)
     if side not in _SIDES:
         raise BadParameter(f"unknown side {side!r}")
-    return next(_cdf_at_keys(v, x.denominator, (2 * x.numerator + _SIDES[side],), tol))
+    (lo,), (hi,), d = _cdf_at_keys(v, x.denominator, (2 * x.numerator + _SIDES[side],), tol)
+    return _cdf_value(lo, hi, d)
 
 
-def _cdf_at_keys(v: Valuation, den: int, keys: Sequence[int], tol: Fraction) -> Iterator[CdfValue]:
-    """F at increasing cuts, given as `IntervalSet` keys over `den`, each a
-    bracket of width <= tol or exact: G from `_table_at_keys`, plus for
-    each Cantor part its weight right of its support [s, t] and
-    w·F_p((x - s)/(t - s)) on it, by `cantor.walk` within tol/(len·w).  The
-    sum is kept as integers over one denominator and makes one `Fraction`
-    pair per cut."""
+def _cdf_value(lo: int, hi: int, d: int) -> CdfValue:
+    """[lo/d, hi/d] as a `CdfValue`, clamped by `_clamp`."""
+    lo, hi = _clamp(lo, hi, d)
+    f = Fraction(lo, d)
+    return CdfValue(f, f if lo == hi else Fraction(hi, d))
+
+
+def _clamp(lo: int, hi: int, d: int) -> tuple[int, int]:
+    """[lo/d, hi/d] cut down to [0, 1]; an exact value must lie in it,
+    since clamping it would hide an arithmetic error."""
+    if lo == hi:
+        assert 0 <= lo <= d, (lo, d)
+        return lo, hi
+    return max(lo, 0), min(hi, d)
+
+
+def _cdf_at_keys(v: Valuation, den: int, keys: Sequence[int], tol: Fraction, split: int = 1):
+    """F at increasing cuts, given as `IntervalSet` keys over `den`, as
+    (lo, hi, d): F at cut i lies in [lo[i]/d, hi[i]/d], of width <= tol/split,
+    and hi[i] <= d.  G comes from `_table_at_keys`; a Cantor part adds its
+    weight w right of its support [s, t] and w·F_p((x - s)/(t - s)) inside
+    it, by `cantor.walk` within tol/(split·len·w).  d is the lcm of q and the
+    walks' denominators; with no Cantor term at the cuts, G's g, g, q return."""
     g, q = _table_at_keys(v._table, den, keys)
-    tn, td = tol.numerator, tol.denominator * len(v._parts)
-    # the smallest depth >= 1 with 2^-depth <= tol/(len·w); p = 1/3 always closes
-    depths = [None if (pn, pd) == (1, 3) else max(1, ((td * wn - 1) // (tn * wd)).bit_length())
-              for _, _, _, pn, pd, wn, wd in v._parts]
-    for k, lo in zip(keys, g):
-        x, hi, d = k >> 1, lo, q
-        for (E, S, T, pn, pd, wn, wd), depth in zip(v._parts, depths):
-            if x * E >= T * den:
-                a_lo, a_hi, b = wn, wn, wd
-            elif x * E > S * den:
-                a_lo, a_hi, b = cantor.walk(pn, pd, x * E - S * den, den * (T - S), depth)
-                a_lo, a_hi, b = wn * a_lo, wn * a_hi, wd * b
-            else:  # the supports are sorted and disjoint
-                break
-            lo, hi, d = lo * b + a_lo * d, hi * b + a_hi * d, d * b
-        if lo == hi:
-            assert 0 <= lo <= d, (lo, d)
-            f = Fraction(lo, d)
-            yield CdfValue(f, f)
-        else:  # a bracket may overshoot 1
-            yield CdfValue(Fraction(lo, d), Fraction(min(hi, d), d))
+    tn, td = tol.numerator, tol.denominator * split * len(v._parts)
+    walks, weights = [], []  # (i, lo, hi, b) inside a support; (i, wn, wd) from key i on
+    for E, S, T, pn, pd, wn, wd in v._parts:
+        # the smallest depth >= 1 with 2^-depth <= tol/(split·len·w); p = 1/3 always closes
+        depth = None if (pn, pd) == (1, 3) else max(1, ((td * wn - 1) // (tn * wd)).bit_length())
+        first = bisect_right(keys, 2 * (S * den // E) + 1)  # the first cut right of s
+        j = bisect_left(keys, -2 * (-T * den // E), first)  # the first cut at or right of t
+        for i, k in enumerate(keys[first:j], first):
+            a_lo, a_hi, b = cantor.walk(pn, pd, (k >> 1) * E - S * den, den * (T - S), depth)
+            walks.append((i, wn * a_lo, wn * a_hi, wd * b))
+        if j < len(keys):
+            weights.append((j, wn, wd))
+    if not (walks or weights):
+        return g, g, q
+    d = lcm(q, *(b for *_, b in walks), *(wd for *_, wd in weights))
+    lo = [x * (d // q) for x in g]
+    for j, wn, wd in weights:  # the supports are sorted: w at every cut from j on
+        w = wn * (d // wd)
+        lo[j:] = [x + w for x in lo[j:]]
+    hi = lo.copy()
+    for i, a_lo, a_hi, b in walks:
+        lo[i] += a_lo * (d // b)
+        hi[i] = min(hi[i] + a_hi * (d // b), d)  # a bracket may overshoot 1
+    return lo, hi, d
 
 
 def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
@@ -366,14 +373,14 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
         mass += sum(w for loc, w in v.atoms if loc in A)
         assert mass <= ONE, mass
         return CdfValue.exact(mass)
-    if not v.cantor:
-        g, q = _table_at_keys(v._table, A.den, A.keys)
-        return CdfValue.exact(Fraction(sum(g[1::2]) - sum(g[::2]), q))
-    values = _cdf_at_keys(v, A.den, A.keys, tol / max(2, len(A.keys)))
-    total = CdfValue.exact(ZERO)
-    for s, e in zip(values, values):
-        total = total + (e - s).clamp(ZERO, ONE)
-    return total.clamp()
+    lo, hi, d = _cdf_at_keys(v, A.den, A.keys, tol, max(2, len(A.keys)))
+    if lo is hi:  # F is exact at every cut
+        total = sum(lo[1::2]) - sum(lo[::2])
+        return _cdf_value(total, total, d)
+    # each component's bracket is cut down to [0, 1] before it is added
+    los, his = zip(*(_clamp(e_lo - s_hi, e_hi - s_lo, d)
+                     for s_lo, s_hi, e_lo, e_hi in zip(lo[::2], hi[::2], lo[1::2], hi[1::2])))
+    return _cdf_value(sum(los), sum(his), d)
 
 
 def _table_at_keys(table: _Table, den: int, keys: Sequence[int]) -> tuple[list[int], int]:
@@ -417,23 +424,22 @@ def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction
     """The minimal c with F(c) >= t, and (F(c-), F(c)), given F(x) < t for
     x < lo, t <= F(hi) and no atom in (lo, hi).  Off the Cantor supports F is
     G plus the Cantor mass to the left; on one, `_descend` finds c or a c
-    within tol/4 of it.  With a Cantor part F(c-) = F(c) = t is reported
-    (slicing allows no atoms then), and c is clamped to [lo, hi], which
-    bracket midpoints in the callers' t can miss."""
-    table = v._table
-    if not v.cantor:
-        return _invert_table(table, t)
-    rate = max((d for _, d in v.density), default=ZERO)  # G's steepest slope, atoms aside
-    rate = rate.numerator * (table.QD // table.D // rate.denominator)  # over Q
-    rest = t  # t less the Cantor mass left of the current piece of the line
+    within tol/4 of it, and F(c-) = F(c) = t is reported (slicing allows no
+    atoms then).  c is clamped to [lo, hi], which bracket midpoints in the
+    callers' t can miss."""
+    table, rest = v._table, t  # rest: t less the Cantor mass left of the piece of the line
     for comp, part in zip(v.cantor, v._parts):
-        if _table_value(table, (comp.support.hi, 0)) + comp.weight >= rest:
-            c = _descend(table, rate, part, rest, tol)
-            break
+        E, _, T, _, _, wn, wd = part
+        (g,), q = _table_at_keys(table, E, (2 * T,))  # G(t-) over q at the support end t
+        if (g * wd + wn * q) * rest.denominator >= rest.numerator * q * wd:
+            c = _descend(table, max(table.R), part, rest, tol)
+            return min(max(c, lo), hi), t, t
         rest -= comp.weight
-    else:
-        c = _invert_table(table, rest)[0]
-    return min(max(c, lo), hi), t, t
+    c, g_left, g_at = _invert_table(table, rest)
+    if rest is t:  # no Cantor mass left of c: F is G, and an exact t keeps c in [lo, hi]
+        return c, g_left, g_at
+    left = t - rest  # the Cantor mass left of c
+    return min(max(c, lo), hi), g_left + left, g_at + left
 
 
 def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):
@@ -510,29 +516,22 @@ def prefix_with_value(
     if target == ZERO:
         return EMPTY, ZERO
 
-    # value the components once; the target is reached in the first one that
-    # takes the running total to it, where v(A ∩ [0,c]) = below + F(c) - base
-    if not v.cantor:  # so in integers over q, with target·q = n/d
-        g, q = _table_at_keys(v._table, A.den, A.keys)
-        n, d = target.numerator * q, target.denominator
-        upto = 0
-        for base, top in zip(g[::2], g[1::2]):
-            upto += top - base
-            if upto * d >= n:
-                c = _invert_table(v._table, Fraction(n - (upto - top) * d, q * d))[0]
-                return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
-        raise BadParameter(f"target {target} exceeds v(A)")
+    # the target is reached in the first component that takes the running
+    # total to it, where v(A ∩ [0,c]) = below + F(c) - base; brackets compare
+    # by midpoint, or by top in the last component, over 2·d with target = n/(2·d·m)
     keys = A.keys
-    values = _cdf_at_keys(v, A.den, keys, tol / (4 * max(2, len(keys))))
-    below = CdfValue.exact(ZERO)
-    for i, (base, top) in enumerate(zip(values, values)):
-        upto = below + (top - base)
-        if upto.midpoint >= target or (2 * i + 2 == len(keys) and target <= upto.hi):
-            t = target - below.midpoint + base.midpoint
-            s, e = (Fraction(k >> 1, A.den) for k in keys[2 * i:2 * i + 2])
+    lo, hi, d = _cdf_at_keys(v, A.den, keys, tol, 4 * max(2, len(keys)))
+    n, m = 2 * d * target.numerator, target.denominator
+    below_lo = below_hi = 0
+    for i in range(0, len(keys), 2):
+        base = lo[i] + hi[i]
+        upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
+        if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
+            t = Fraction(n - (below_lo + below_hi - base) * m, 2 * d * m)
+            s, e = Fraction(keys[i] >> 1, A.den), Fraction(keys[i + 1] >> 1, A.den)
             c, _, _ = _invert(v, s, e, t, tol)
             return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
-        below = upto
+        below_lo, below_hi = upto_lo, upto_hi
     raise BadParameter(f"target {target} exceeds v(A)")
 
 

@@ -14,6 +14,7 @@ looks for.
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,11 @@ rationals = mostly(
     st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 12)),
     st.sampled_from(["", "x", "1/0", "-1/2", "3/2", "0.25", "2", " 1/3 "]),
 )
+# digit counts around Python's int-to-str limit, past which --approx is a
+# parse error (4300 is the default limit, for interpreters with none)
+_LIMIT = sys.get_int_max_str_digits() or 4300
+approx_past_the_limit = st.integers(_LIMIT - 1, _LIMIT + 2)
+
 set_exprs = mostly(
     interval_sets().map(str), st.text(alphabet="[](),/0123456789 x", max_size=10)
 )
@@ -116,7 +122,7 @@ def command_lines(draw, paths):
     if draw(st.booleans()):
         argv.append("--json")
     if draw(st.booleans()):
-        argv += ["--approx", str(draw(st.integers(-1, 6)))]
+        argv += ["--approx", str(draw(st.integers(-1, 6) | approx_past_the_limit))]
     if draw(st.booleans()):
         tol = mostly(st.sampled_from(["1/1024", "1/1099511627776"]), st.sampled_from(["0", "-1/8", "x"]))
         argv += ["--tol", draw(tol)]

@@ -189,6 +189,11 @@ class TestExitCodes:
         assert main(["evaluate", str(bundled_config_path("fig2")), text]) == 2
         assert "trailing comma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[0,1/3] [1/2,1]", "[0,1/3][1/2,1]"])
+    def test_intervals_without_a_comma_between_are_2(self, capsys, text):
+        assert main(["evaluate", str(bundled_config_path("fig2")), text]) == 2
+        assert "expected a comma" in capsys.readouterr().err
+
     def test_domain_error_is_1(self, capsys):
         assert main(["cut", str(bundled_config_path("dirac")), "[0,1]", "1/2"]) == 1
         assert "AtomObstruction" in capsys.readouterr().err
@@ -271,3 +276,13 @@ class TestSchema:
         assert main(argv) == 2
         assert main(["--json"] + argv) == 2
         assert "--approx" in capsys.readouterr().err
+
+    def test_approx_past_the_int_to_str_limit_is_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter prints ints of any length")
+        argv = ["cdf", str(bundled_config_path("uniform")), "1/3"]
+        assert main(["--approx", str(limit)] + argv) == 0
+        assert capsys.readouterr().out.strip().endswith("3" * limit)
+        assert main(["--approx", str(limit + 1)] + argv) == 2
+        assert f"{limit}-digit" in capsys.readouterr().err

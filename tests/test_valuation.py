@@ -50,7 +50,7 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.valuation import _check_pairwise_disjoint, _invert, _invert_table
+from cakecalc.valuation import _check_pairwise_disjoint, _invert, _invert_table, _table_at_keys
 from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
 
 F = Fraction
@@ -625,6 +625,98 @@ class TestIntegerCantorReaders:
         for t in targets:
             if 0 < t <= 1:
                 assert _invert(v, F(0), F(1), t, tol) == ref_invert(v, table, F(0), F(1), t, tol)
+
+
+# The parent's two readers of F in `evaluate` and `prefix_with_value`, as
+# references for the one path that replaces them: the integer scans of G
+# alone without a Cantor part, and the `CdfValue` loop of
+# `prefix_with_value` with one (over the `Fraction` references above).
+
+def ref_evaluate_scfree(v, a):
+    g, q = _table_at_keys(v._table, a.den, a.keys)
+    return CdfValue.exact(F(sum(g[1::2]) - sum(g[::2]), q))
+
+
+def ref_prefix_scfree(v, a, target):
+    g, q = _table_at_keys(v._table, a.den, a.keys)
+    n, d = target.numerator * q, target.denominator
+    upto = 0
+    for base, top in zip(g[::2], g[1::2]):
+        upto += top - base
+        if upto * d >= n:
+            c = _invert_table(v._table, F(n - (upto - top) * d, q * d))[0]
+            return intersect(a, interval_set((0, c))), c
+    raise BadParameter(f"target {target} exceeds v(A)")
+
+
+def ref_prefix_cantor(v, table, a, target, tol):
+    cuts = a.cuts
+    values = [ref_cdf(v, table, cut, tol / (4 * max(2, len(cuts)))) for cut in cuts]
+    below = CdfValue.exact(F(0))
+    for i, (base, top) in enumerate(zip(values[::2], values[1::2])):
+        upto = below + (top - base)
+        if upto.midpoint >= target or (2 * i + 2 == len(cuts) and target <= upto.hi):
+            t = target - below.midpoint + base.midpoint
+            c, _, _ = ref_invert(v, table, cuts[2 * i][0], cuts[2 * i + 1][0], t, tol)
+            return intersect(a, interval_set((0, c))), c
+        below = upto
+    raise BadParameter(f"target {target} exceeds v(A)")
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the error it raised; pieces as (den, keys)."""
+    try:
+        piece, c = f(*args)
+    except BadParameter as exc:
+        return type(exc)
+    return (piece.den, piece.keys), c
+
+
+class TestOnePathReferences:
+    """`evaluate` and `prefix_with_value` read F one way for every
+    valuation; against the parent's two ways they give the same values, the
+    same pieces and the same c."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.one_of(table_valuations(), st.randoms(use_true_random=False).map(rand_scfree_valuation)),
+        st.one_of(interval_sets(), st.lists(big_intervals(), max_size=5).map(normalize)),
+        small_fractions,
+    )
+    def test_scfree_matches_the_integer_scans(self, v, a, share):
+        va = evaluate(v, a)
+        assert va == ref_evaluate_scfree(v, a)
+        if any(contains(a, loc) for loc, _ in v.atoms):
+            return
+        for target in (share * va.value, va.value + F(1, 7)):
+            if target > 0:
+                assert outcome(prefix_with_value, v, a, target) == outcome(
+                    ref_prefix_scfree, v, a, target)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data(), cantor_mixes(with_atoms=False), st.sampled_from(TOLS))
+    @example(None, cantor_valuation(F(1, 4)), F(1, 2**12)).via("brackets on every component")
+    def test_cantor_matches_the_cdfvalue_loop(self, data, v, tol):
+        table = ref_breakpoint_table(v.atoms, v.density)
+        if data is None:
+            # k/97 of the way into level-8 cells of C_1/4, where F is a bracket
+            l = F(3, 8)
+            xs = [(1 - l) * l**2 + l**8 * F(k, 97) for k in (5, 41, 77)]
+            xs += [l**8 * F(k, 97) for k in (3, 60)] + [F(1, 2)]
+            shares = [F(1, 3)]
+        else:
+            xs = data.draw(st.lists(cantor_points(v), min_size=2, max_size=8))
+            shares = data.draw(st.lists(small_fractions.filter(bool), max_size=3))
+        # intervals between pairs of points, and singletons at the rest,
+        # whose brackets make negative component values to cut down
+        a = normalize([civ(*sorted(pair)) for pair in zip(xs[:4:2], xs[1:4:2])]
+                      + [civ(x, x) for x in xs[4:]])
+        assert evaluate(v, a, tol) == ref_evaluate(v, table, a, tol)
+        va = ref_evaluate(v, table, a, tol / 4)
+        for target in [s * va.midpoint for s in shares] + [va.lo, va.hi, va.hi + F(1, 7)]:
+            if target > 0:
+                assert outcome(prefix_with_value, v, a, target, tol) == outcome(
+                    ref_prefix_cantor, v, table, a, target, tol)
 
 
 class TestCut:
