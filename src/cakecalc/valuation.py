@@ -13,7 +13,8 @@ of the valuation, read F through one reader, `_cdf_at_keys`: integer
 bracket ends over one denominator at a set's cuts, from one sweep over its
 keys plus the integer orbit walk `cantor.walk` inside Cantor supports.
 `cut`, `prefix_with_value` and `slice_valuation` invert F through
-`_invert`, which descends through the cells of a Cantor part in integers.
+`_invert`, which inverts the table with the Cantor mass to the left as an
+integer offset and descends through the cells of a Cantor part in integers.
 
 All arithmetic is exact.  Only Cantor orbits that do not close within the
 tolerance force approximation: certified brackets (CdfValue) or points.
@@ -407,14 +408,15 @@ def _table_at_keys(table: _Table, den: int, keys: Sequence[int]) -> tuple[list[i
 # --- CDF inversion -----------------------------------------------------------
 
 
-def _invert_table(table: _Table, t: Fraction):
-    """The minimal x with G(x) >= t, or 1, with (G(x-), G(x)).  With
-    t·QD = a/b, the row is the first with GA[i] >= ceil(a/b)."""
+def _invert_table(table: _Table, t: Fraction, n: int = 0, d: int = 1):
+    """The minimal x with F(x) >= t, or 1, with (F(x-), F(x)), for F = G + n/d.
+    With (t - n/d)·QD = a/b, the row is the first with GA[i] >= ceil(a/b)."""
     D, QD, X, GL, GA, R = table
-    a, b = t.numerator * QD, t.denominator
+    a, b = (t.numerator * d - n * t.denominator) * QD, t.denominator * d
     i = bisect_left(GA, -(-a // b), 0, len(X) - 1)
     if i == 0 or GL[i] * b <= a:
-        return Fraction(X[i], D), Fraction(GL[i], QD), Fraction(GA[i], QD)
+        n *= QD
+        return Fraction(X[i], D), Fraction(GL[i] * d + n, QD * d), Fraction(GA[i] * d + n, QD * d)
     # G rises linearly from GA[i-1] at X[i-1] with slope R[i-1]/Q
     i -= 1
     return Fraction(X[i] * R[i] * b + a - GA[i] * b, D * R[i] * b), t, t
@@ -427,19 +429,17 @@ def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction
     within tol/4 of it, and F(c-) = F(c) = t is reported (slicing allows no
     atoms then).  c is clamped to [lo, hi], which bracket midpoints in the
     callers' t can miss."""
-    table, rest = v._table, t  # rest: t less the Cantor mass left of the piece of the line
-    for comp, part in zip(v.cantor, v._parts):
+    table, n, d = v._table, 0, 1  # n/d: the Cantor mass left of the piece of the line
+    tn, td = t.numerator, t.denominator
+    for part in v._parts:
         E, _, T, _, _, wn, wd = part
-        (g,), q = _table_at_keys(table, E, (2 * T,))  # G(t-) over q at the support end t
-        if (g * wd + wn * q) * rest.denominator >= rest.numerator * q * wd:
-            c = _descend(table, max(table.R), part, rest, tol)
+        (g,), q = _table_at_keys(table, E, (2 * T,))  # G(T/E-) over q at the support end
+        if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:  # F(T/E-) >= t
+            c = _descend(table, max(table.R), part, t - Fraction(n, d), tol)
             return min(max(c, lo), hi), t, t
-        rest -= comp.weight
-    c, g_left, g_at = _invert_table(table, rest)
-    if rest is t:  # no Cantor mass left of c: F is G, and an exact t keeps c in [lo, hi]
-        return c, g_left, g_at
-    left = t - rest  # the Cantor mass left of c
-    return min(max(c, lo), hi), g_left + left, g_at + left
+        n, d = n * wd + wn * d, d * wd
+    c, g_left, g_at = _invert_table(table, t, n, d)
+    return min(max(c, lo), hi), g_left, g_at
 
 
 def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):

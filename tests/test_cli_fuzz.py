@@ -42,8 +42,9 @@ rationals = mostly(
     st.sampled_from(["", "x", "1/0", "-1/2", "3/2", "0.25", "2", " 1/3 "]),
 )
 # digit counts around Python's int-to-str limit, past which --approx is a
-# parse error (4300 is the default limit, for interpreters with none)
-_LIMIT = sys.get_int_max_str_digits() or 4300
+# parse error (4300 is the default limit, for interpreters with none; Pythons
+# before 3.10.7 have neither the limit nor its getter)
+_LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
 approx_past_the_limit = st.integers(_LIMIT - 1, _LIMIT + 2)
 
 set_exprs = mostly(

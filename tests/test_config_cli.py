@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,6 +157,28 @@ class TestCli:
         assert "cakecalc" in loaded
         assert loaded - set(sys.stdlib_module_names) <= {"cakecalc", "__main__"}
 
+    def test_readme_examples(self):
+        # every command of README's Examples block exits 0, and where a
+        # "# -> X" comment follows it, X is the last line of its output
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Examples$.*?^```sh$(.*?)^```$", readme, re.M | re.S).group(1)
+        lines = [line for line in block.splitlines() if line.strip()]
+        assert lines
+        for line in lines:
+            command, _, comment = line.partition("#")
+            prog, *argv = shlex.split(command)
+            assert prog == "cakecalc", line
+            done = subprocess.run(
+                [sys.executable, "-m", "cakecalc.cli", *argv],
+                capture_output=True, text=True, cwd=root,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+            )
+            assert done.returncode == 0, (line, done.stderr)
+            comment = comment.strip()
+            if comment.startswith("->"):
+                assert done.stdout.strip().splitlines()[-1].strip() == comment[2:].strip(), line
+
     def test_witness(self):
         code, out = cli("--json", "witness", "6")
         report = json.loads(out)
@@ -278,7 +303,7 @@ class TestSchema:
         assert "--approx" in capsys.readouterr().err
 
     def test_approx_past_the_int_to_str_limit_is_2(self, capsys):
-        limit = sys.get_int_max_str_digits()
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
         if not limit:
             pytest.skip("this interpreter prints ints of any length")
         argv = ["cdf", str(bundled_config_path("uniform")), "1/3"]
