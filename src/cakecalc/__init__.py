@@ -12,6 +12,7 @@ from .errors import (
     NotSliceable,
     OutOfCake,
     ParseError,
+    TooManyDigits,
     ZeroMass,
     ZeroPiece,
 )

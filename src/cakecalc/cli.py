@@ -161,14 +161,15 @@ COMMANDS = {
 def _jsonable(x):
     """The report with library values as JSON: an exact value is "p/q", a
     bracket {"lo", "hi"}, and interval sets and rationals their text."""
-    if isinstance(x, CdfValue):
-        return str(x) if x.is_exact else {"lo": str(x.lo), "hi": str(x.hi)}
-    if isinstance(x, (IntervalSet, Fraction)):
-        return str(x)
+    # containers first: Fraction's isinstance check is an ABC's, and slow
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, list):
         return [_jsonable(v) for v in x]
+    if isinstance(x, CdfValue):
+        return str(x) if x.is_exact else {"lo": str(x.lo), "hi": str(x.hi)}
+    if isinstance(x, (IntervalSet, Fraction)):
+        return str(x)
     return x
 
 
@@ -200,8 +201,8 @@ def run(argv=None, out=None) -> int:
     tol = parse_rational(args.tol)
     report, lines = COMMANDS[args.command](args, tol)
     if args.json:
-        json.dump(_jsonable(report), out, ensure_ascii=False)
-        out.write("\n")
+        # dumps, unlike dump, takes the C encoder
+        out.write(json.dumps(_jsonable(report), ensure_ascii=False) + "\n")
     else:
         for cells in lines:
             print("".join(_cell(c, args.approx) for c in cells), file=out)

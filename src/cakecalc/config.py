@@ -19,12 +19,13 @@ itself to mass 1), so it cannot be combined with atoms or Cantor components.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError
-from .intervals import parse_interval, parse_rational
-from .valuation import CantorComponent, Valuation, make_box_valuation, make_valuation
+from .intervals import encode_lexed, lex_interval, lex_rational, parse_interval
+from .valuation import CantorComponent, Valuation, integer_box_valuation, integer_valuation
 
 BUNDLED = ("fig2", "uniform", "dirac", "cantor_mix")
 
@@ -36,9 +37,9 @@ def _entries(data: dict, section: str) -> list[dict]:
     return entries
 
 
-def _field(entry: dict, key: str):
-    """One field of a section entry, parsed: "boxes" is a JSON integer,
-    "support" an interval string and every other field a rational string."""
+def _field(entry: dict, key: str, parse=lex_rational):
+    """One field of a section entry: "boxes" is a JSON integer, and every
+    other field a string read by `parse`, a rational by default."""
     if key not in entry:
         raise ParseError(f"missing field {key!r}")
     value = entry[key]
@@ -49,34 +50,40 @@ def _field(entry: dict, key: str):
         return value
     if not isinstance(value, str):
         raise ParseError(f"{key!r} must be a string, got {value!r}")
-    return parse_interval(value) if key == "support" else parse_rational(value)
+    return parse(value)
 
 
 def valuation_from_dict(data: dict) -> Valuation:
     """Check a parsed config against the schema above and build its valuation;
-    every schema violation raises ParseError."""
+    every schema violation raises ParseError.  Rationals are read as reduced
+    integer pairs and supports as keys over one denominator, which go to the
+    valuation's integer constructors as they are."""
     if not isinstance(data, dict):
         raise ParseError("config root must be a JSON object")
     unknown = data.keys() - {"atoms", "density_pieces", "cantor"}
     if unknown:
         raise ParseError(f"unknown config sections {sorted(unknown)}")
-    atoms = [(_field(a, "at"), _field(a, "weight")) for a in _entries(data, "atoms")]
+    atoms = [(*_field(a, "at"), *_field(a, "weight")) for a in _entries(data, "atoms")]
     cantor_parts = [
-        CantorComponent(_field(c, "support"), _field(c, "p"), _field(c, "weight"))
+        CantorComponent(_field(c, "support", parse_interval),
+                        Fraction(*_field(c, "p")), Fraction(*_field(c, "weight")))
         for c in _entries(data, "cantor")
     ]
     pieces = _entries(data, "density_pieces")
     kinds = {("boxes" in p, "density" in p) for p in pieces}
     if len(kinds) > 1 or (True, True) in kinds:
         raise ParseError("density_pieces must use either 'boxes' or 'density', not both")
-    if pieces and "boxes" in pieces[0]:
-        if atoms or cantor_parts:
-            raise ParseError("box-count form cannot be combined with atoms or cantor")
-        return make_box_valuation(
-            [(_field(p, "support"), _field(p, "boxes")) for p in pieces]
-        )
-    density = [(_field(p, "support"), _field(p, "density")) for p in pieces]
-    return make_valuation(atoms=atoms, density=density, cantor_parts=cantor_parts)
+    boxes = bool(pieces) and "boxes" in pieces[0]
+    if boxes and (atoms or cantor_parts):
+        raise ParseError("box-count form cannot be combined with atoms or cantor")
+    rows = [(_field(p, "support", lex_interval), _field(p, "boxes" if boxes else "density"))
+            for p in pieces]
+    den, keys = encode_lexed([support for support, _ in rows])
+    ends = zip(keys[::2], keys[1::2])
+    if boxes:
+        return integer_box_valuation(den, [(s, e, n) for (s, e), (_, n) in zip(ends, rows)])
+    density = [(s, e, *d) for (s, e), (_, d) in zip(ends, rows)]
+    return integer_valuation(atoms, den, density, cantor_parts)
 
 
 def load_valuation(path) -> Valuation:

@@ -68,5 +68,10 @@ class NotSliceable(CakeError):
         super().__init__(f"atoms too heavy to slice: {locs}")
 
 
+class TooManyDigits(CakeError):
+    """A number to be written as text has more digits than Python's
+    int-to-str limit allows."""
+
+
 class ParseError(Exception):
     """Malformed textual input (interval grammar, rationals, config files)."""

@@ -23,12 +23,16 @@ valuation's distribution function at a set's cuts (`valuation._cdf_at_keys`
 and the table sweep `valuation._table_at_keys` under it) know the encoding.
 A set keeps nothing else, not even the cuts it was built from: the
 `Fraction` cuts and the `Interval` components are views built from the
-keys on demand.
+keys on demand, and `str` writes each point from its key with one gcd,
+building neither.  The text grammar reads numbers into integers through
+one lexer (ASCII digits, no underscores, on every Python), so a parsed set
+goes from text to keys without a `Fraction` too.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -36,7 +40,7 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Sequence
 
-from .errors import InvalidInterval, OutOfCake, ParseError
+from .errors import InvalidInterval, OutOfCake, ParseError, TooManyDigits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,12 +58,9 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        if not (ZERO <= self.lo and self.hi <= ONE):
-            raise OutOfCake(f"interval {self} leaves [0,1]")
-        if self.lo > self.hi:
-            raise InvalidInterval(f"lo > hi in {self}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise InvalidInterval(f"degenerate interval {self} with an open end is empty")
+        lo, hi = self.lo, self.hi
+        _check_ends(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                    self.lo_closed, self.hi_closed)
 
     @property
     def start(self) -> Cut:
@@ -84,6 +85,66 @@ class Interval:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
         return f"{lb}{self.lo},{self.hi}{rb}"
+
+
+def _check_ends(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool) -> None:
+    """Raise the error of the interval <ln/ld, hn/hd> (ld, hd > 0), with the
+    given end kinds, unless it is a nonempty interval of [0,1]."""
+    c = ln * hd - hn * ld  # the sign of lo - hi
+    if ln >= 0 and hn <= hd and (c < 0 or c == 0 and lo_closed and hi_closed):
+        return
+    text = (f"{'[' if lo_closed else '('}{Fraction(ln, ld)},"
+            f"{Fraction(hn, hd)}{']' if hi_closed else ')'}")
+    if ln < 0 or hn > hd:
+        raise OutOfCake(f"interval {text} leaves [0,1]")
+    if c > 0:
+        raise InvalidInterval(f"lo > hi in {text}")
+    raise InvalidInterval(f"degenerate interval {text} with an open end is empty")
+
+
+def key_intervals(den: int, keys: Sequence[int]) -> tuple[Interval, ...]:
+    """The `Interval`s from each start key keys[2i] to the end key
+    keys[2i+1] over `den`.  An interval that starts at the point where the
+    one before it ends shares its `Fraction`.  The keys must be those of
+    nonempty intervals of [0,1]; `Interval`'s checks of them are not run
+    again."""
+    new, init = object.__new__, object.__setattr__
+    out = []
+    last = None, None  # the end point of the interval before, and its Fraction
+    for s, e in zip(keys[::2], keys[1::2]):
+        a, b = s >> 1, e >> 1
+        lo = last[1] if a == last[0] else Fraction(a, den)
+        hi = lo if b == a else Fraction(b, den)
+        last = b, hi
+        iv = new(Interval)
+        init(iv, "lo", lo)
+        init(iv, "hi", hi)
+        init(iv, "lo_closed", not s & 1)
+        init(iv, "hi_closed", e & 1 == 1)
+        out.append(iv)
+    return tuple(out)
+
+
+def keys_text(den: int, keys: Sequence[int]) -> str:
+    """The text of the components with the cut keys `keys` over `den`, as
+    `Interval` prints them: each point is written from its key with one gcd,
+    and no `Fraction` or `Interval` is built.  A point whose text would pass
+    Python's int-to-str digit limit raises `TooManyDigits`."""
+
+    def point(x: int) -> str:  # x/den in lowest terms, as Fraction prints it
+        g = gcd(x, den)
+        return f"{x // g}/{den // g}" if g != den else f"{x // g}"
+
+    try:
+        return ", ".join(
+            f"{'(' if s & 1 else '['}{point(s >> 1)},{point(e >> 1)}{']' if e & 1 else ')'}"
+            for s, e in zip(keys[::2], keys[1::2])
+        )
+    except ValueError as exc:  # int-to-str refused a number past the limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        raise TooManyDigits(
+            f"a point of the set has more digits than Python's {limit}-digit int-to-str limit"
+        ) from exc
 
 
 class IntervalSet:
@@ -127,14 +188,7 @@ class IntervalSet:
     @property
     def components(self) -> tuple[Interval, ...]:
         if self._components is None:
-            den, keys = self.den, self.keys
-            comps = tuple(
-                Interval(
-                    Fraction(s >> 1, den), Fraction(e >> 1, den), not s & 1, e & 1 == 1
-                )
-                for s, e in zip(keys[::2], keys[1::2])
-            )
-            object.__setattr__(self, "_components", comps)
+            object.__setattr__(self, "_components", key_intervals(self.den, self.keys))
         return self._components
 
     def __eq__(self, other):
@@ -176,7 +230,7 @@ class IntervalSet:
         return Fraction(sum(points[1::2]) - sum(points[::2]), self.den)
 
     def __str__(self) -> str:
-        return ", ".join(map(str, self.components)) or "∅"
+        return keys_text(self.den, self.keys) or "∅"
 
 
 def _from_keys(
@@ -237,8 +291,12 @@ FULL = IntervalSet(((ZERO, 0), (ONE, 1)))
 
 def normalize(raw: Iterable[Interval]) -> IntervalSet:
     """Unique canonical IntervalSet with the same point set.  Idempotent."""
-    ends = [cut for iv in raw for cut in (iv.start, iv.end)]
-    den, encoded = _encode(ends)
+    return _merged(*_encode([cut for iv in raw for cut in (iv.start, iv.end)]))
+
+
+def _merged(den: int, encoded: Sequence[int]) -> IntervalSet:
+    """The canonical set of the union of the intervals whose start and end
+    keys over `den` alternate in `encoded`."""
     keys: list[int] = []
     for start, end in sorted(zip(encoded[::2], encoded[1::2])):
         if keys and start <= keys[-1]:
@@ -293,8 +351,14 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return intersect(a, complement(b))
 
 
+def as_fraction(x) -> Fraction:
+    """x as a `Fraction`; one is returned as it is, without `Fraction(x)`'s
+    slow path for it."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def contains(a: IntervalSet, x: Fraction) -> bool:
-    x = Fraction(x)
+    x = as_fraction(x)
     if x < ZERO or x > ONE:
         raise OutOfCake(f"point {x} is outside [0,1]")
     return x in a
@@ -316,33 +380,92 @@ def _interval(lo, hi, lo_closed=True, hi_closed=True) -> Interval:
 
 
 # --- text grammar shared with the CLI -------------------------------------
+#
+# One lexer reads a rational into a reduced integer pair, and the interval
+# grammar reads its endpoint tokens with int(): ASCII digits only, with no
+# underscores, on every Python version.  Digit strings past Python's
+# int-to-str limit are parse errors too.
 
+_RATIONAL_RE = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\s*")
 _INTERVAL_RE = re.compile(
-    r"\s*([\[\(])\s*([0-9]+(?:/[0-9]+)?)\s*,\s*([0-9]+(?:/[0-9]+)?)\s*([\]\)])\s*"
+    r"\s*([\[\(])\s*([0-9]+)(?:/([0-9]+))?\s*,\s*([0-9]+)(?:/([0-9]+))?\s*([\]\)])\s*"
 )
+
+Lexed = tuple[int, int, int, int, bool, bool]  # (ln, ld, hn, hd, lo_closed, hi_closed)
+
+
+def lex_rational(text: str) -> tuple[int, int]:
+    """p/q, an integer or a plain decimal, with an optional sign, as the
+    reduced pair (n, d) with d > 0.  An exponent form is rejected: Fraction
+    would build 10**exponent for it."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        why = ": exponent forms are not accepted" if "e" in text.lower() else ""
+        raise ParseError(f"bad rational {text!r}{why}")
+    sign, num, den, decimals = m.groups()
+    try:
+        n = int(num or 0)
+        if decimals:
+            d = 10 ** len(decimals)
+            n = n * d + int(decimals)
+        else:
+            d = int(den or 1)
+    except ValueError:  # a digit string past Python's int-to-str limit
+        raise ParseError(f"bad rational {text!r}") from None
+    if d == 0:
+        raise ParseError(f"bad rational {text!r}")
+    g = gcd(n, d)
+    return (-n // g if sign == "-" else n // g), d // g
 
 
 def parse_rational(text: str) -> Fraction:
-    """p/q, an integer or a plain decimal; an exponent would have Fraction
-    build 10**exponent, so exponent forms are rejected."""
-    if "e" in text.lower():
-        raise ParseError(f"bad rational {text!r}: exponent forms are not accepted")
+    """The `Fraction` of `lex_rational(text)`."""
+    return Fraction(*lex_rational(text))
+
+
+def _lexed(m: re.Match) -> Lexed:
+    """The ends of an interval matched by _INTERVAL_RE as integer pairs, not
+    reduced, with its end kinds, checked to be a nonempty interval of [0,1]."""
+    lb, ln, ld, hn, hd, rb = m.groups()
+    ends = []
+    for num, den in ((ln, ld), (hn, hd)):
+        try:
+            ends += (int(num), int(den or 1))
+        except ValueError:  # a digit string past Python's int-to-str limit
+            ends += (0, 0)
+        if ends[-1] == 0:
+            raise ParseError(f"bad rational {num if den is None else f'{num}/{den}'!r}")
+    lo_closed, hi_closed = lb == "[", rb == "]"
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}") from exc
+        _check_ends(*ends, lo_closed, hi_closed)
+    except (InvalidInterval, OutOfCake) as exc:
+        raise ParseError(str(exc)) from exc
+    return (*ends, lo_closed, hi_closed)
+
+
+def lex_interval(text: str) -> Lexed:
+    """Exactly one interval, such as "(1/4,1]", as `_lexed` returns it."""
+    m = _INTERVAL_RE.fullmatch(text)
+    if not m:
+        raise ParseError(f"expected a single interval, got {text!r}")
+    return _lexed(m)
 
 
 def parse_interval(text: str) -> Interval:
     """Parse exactly one interval, such as "(1/4,1]"."""
-    m = _INTERVAL_RE.fullmatch(text)
-    if not m:
-        raise ParseError(f"expected a single interval, got {text!r}")
-    lb, lo, hi, rb = m.groups()
-    try:
-        return Interval(parse_rational(lo), parse_rational(hi), lb == "[", rb == "]")
-    except (InvalidInterval, OutOfCake) as exc:
-        raise ParseError(str(exc)) from exc
+    ln, ld, hn, hd, lo_closed, hi_closed = lex_interval(text)
+    return Interval(Fraction(ln, ld), Fraction(hn, hd), lo_closed, hi_closed)
+
+
+def encode_lexed(ivs: Sequence[Lexed]) -> tuple[int, list[int]]:
+    """A common denominator of the ends of lexed intervals, the lcm of their
+    denominators as written, and the start and end key of each interval
+    over it, in turn."""
+    den = lcm(*(d for iv in ivs for d in (iv[1], iv[3])))
+    keys = []
+    for ln, ld, hn, hd, lo_closed, hi_closed in ivs:
+        keys += (2 * ln * (den // ld) + (not lo_closed), 2 * hn * (den // hd) + hi_closed)
+    return den, keys
 
 
 def parse_interval_set(text: str) -> IntervalSet:
@@ -358,10 +481,10 @@ def parse_interval_set(text: str) -> IntervalSet:
         m = _INTERVAL_RE.match(text, pos)
         if not m:
             raise ParseError(f"cannot parse interval set at {text[pos:]!r}")
-        ivs.append(parse_interval(m.group()))
+        ivs.append(_lexed(m))
         pos = m.end()
         if pos == len(text):
-            return normalize(ivs)
+            return _merged(*encode_lexed(ivs))
         if text[pos] != ",":  # exactly one comma separates two intervals
             raise ParseError(f"expected a comma between intervals at {text[pos:]!r}")
         pos += 1

@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import cantor
@@ -47,9 +47,12 @@ from .intervals import (
     FULL,
     Interval,
     IntervalSet,
+    _encode,
+    as_fraction,
     contains,
     intersect,
-    normalize,
+    key_intervals,
+    keys_text,
 )
 
 ZERO = Fraction(0)
@@ -68,7 +71,7 @@ class CdfValue:
 
     @classmethod
     def exact(cls, x) -> "CdfValue":
-        x = Fraction(x)
+        x = as_fraction(x)
         return cls(x, x)
 
     @property
@@ -135,7 +138,7 @@ class _Table(NamedTuple):
 
 def _integer_part(comp: CantorComponent) -> tuple[int, ...]:
     """(E, S, T, pn, pd, wn, wd): support [S/E, T/E], ratio pn/pd, weight wn/wd."""
-    s, t, p, w = comp.support.lo, comp.support.hi, Fraction(comp.p), Fraction(comp.weight)
+    s, t, p, w = comp.support.lo, comp.support.hi, as_fraction(comp.p), as_fraction(comp.weight)
     E = lcm(s.denominator, t.denominator)
     return (E, s.numerator * (E // s.denominator), t.numerator * (E // t.denominator),
             p.numerator, p.denominator, w.numerator, w.denominator)
@@ -143,37 +146,38 @@ def _integer_part(comp: CantorComponent) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Valuation:
+    """Built only by `_valuation`, from checked integer data: the public
+    fields, and `_table`, G (the atom + density part of F), and `_parts`,
+    the Cantor parts, in integers."""
+
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
     density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
     cantor: tuple[CantorComponent, ...]  # sorted by support
-    # G, the atom + density part of F, and the Cantor parts in integers,
-    # derived from the fields above
-    _table: _Table = field(init=False, repr=False, compare=False)
-    _parts: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_table", _integer_table(self.atoms, self.density))
-        object.__setattr__(self, "_parts", tuple(map(_integer_part, self.cantor)))
+    _table: _Table = field(repr=False, compare=False)
+    _parts: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def has_atoms(self) -> bool:
         return bool(self.atoms)
 
 
-def _integer_table(atoms, density) -> _Table:
+def _integer_table(atoms, den: int, density) -> _Table:
     """The atom + density part G of the distribution function as a `_Table`,
-    with a row at 0, 1, every atom and every density endpoint.  Density
-    supports are disjoint, so G is linear between adjacent rows."""
-    ends = [e for sup, _ in density for e in (sup.lo, sup.hi)]
-    D = lcm(*(a.denominator for a, _ in atoms), *(e.denominator for e in ends))
-    Q = lcm(*(w.denominator for _, w in atoms), *(d.denominator for _, d in density))
+    with a row at 0, 1, every atom and every density endpoint, from atoms
+    (an, ad, wn, wd) and densities (s, e, dn, dd) on supports with keys s, e
+    over `den`.  Density supports are disjoint, so G is linear between
+    adjacent rows."""
+    ends = [k >> 1 for s, e, _, _ in density for k in (s, e)]
+    g = gcd(den, *ends)  # den/g is the lcm of the ends' denominators
+    D = lcm(den // g, *(ad for _, ad, _, _ in atoms))
+    Q = lcm(*(wd for *_, wd in atoms), *(dd for *_, dd in density))
     QD = Q * D
-    ends = [e.numerator * (D // e.denominator) for e in ends]  # over D
-    jump = {a.numerator * (D // a.denominator): w.numerator * (QD // w.denominator)
-            for a, w in atoms}
+    f = D // (den // g)
+    ends = [e // g * f for e in ends]  # over D
+    jump = {an * (D // ad): wn * (QD // wd) for an, ad, wn, wd in atoms}
     slope = dict.fromkeys((0, D, *jump, *ends), 0)  # change of Q·density at a point
-    for (_, d), lo, hi in zip(density, ends[::2], ends[1::2]):
-        r = d.numerator * (Q // d.denominator)
+    for (_, _, dn, dd), lo, hi in zip(density, ends[::2], ends[1::2]):
+        r = dn * (Q // dd)
         slope[lo] += r
         slope[hi] -= r
     X = sorted(slope)
@@ -209,21 +213,36 @@ def make_valuation(
     cantor_parts: Iterable[CantorComponent] = (),
 ) -> Valuation:
     """Validate the generator data and pin the total mass to exactly 1."""
-    atom_list = tuple((Fraction(a), Fraction(w)) for a, w in atoms)
-    locs = [a for a, _ in atom_list]
-    if len(set(locs)) != len(locs):
-        raise BadParameter("duplicate atom locations")
-    for a, w in atom_list:
-        if not (ZERO <= a <= ONE):
-            raise OutOfCake(f"atom at {a} is outside [0,1]")
-        if w <= ZERO:
-            raise BadParameter(f"atom weight {w} must be positive")
+    atom_list = [(as_fraction(a), as_fraction(w)) for a, w in atoms]
+    dens_list = [(sup, as_fraction(d)) for sup, d in density]
+    den, keys = _encode([cut for sup, _ in dens_list for cut in (sup.start, sup.end)])
+    return integer_valuation(
+        [(a.numerator, a.denominator, w.numerator, w.denominator) for a, w in atom_list],
+        den,
+        [(s, e, d.numerator, d.denominator)
+         for (_, d), s, e in zip(dens_list, keys[::2], keys[1::2])],
+        cantor_parts,
+    )
 
-    dens_list = tuple((sup, Fraction(d)) for sup, d in density)
-    for sup, d in dens_list:
-        if d < ZERO:
-            raise BadParameter(f"negative density {d}")
-    _check_pairwise_disjoint([sup for sup, _ in dens_list], "density supports")
+
+def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
+    """The checked valuation of atoms (an, ad, wn, wd), densities (s, e, dn,
+    dd) on the supports with the keys s, e over a common denominator `den`,
+    and Cantor components; every pair n/d is in lowest terms with d > 0.
+    `make_valuation` and the config loader build through it, and all checks
+    but the Cantor ones compare integers."""
+    if len({(an, ad) for an, ad, _, _ in atoms}) != len(atoms):
+        raise BadParameter("duplicate atom locations")
+    for an, ad, wn, wd in atoms:
+        if not 0 <= an <= ad:
+            raise OutOfCake(f"atom at {Fraction(an, ad)} is outside [0,1]")
+        if wn <= 0:
+            raise BadParameter(f"atom weight {Fraction(wn, wd)} must be positive")
+
+    for _, _, dn, dd in density:
+        if dn < 0:
+            raise BadParameter(f"negative density {Fraction(dn, dd)}")
+    _check_pairwise_disjoint(den, [(s, e) for s, e, _, _ in density], "density supports")
 
     sc_list = tuple(sorted(cantor_parts, key=attrgetter("support.lo")))
     for comp in sc_list:
@@ -234,22 +253,38 @@ def make_valuation(
             raise BadParameter("Cantor component support must have positive length")
         if not (comp.support.lo_closed and comp.support.hi_closed):
             raise BadParameter("Cantor component support must be a closed interval")
-    _check_pairwise_disjoint([c.support for c in sc_list], "Cantor supports")
+    sc_den, sc_keys = _encode([cut for c in sc_list for cut in (c.support.start, c.support.end)])
+    _check_pairwise_disjoint(sc_den, list(zip(sc_keys[::2], sc_keys[1::2])), "Cantor supports")
 
-    v = Valuation(atom_list, dens_list, sc_list)
+    v = _valuation(atoms, den, density, sc_list)
     total = Fraction(v._table.GA[-1], v._table.QD) + sum(c.weight for c in sc_list)
     if total != ONE:
         raise NotNormalized(total)
     return v
 
 
-def _check_pairwise_disjoint(supports: Sequence[Interval], what: str) -> None:
-    """Sorted by start cut, the intervals are pairwise disjoint iff each one
-    ends at or before the start of the next."""
-    ordered = sorted(supports, key=attrgetter("start"))
+def _valuation(atoms, den: int, density, sc_list: tuple[CantorComponent, ...]) -> Valuation:
+    """The valuation of checked data, as `integer_valuation` takes it; the
+    public fields are built here, once, from the integers."""
+    supports = key_intervals(den, [k for s, e, _, _ in density for k in (s, e)])
+    return Valuation(
+        tuple((Fraction(an, ad), Fraction(wn, wd)) for an, ad, wn, wd in atoms),
+        tuple((sup, Fraction(dn, dd)) for sup, (_, _, dn, dd) in zip(supports, density)),
+        sc_list,
+        _integer_table(atoms, den, density),
+        tuple(map(_integer_part, sc_list)),
+    )
+
+
+def _check_pairwise_disjoint(den: int, supports: Sequence[tuple[int, int]], what: str):
+    """Sorted by start key, the supports, given as (start, end) key pairs over
+    `den`, are pairwise disjoint iff each one ends at or before the start of
+    the next; returns them so sorted."""
+    ordered = sorted(supports, key=itemgetter(0))
     for a, b in zip(ordered, ordered[1:]):
-        if b.start < a.end:
-            raise BadPartition(f"{what} overlap: {a} and {b}")
+        if b[0] < a[1]:
+            raise BadPartition(f"{what} overlap: {keys_text(den, a)} and {keys_text(den, b)}")
+    return ordered
 
 
 def make_box_valuation(boxes: Iterable[tuple[Interval, int]]) -> Valuation:
@@ -258,25 +293,42 @@ def make_box_valuation(boxes: Iterable[tuple[Interval, int]]) -> Valuation:
     The supports must partition [0,1]; piece i gets density
     count_i / (total * length_i), so the total mass is exactly 1.
     """
-    box_list = [(sup, Fraction(n)) for sup, n in boxes]
-    for sup, n in box_list:
-        if n < 0 or n.denominator != 1:
+    box_list = [(sup, as_fraction(n)) for sup, n in boxes]
+    for _, n in box_list:
+        if n.denominator != 1:
             raise BadParameter(f"box count {n} is not a nonnegative integer")
-        if sup.is_singleton:
-            raise BadPartition(f"singleton {sup} cannot carry boxes")
-    supports = [sup for sup, _ in box_list]
-    _check_pairwise_disjoint(supports, "box supports")
-    if normalize(supports) != FULL:
+    den, keys = _encode([cut for sup, _ in box_list for cut in (sup.start, sup.end)])
+    return integer_box_valuation(
+        den, [(s, e, n.numerator) for (_, n), s, e in zip(box_list, keys[::2], keys[1::2])]
+    )
+
+
+def integer_box_valuation(den: int, boxes) -> Valuation:
+    """`make_box_valuation` of boxes (s, e, n): n boxes on the support with
+    the keys s, e over a common denominator `den`.  The support from L/den to
+    H/den gets density n·den/(total·(H - L))."""
+    for s, e, n in boxes:
+        if n < 0:
+            raise BadParameter(f"box count {n} is not a nonnegative integer")
+        if s >> 1 == e >> 1:
+            raise BadPartition(f"singleton {keys_text(den, (s, e))} cannot carry boxes")
+    ordered = _check_pairwise_disjoint(den, [(s, e) for s, e, _ in boxes], "box supports")
+    # disjoint supports cover [0,1] iff each starts where the one before ends
+    keys = [k for pair in ordered for k in pair]
+    if keys[:1] != [0] or keys[-1:] != [2 * den + 1] or keys[1:-1:2] != keys[2::2]:
         raise BadPartition("box supports do not cover [0,1]")
-    total = sum(n for _, n in box_list)
+    total = sum(n for _, _, n in boxes)
     if total == 0:
         raise ZeroMass("all box counts are zero")
-    dens = tuple(
-        (sup, Fraction(n, total) / sup.length) for sup, n in box_list if n > 0
-    )
-    # all that make_valuation would check holds: the supports are disjoint,
-    # the densities nonnegative and the masses n/total sum to exactly 1
-    return Valuation((), dens, ())
+    density = []
+    for s, e, n in boxes:
+        if n:
+            dn, dd = n * den, total * ((e >> 1) - (s >> 1))
+            g = gcd(dn, dd)
+            density.append((s, e, dn // g, dd // g))
+    # all that integer_valuation would check holds: the supports are
+    # disjoint, the densities nonnegative and the masses n/total sum to 1
+    return _valuation((), den, density, ())
 
 
 def uniform_valuation() -> Valuation:
@@ -297,15 +349,15 @@ def cantor_valuation(p=Fraction(1, 3)) -> Valuation:
 
 
 def _check_tol(tol) -> Fraction:
-    tol = Fraction(tol)
-    if tol <= ZERO:
+    tol = as_fraction(tol)
+    if tol.numerator <= 0:
         raise BadTolerance(f"tolerance {tol} must be positive")
     return tol
 
 
 def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     """F(x) = v([0,x]) for side="at"; the left limit F(x-) for side="left_limit"."""
-    x = Fraction(x)
+    x = as_fraction(x)
     if not (ZERO <= x <= ONE):
         raise OutOfCake(f"point {x} is outside [0,1]")
     tol = _check_tol(tol)
@@ -509,7 +561,7 @@ def prefix_with_value(
     on A and the prefix value sweeps [0, v(A)] exactly.
     """
     tol = _check_tol(tol)
-    target = Fraction(target)
+    target = as_fraction(target)
     if target < ZERO:
         raise BadParameter(f"target {target} is negative")
     _check_no_atoms(v, A)
@@ -538,7 +590,7 @@ def prefix_with_value(
 def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
     """Prefix piece A_α = A ∩ [0,c] with v(A_α) = α·v(A) (exact when sc-free)."""
     tol = _check_tol(tol)
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if not (ZERO <= alpha <= ONE):
         raise BadParameter(f"alpha {alpha} outside [0,1]")
     _check_no_atoms(v, A)
@@ -564,7 +616,7 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     certified within min(tol, ε)/2, and the bound degrades by that much.
     """
     tol = _check_tol(tol)
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     if epsilon <= ZERO:
         raise BadParameter(f"epsilon {epsilon} must be positive")
     heavy = [(loc, w) for loc, w in v.atoms if w > epsilon]

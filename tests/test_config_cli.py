@@ -11,14 +11,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cakecalc import (
     FULL,
+    Interval,
     ParseError,
     bundled_config_path,
     decomposition_masses,
     evaluate,
     load_valuation,
+    make_box_valuation,
+    make_valuation,
     parse_interval_set,
     valuation_from_dict,
 )
@@ -89,6 +94,56 @@ class TestConfig:
         p.write_text(json.dumps({"atoms": [{"at": "1/2"}]}))
         with pytest.raises(ParseError):
             load_valuation(p)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_loader_builds_what_the_fraction_constructors_build(self, data):
+        config, built = data.draw(configs_and_constructions())
+        v, w = valuation_from_dict(config), built()
+        assert v == w
+        assert v._table == w._table and v._parts == w._parts
+
+
+@st.composite
+def configs_and_constructions(draw):
+    """A box or density config on a random partition of [0,1], its ends
+    written over a multiple of their denominators, and a thunk that builds
+    the same valuation from `Fraction`s through `make_box_valuation` or
+    `make_valuation`."""
+    n = draw(st.integers(1, 5))
+    den = draw(st.integers(n + 1, 30))
+    inner = sorted(draw(st.sets(st.integers(1, den - 1), min_size=n - 1, max_size=n - 1)))
+    bp = [F(0), *(F(k, den) for k in inner), F(1)]
+    scale = draw(st.integers(1, 3))
+
+    def text(x):
+        return f"{x.numerator * scale}/{x.denominator * scale}"
+
+    # each inner point goes to the piece on its left or on its right
+    right = [True, *(draw(st.booleans()) for _ in inner), False]
+    supports = [Interval(bp[i], bp[i + 1], right[i], not right[i + 1]) for i in range(n)]
+    texts = [f"{'[' if s.lo_closed else '('}{text(s.lo)},{text(s.hi)}{']' if s.hi_closed else ')'}"
+             for s in supports]
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any))
+        config = {"density_pieces": [{"support": t, "boxes": c} for t, c in zip(texts, counts)]}
+        return config, lambda: make_box_valuation(list(zip(supports, counts)))
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    raw = [F(draw(st.integers(0, 5))) if keep else None for keep in kept]
+    locs = sorted(draw(st.sets(st.integers(0, 24).map(lambda k: F(k, 24)), max_size=3)))
+    weights = [F(draw(st.integers(1, 4))) for _ in locs]
+    mass = sum(w for w in weights) + sum(r * s.length for r, s in zip(raw, supports) if r)
+    assume(mass > 0)
+    atoms = [(x, w / mass) for x, w in zip(locs, weights)]
+    density = [(s, r / mass) for r, s in zip(raw, supports) if r is not None]
+    config = {
+        "atoms": [{"at": str(x), "weight": text(w)} for x, w in atoms],
+        "density_pieces": [
+            {"support": t, "density": text(r / mass)}
+            for t, r in zip(texts, raw) if r is not None
+        ],
+    }
+    return config, lambda: make_valuation(atoms=atoms, density=density)
 
 
 def cli(*argv):
@@ -218,6 +273,25 @@ class TestExitCodes:
     def test_intervals_without_a_comma_between_are_2(self, capsys, text):
         assert main(["evaluate", str(bundled_config_path("fig2")), text]) == 2
         assert "expected a comma" in capsys.readouterr().err
+
+    # Fraction(str) would read these as 1/2 on some Python versions or all
+    @pytest.mark.parametrize("x", ["١/٢", "１/２", "1_0/20", "0.5_0"])
+    def test_non_ascii_or_underscored_rationals_are_2(self, capsys, x):
+        assert main(["cdf", str(bundled_config_path("uniform")), x]) == 2
+        assert "bad rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_a_set_past_the_int_to_str_limit_is_1(self, capsys, flags):
+        if not hasattr(sys, "set_int_max_str_digits"):  # none before 3.10.7
+            pytest.skip("this interpreter prints ints of any length")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least limit Python allows
+        try:
+            # the witness of n intervals has the point 3/2^(n + 1), of 663 digits for n = 2200
+            assert main([*flags, "witness", "2200"]) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert "TooManyDigits" in capsys.readouterr().err
 
     def test_domain_error_is_1(self, capsys):
         assert main(["cut", str(bundled_config_path("dirac")), "[0,1]", "1/2"]) == 1

@@ -1,5 +1,6 @@
 """Canonical interval algebra: golden examples and algebraic laws."""
 
+import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction
@@ -21,6 +22,7 @@ from cakecalc import (
     prefix_with_value,
     OutOfCake,
     ParseError,
+    TooManyDigits,
     complement,
     contains,
     difference,
@@ -31,7 +33,7 @@ from cakecalc import (
     total_length,
     union,
 )
-from cakecalc.intervals import parse_rational
+from cakecalc.intervals import lex_rational, parse_rational
 from conftest import interval_sets, intervals, small_fractions
 
 F = Fraction
@@ -159,6 +161,76 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_rational(text)
         assert time.perf_counter() - start < 0.1
+
+    # Fraction(str) reads underscores from Python 3.11 on, spaces around "/"
+    # from 3.12 on, and non-ASCII digits everywhere; the grammar reads none
+    @pytest.mark.parametrize("text", ["1_000", "1_0/3", "0.2_5", "1 / 3", "١/٢", "１/２", "٣"])
+    def test_rational_grammar_is_ascii_without_underscores(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["[0,١/٢]", "[0,1_0/20]", "[0,1 / 2]"])
+    def test_interval_grammar_is_ascii_without_underscores(self, text):
+        with pytest.raises(ParseError):
+            parse_interval_set(text)
+
+    @pytest.mark.parametrize(
+        "form", ["{}", "-{}", "1/{}", "{}/3", "0.{}", "{}.5", "[0,1/{}]", "[0,{}/{}]"]
+    )
+    def test_digits_past_the_int_to_str_limit_are_a_parse_error(self, form):
+        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300  # none before 3.10.7
+        text = form.format(*["1" * (limit + 1)] * form.count("{}"))
+        with pytest.raises(ParseError):
+            parse_interval_set(text) if text.startswith("[") else parse_rational(text)
+
+    @given(
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 10**30),
+        st.one_of(st.none(), st.integers(1, 10**12), st.integers(0, 10**9).map(str)),
+        st.sampled_from(["", " ", "\t "]),
+    )
+    def test_lexer_agrees_with_fraction_on_ascii_forms(self, sign, num, rest, pad):
+        if rest is None:
+            text = f"{sign}{num}"
+        elif isinstance(rest, int):
+            text = f"{sign}{num}/{rest}"
+        else:  # a decimal; an empty integer part reads as 0
+            text = f"{sign}{num or ''}.{rest}"
+        n, d = lex_rational(pad + text + pad)
+        assert F(n, d) == F(text) and (n, d) == (F(text).numerator, F(text).denominator)
+        assert parse_rational(text) == F(text)
+
+
+def interval_text(a: IntervalSet) -> str:
+    """The text of a set as the parent renderer wrote it: each component as
+    a checked `Interval` of `Fraction` ends."""
+    den, keys = a.den, a.keys
+    return ", ".join(
+        str(Interval(F(s >> 1, den), F(e >> 1, den), not s & 1, e & 1 == 1))
+        for s, e in zip(keys[::2], keys[1::2])
+    ) or "∅"
+
+
+class TestKeyText:
+    @given(interval_sets())
+    def test_text_from_keys_matches_the_interval_text(self, a):
+        assert str(a) == interval_text(a)
+        assert parse_interval_set(str(a)) == a
+
+    @pytest.mark.parametrize("p, n", [(F(1, 3), 4), (F(1, 4), 6), (F(2, 7), 5)])
+    def test_text_of_cantor_iterates_matches_the_interval_text(self, p, n):
+        a = cantor_iterate(p, n).set
+        assert str(a) == interval_text(a) == str(complement(complement(a)))
+
+    def test_a_point_past_the_int_to_str_limit_is_too_many_digits(self):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+        if not limit:
+            pytest.skip("this interpreter prints ints of any length")
+        a = interval_set((0, F(1, 10**limit)), (F(1, 2), 1, False))
+        assert a.den == 10**limit  # limit + 1 digits
+        with pytest.raises(TooManyDigits):
+            str(a)
+        assert str(interval_set((0, F(1, 10 ** (limit - 2))))).endswith("0]")
 
 
 class TestLaws:

@@ -50,6 +50,7 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
+from cakecalc.intervals import _encode
 from cakecalc.valuation import _check_pairwise_disjoint, _invert, _invert_table, _table_at_keys
 from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
 
@@ -80,6 +81,14 @@ class TestConstruction:
             make_box_valuation([(civ(0, "1/2"), 1)])
         with pytest.raises(BadPartition):
             make_box_valuation([(civ("1/2", "1/2"), 1), (civ(0, 1), 1)])
+
+    @pytest.mark.parametrize("first, second", [
+        (civ(0, "1/3"), civ("2/3", 1)),  # a gap of positive length
+        (civ(0, "1/2", True, False), civ("1/2", 1, False)),  # the point 1/2 left out
+    ])
+    def test_box_supports_with_a_gap_rejected(self, first, second):
+        with pytest.raises(BadPartition, match="do not cover"):
+            make_box_valuation([(first, 1), (second, 1)])
 
     def test_box_overlap_rejected(self):
         with pytest.raises(BadPartition):
@@ -141,8 +150,9 @@ class TestConstruction:
             for i, a in enumerate(ivs)
             for b in ivs[i + 1 :]
         )
+        den, keys = _encode([cut for iv in ivs for cut in (iv.start, iv.end)])
         try:
-            _check_pairwise_disjoint(ivs, "supports")
+            _check_pairwise_disjoint(den, list(zip(keys[::2], keys[1::2])), "supports")
         except BadPartition as exc:
             assert overlap
             a, b = (parse_interval_set(t) for t in str(exc).split(": ")[1].split(" and "))
