@@ -21,7 +21,7 @@ from functools import cache
 from .config import load_valuation
 from .errors import BadParameter, CakeError, ParseError
 from .foundations import cantor_iterate, disjoint_union_witness, removed_mass
-from .intervals import IntervalSet, parse_interval_set, parse_rational, total_length
+from .intervals import IntervalSet, parse_interval_set, parse_rational, rational_text, total_length
 from .protocols import (
     Player,
     check_envy_free,
@@ -142,7 +142,7 @@ def _cantor(args, tol):
         rows.append({"n": n, "components": 2**n, "remaining": total_length(s),
                      "removed": removed_mass(p, n)})
     lines = [[_CANTOR_ROW.format("n", "components", "remaining", "removed")]]
-    lines += [[_CANTOR_ROW.format(*map(str, r.values()))] for r in rows]
+    lines += [[_CANTOR_ROW.format(*map(rational_text, r.values()))] for r in rows]
     return {"command": "cantor", "p": p, "rows": rows}, lines
 
 
@@ -167,9 +167,11 @@ def _jsonable(x):
     if isinstance(x, list):
         return [_jsonable(v) for v in x]
     if isinstance(x, CdfValue):
-        return str(x) if x.is_exact else {"lo": str(x.lo), "hi": str(x.hi)}
-    if isinstance(x, (IntervalSet, Fraction)):
+        return str(x) if x.is_exact else {"lo": rational_text(x.lo), "hi": rational_text(x.hi)}
+    if isinstance(x, IntervalSet):
         return str(x)
+    if isinstance(x, Fraction):
+        return rational_text(x)
     return x
 
 

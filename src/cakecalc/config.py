@@ -19,13 +19,12 @@ itself to mass 1), so it cannot be combined with atoms or Cantor components.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError
-from .intervals import encode_lexed, lex_interval, lex_rational, parse_interval
-from .valuation import CantorComponent, Valuation, integer_box_valuation, integer_valuation
+from .intervals import encode_lexed, lex_interval, lex_rational
+from .valuation import Valuation, integer_box_valuation, integer_valuation
 
 BUNDLED = ("fig2", "uniform", "dirac", "cantor_mix")
 
@@ -56,19 +55,17 @@ def _field(entry: dict, key: str, parse=lex_rational):
 def valuation_from_dict(data: dict) -> Valuation:
     """Check a parsed config against the schema above and build its valuation;
     every schema violation raises ParseError.  Rationals are read as reduced
-    integer pairs and supports as keys over one denominator, which go to the
-    valuation's integer constructors as they are."""
+    integer pairs and the density and Cantor supports as keys over one
+    denominator, which go to the valuation's integer constructors as they
+    are."""
     if not isinstance(data, dict):
         raise ParseError("config root must be a JSON object")
     unknown = data.keys() - {"atoms", "density_pieces", "cantor"}
     if unknown:
         raise ParseError(f"unknown config sections {sorted(unknown)}")
     atoms = [(*_field(a, "at"), *_field(a, "weight")) for a in _entries(data, "atoms")]
-    cantor_parts = [
-        CantorComponent(_field(c, "support", parse_interval),
-                        Fraction(*_field(c, "p")), Fraction(*_field(c, "weight")))
-        for c in _entries(data, "cantor")
-    ]
+    cantor_parts = [(_field(c, "support", lex_interval), *_field(c, "p"), *_field(c, "weight"))
+                    for c in _entries(data, "cantor")]
     pieces = _entries(data, "density_pieces")
     kinds = {("boxes" in p, "density" in p) for p in pieces}
     if len(kinds) > 1 or (True, True) in kinds:
@@ -78,12 +75,13 @@ def valuation_from_dict(data: dict) -> Valuation:
         raise ParseError("box-count form cannot be combined with atoms or cantor")
     rows = [(_field(p, "support", lex_interval), _field(p, "boxes" if boxes else "density"))
             for p in pieces]
-    den, keys = encode_lexed([support for support, _ in rows])
-    ends = zip(keys[::2], keys[1::2])
+    den, keys = encode_lexed([support for support, *_ in rows + cantor_parts])
+    ends = list(zip(keys[::2], keys[1::2]))
     if boxes:
         return integer_box_valuation(den, [(s, e, n) for (s, e), (_, n) in zip(ends, rows)])
     density = [(s, e, *d) for (s, e), (_, d) in zip(ends, rows)]
-    return integer_valuation(atoms, den, density, cantor_parts)
+    cantor = [(s, e, *c) for (s, e), (_, *c) in zip(ends[len(rows):], cantor_parts)]
+    return integer_valuation(atoms, den, density, cantor)
 
 
 def load_valuation(path) -> Valuation:

@@ -18,15 +18,16 @@ integer key 2*x*den + side.  `den` is the lcm of the denominators of the
 cut points present, so (den, keys) is unique to the point set.  The set
 operations are sweeps over integers that build no `Fraction`: a binary one
 rescales both operands to the lcm of their dens and divides the result's
-den by the gcd of its points.  Only this module and the reader of a
-valuation's distribution function at a set's cuts (`valuation._cdf_at_keys`
-and the table sweep `valuation._table_at_keys` under it) know the encoding.
-A set keeps nothing else, not even the cuts it was built from: the
-`Fraction` cuts and the `Interval` components are views built from the
-keys on demand, and `str` writes each point from its key with one gcd,
-building neither.  The text grammar reads numbers into integers through
-one lexer (ASCII digits, no underscores, on every Python), so a parsed set
-goes from text to keys without a `Fraction` too.
+den by the gcd of its points.  Outside this module the encoding is known
+to the Cantor iterates of `foundations`, to `valuation` (its constructors
+take supports as keys, and its reader of F sweeps a set's keys) and to
+the config loader, which hands the constructors the keys of
+`encode_lexed`.  A set keeps nothing else, not even the cuts it was built
+from: the `Fraction` cuts and the `Interval` components are views built
+from the keys on demand, and `str` writes each point from its key with
+one gcd, building neither.  The text grammar reads numbers into integers
+through one lexer (ASCII digits, no underscores, on every Python), so a
+parsed set goes from text to keys without a `Fraction` too.
 """
 
 from __future__ import annotations
@@ -127,23 +128,29 @@ def key_intervals(den: int, keys: Sequence[int]) -> tuple[Interval, ...]:
 
 def keys_text(den: int, keys: Sequence[int]) -> str:
     """The text of the components with the cut keys `keys` over `den`, as
-    `Interval` prints them: each point is written from its key with one gcd,
-    and no `Fraction` or `Interval` is built.  A point whose text would pass
-    Python's int-to-str digit limit raises `TooManyDigits`."""
+    `Interval` prints them: each point is written from its key by
+    `rational_text`, and no `Fraction` or `Interval` is built."""
+    return ", ".join(
+        f"{'(' if s & 1 else '['}{rational_text(s >> 1, den)},"
+        f"{rational_text(e >> 1, den)}{']' if e & 1 else ')'}"
+        for s, e in zip(keys[::2], keys[1::2])
+    )
 
-    def point(x: int) -> str:  # x/den in lowest terms, as Fraction prints it
+
+def rational_text(x, den: int = 1) -> str:
+    """x/den in lowest terms, as `Fraction` prints it, for an int x over
+    den > 0 or an int or `Fraction` x alone.  A number whose text would
+    pass Python's int-to-str digit limit raises `TooManyDigits`; every
+    number the CLI prints is written through here."""
+    try:
+        if den == 1:
+            return str(x)
         g = gcd(x, den)
         return f"{x // g}/{den // g}" if g != den else f"{x // g}"
-
-    try:
-        return ", ".join(
-            f"{'(' if s & 1 else '['}{point(s >> 1)},{point(e >> 1)}{']' if e & 1 else ')'}"
-            for s, e in zip(keys[::2], keys[1::2])
-        )
     except ValueError as exc:  # int-to-str refused a number past the limit
         limit = getattr(sys, "get_int_max_str_digits", int)()
         raise TooManyDigits(
-            f"a point of the set has more digits than Python's {limit}-digit int-to-str limit"
+            f"a number has more digits than Python's {limit}-digit int-to-str limit"
         ) from exc
 
 
@@ -449,12 +456,6 @@ def lex_interval(text: str) -> Lexed:
     if not m:
         raise ParseError(f"expected a single interval, got {text!r}")
     return _lexed(m)
-
-
-def parse_interval(text: str) -> Interval:
-    """Parse exactly one interval, such as "(1/4,1]"."""
-    ln, ld, hn, hd, lo_closed, hi_closed = lex_interval(text)
-    return Interval(Fraction(ln, ld), Fraction(hn, hd), lo_closed, hi_closed)
 
 
 def encode_lexed(ivs: Sequence[Lexed]) -> tuple[int, list[int]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
-from .intervals import FULL, IntervalSet, difference
+from .intervals import FULL, IntervalSet, difference, rational_text
 from .valuation import DEFAULT_TOL, Valuation, cut, evaluate, prefix_with_value
 
 
@@ -83,13 +83,13 @@ def last_diminisher(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
     while len(active) > 2:
         cutter = active[0]
         piece, pos = prefix_with_value(cutter.valuation, remaining, share, tol)
-        trace.append({"event": "cut", "player": cutter.id, "position": str(pos)})
+        trace.append({"event": "cut", "player": cutter.id, "position": rational_text(pos)})
         holder = cutter
         for pl in active[1:]:
             if _value(pl, piece, tol) > share:
                 piece, pos = prefix_with_value(pl.valuation, piece, share, tol)
                 trace.append(
-                    {"event": "diminish", "player": pl.id, "position": str(pos)}
+                    {"event": "diminish", "player": pl.id, "position": rational_text(pos)}
                 )
                 holder = pl
         pieces[holder.id] = piece
@@ -119,9 +119,7 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
             piece, pos = prefix_with_value(pl.valuation, remaining, share, tol)
             marks.append((pos, pl.id, piece))
         pos, winner_id, piece = min(marks, key=lambda m: (m[0], m[1]))
-        trace.append(
-            {"event": "claim", "player": winner_id, "position": str(pos)}
-        )
+        trace.append({"event": "claim", "player": winner_id, "position": rational_text(pos)})
         pieces[winner_id] = piece
         remaining = difference(remaining, piece)
         active = [p for p in active if p.id != winner_id]

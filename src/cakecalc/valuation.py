@@ -3,8 +3,9 @@
 A Valuation is generator data: point masses (the discontinuous part), a
 piecewise-constant density (the absolutely continuous part), and rescaled
 Cantor measures (the singular-continuous part).  The induced measure is
-computed on demand on any canonical IntervalSet; the total mass is pinned
-to exactly 1 at construction time.
+computed on demand on any canonical IntervalSet.  Every constructor builds
+through `integer_valuation`, which checks the data in integers and pins
+the total mass to exactly 1.
 
 The atom + density part G of the distribution function F is compiled once
 per valuation into one integer table (`_Table`), and each Cantor part into
@@ -26,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import cantor
@@ -53,6 +54,7 @@ from .intervals import (
     intersect,
     key_intervals,
     keys_text,
+    rational_text,
 )
 
 ZERO = Fraction(0)
@@ -107,9 +109,8 @@ class CdfValue:
         return CdfValue(max(self.lo, lo), min(self.hi, hi))
 
     def __str__(self) -> str:
-        if self.is_exact:
-            return str(self.lo)
-        return f"[{self.lo}, {self.hi}]"
+        lo = rational_text(self.lo)
+        return lo if self.is_exact else f"[{lo}, {rational_text(self.hi)}]"
 
 
 @dataclass(frozen=True)
@@ -136,19 +137,13 @@ class _Table(NamedTuple):
     R: list[int]
 
 
-def _integer_part(comp: CantorComponent) -> tuple[int, ...]:
-    """(E, S, T, pn, pd, wn, wd): support [S/E, T/E], ratio pn/pd, weight wn/wd."""
-    s, t, p, w = comp.support.lo, comp.support.hi, as_fraction(comp.p), as_fraction(comp.weight)
-    E = lcm(s.denominator, t.denominator)
-    return (E, s.numerator * (E // s.denominator), t.numerator * (E // t.denominator),
-            p.numerator, p.denominator, w.numerator, w.denominator)
-
-
 @dataclass(frozen=True)
 class Valuation:
-    """Built only by `_valuation`, from checked integer data: the public
-    fields, and `_table`, G (the atom + density part of F), and `_parts`,
-    the Cantor parts, in integers."""
+    """Built only by `integer_valuation`, from checked integer data: the
+    public fields, and `_table`, G (the atom + density part of F), and
+    `_parts`, the Cantor parts in integers: (E, S, T, pn, pd, wn, wd) for
+    the support [S/E, T/E], over the lcm E of the ends' denominators, the
+    ratio pn/pd and the weight wn/wd."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
     density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
@@ -215,22 +210,25 @@ def make_valuation(
     """Validate the generator data and pin the total mass to exactly 1."""
     atom_list = [(as_fraction(a), as_fraction(w)) for a, w in atoms]
     dens_list = [(sup, as_fraction(d)) for sup, d in density]
-    den, keys = _encode([cut for sup, _ in dens_list for cut in (sup.start, sup.end)])
+    sc_list = [(c.support, as_fraction(c.p), as_fraction(c.weight)) for c in cantor_parts]
+    den, keys = _encode([cut for sup, *_ in dens_list + sc_list for cut in (sup.start, sup.end)])
+    ends = list(zip(keys[::2], keys[1::2]))
     return integer_valuation(
         [(a.numerator, a.denominator, w.numerator, w.denominator) for a, w in atom_list],
         den,
-        [(s, e, d.numerator, d.denominator)
-         for (_, d), s, e in zip(dens_list, keys[::2], keys[1::2])],
-        cantor_parts,
+        [(s, e, d.numerator, d.denominator) for (_, d), (s, e) in zip(dens_list, ends)],
+        [(s, e, p.numerator, p.denominator, w.numerator, w.denominator)
+         for (_, p, w), (s, e) in zip(sc_list, ends[len(dens_list):])],
     )
 
 
 def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     """The checked valuation of atoms (an, ad, wn, wd), densities (s, e, dn,
-    dd) on the supports with the keys s, e over a common denominator `den`,
-    and Cantor components; every pair n/d is in lowest terms with d > 0.
-    `make_valuation` and the config loader build through it, and all checks
-    but the Cantor ones compare integers."""
+    dd) and Cantor components (s, e, pn, pd, wn, wd), the supports given by
+    their keys s, e over a common denominator `den`; every pair n/d is in
+    lowest terms with d > 0.  Every `Valuation` is built here, and every
+    check compares integers; the public fields are built once, after the
+    checks pass."""
     if len({(an, ad) for an, ad, _, _ in atoms}) != len(atoms):
         raise BadParameter("duplicate atom locations")
     for an, ad, wn, wd in atoms:
@@ -242,48 +240,51 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     for _, _, dn, dd in density:
         if dn < 0:
             raise BadParameter(f"negative density {Fraction(dn, dd)}")
-    _check_pairwise_disjoint(den, [(s, e) for s, e, _, _ in density], "density supports")
+    _check_pairwise_disjoint(den, density, "density supports")
 
-    sc_list = tuple(sorted(cantor_parts, key=attrgetter("support.lo")))
-    for comp in sc_list:
-        cantor.check_ratio(comp.p)
-        if comp.weight <= ZERO:
-            raise BadParameter(f"Cantor component weight {comp.weight} must be positive")
-        if comp.support.is_singleton:
+    for s, e, pn, pd, wn, wd in cantor_parts:
+        if not 0 < 3 * pn <= pd:
+            raise BadParameter(f"Cantor ratio p={Fraction(pn, pd)} outside (0, 1/3]")
+        if wn <= 0:
+            raise BadParameter(f"Cantor component weight {Fraction(wn, wd)} must be positive")
+        if s >> 1 == e >> 1:
             raise BadParameter("Cantor component support must have positive length")
-        if not (comp.support.lo_closed and comp.support.hi_closed):
+        if s & 1 or not e & 1:
             raise BadParameter("Cantor component support must be a closed interval")
-    sc_den, sc_keys = _encode([cut for c in sc_list for cut in (c.support.start, c.support.end)])
-    _check_pairwise_disjoint(sc_den, list(zip(sc_keys[::2], sc_keys[1::2])), "Cantor supports")
+    parts = _check_pairwise_disjoint(den, cantor_parts, "Cantor supports")
 
-    v = _valuation(atoms, den, density, sc_list)
-    total = Fraction(v._table.GA[-1], v._table.QD) + sum(c.weight for c in sc_list)
-    if total != ONE:
-        raise NotNormalized(total)
-    return v
+    table = _integer_table(atoms, den, density)
+    n, d = table.GA[-1], table.QD  # the total mass n/d
+    for *_, wn, wd in parts:
+        n, d = n * wd + wn * d, d * wd
+    if n != d:
+        raise NotNormalized(Fraction(n, d))
 
-
-def _valuation(atoms, den: int, density, sc_list: tuple[CantorComponent, ...]) -> Valuation:
-    """The valuation of checked data, as `integer_valuation` takes it; the
-    public fields are built here, once, from the integers."""
-    supports = key_intervals(den, [k for s, e, _, _ in density for k in (s, e)])
+    supports = key_intervals(den, [k for s, e, *_ in (*density, *parts) for k in (s, e)])
+    integer_parts = []
+    for s, e, pn, pd, wn, wd in parts:
+        g = gcd(s >> 1, e >> 1, den)  # den/g is the lcm of the ends' denominators
+        integer_parts.append((den // g, (s >> 1) // g, (e >> 1) // g, pn, pd, wn, wd))
     return Valuation(
         tuple((Fraction(an, ad), Fraction(wn, wd)) for an, ad, wn, wd in atoms),
         tuple((sup, Fraction(dn, dd)) for sup, (_, _, dn, dd) in zip(supports, density)),
-        sc_list,
-        _integer_table(atoms, den, density),
-        tuple(map(_integer_part, sc_list)),
+        tuple(CantorComponent(sup, Fraction(pn, pd), Fraction(wn, wd))
+              for sup, (_, _, pn, pd, wn, wd) in zip(supports[len(density):], parts)),
+        table,
+        tuple(integer_parts),
     )
 
 
-def _check_pairwise_disjoint(den: int, supports: Sequence[tuple[int, int]], what: str):
-    """Sorted by start key, the supports, given as (start, end) key pairs over
-    `den`, are pairwise disjoint iff each one ends at or before the start of
-    the next; returns them so sorted."""
+def _check_pairwise_disjoint(den: int, supports: Sequence[tuple[int, ...]], what: str):
+    """Sorted by start key, the supports, given as tuples that begin with
+    their start and end key over `den`, are pairwise disjoint iff each one
+    ends at or before the start of the next; returns them so sorted."""
     ordered = sorted(supports, key=itemgetter(0))
     for a, b in zip(ordered, ordered[1:]):
         if b[0] < a[1]:
-            raise BadPartition(f"{what} overlap: {keys_text(den, a)} and {keys_text(den, b)}")
+            raise BadPartition(
+                f"{what} overlap: {keys_text(den, a[:2])} and {keys_text(den, b[:2])}"
+            )
     return ordered
 
 
@@ -312,9 +313,9 @@ def integer_box_valuation(den: int, boxes) -> Valuation:
             raise BadParameter(f"box count {n} is not a nonnegative integer")
         if s >> 1 == e >> 1:
             raise BadPartition(f"singleton {keys_text(den, (s, e))} cannot carry boxes")
-    ordered = _check_pairwise_disjoint(den, [(s, e) for s, e, _ in boxes], "box supports")
+    ordered = _check_pairwise_disjoint(den, boxes, "box supports")
     # disjoint supports cover [0,1] iff each starts where the one before ends
-    keys = [k for pair in ordered for k in pair]
+    keys = [k for s, e, _ in ordered for k in (s, e)]
     if keys[:1] != [0] or keys[-1:] != [2 * den + 1] or keys[1:-1:2] != keys[2::2]:
         raise BadPartition("box supports do not cover [0,1]")
     total = sum(n for _, _, n in boxes)
@@ -326,9 +327,7 @@ def integer_box_valuation(den: int, boxes) -> Valuation:
             dn, dd = n * den, total * ((e >> 1) - (s >> 1))
             g = gcd(dn, dd)
             density.append((s, e, dn // g, dd // g))
-    # all that integer_valuation would check holds: the supports are
-    # disjoint, the densities nonnegative and the masses n/total sum to 1
-    return _valuation((), den, density, ())
+    return integer_valuation((), den, density)
 
 
 def uniform_valuation() -> Valuation:
@@ -474,24 +473,20 @@ def _invert_table(table: _Table, t: Fraction, n: int = 0, d: int = 1):
     return Fraction(X[i] * R[i] * b + a - GA[i] * b, D * R[i] * b), t, t
 
 
-def _invert(v: Valuation, lo: Fraction, hi: Fraction, t: Fraction, tol: Fraction):
-    """The minimal c with F(c) >= t, and (F(c-), F(c)), given F(x) < t for
-    x < lo, t <= F(hi) and no atom in (lo, hi).  Off the Cantor supports F is
-    G plus the Cantor mass to the left; on one, `_descend` finds c or a c
-    within tol/4 of it, and F(c-) = F(c) = t is reported (slicing allows no
-    atoms then).  c is clamped to [lo, hi], which bracket midpoints in the
-    callers' t can miss."""
+def _invert(v: Valuation, t: Fraction, tol: Fraction):
+    """The minimal c with F(c) >= t, or 1, and (F(c-), F(c)).  Off the
+    Cantor supports F is G plus the Cantor mass to the left; on one,
+    `_descend` finds c or a c within tol/4 of it, and F(c-) = F(c) = t is
+    reported (slicing allows no atoms then)."""
     table, n, d = v._table, 0, 1  # n/d: the Cantor mass left of the piece of the line
     tn, td = t.numerator, t.denominator
     for part in v._parts:
         E, _, T, _, _, wn, wd = part
         (g,), q = _table_at_keys(table, E, (2 * T,))  # G(T/E-) over q at the support end
         if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:  # F(T/E-) >= t
-            c = _descend(table, max(table.R), part, t - Fraction(n, d), tol)
-            return min(max(c, lo), hi), t, t
+            return _descend(table, max(table.R), part, t - Fraction(n, d), tol), t, t
         n, d = n * wd + wn * d, d * wd
-    c, g_left, g_at = _invert_table(table, t, n, d)
-    return min(max(c, lo), hi), g_left, g_at
+    return _invert_table(table, t, n, d)
 
 
 def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):
@@ -501,7 +496,8 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: 
     G(b-) + m; once G(a) >= r, c is in the gap left of the cell.  Where G is
     flat, (r - G(a))/m follows the doubling orbit to an exact repeat; else
     stop once F rises by at most tol/4 across the cell, apart from atoms,
-    which lie outside (lo, hi).  `rate` is G's steepest slope, over Q.
+    which the callers keep out of the piece they cut.  `rate` is G's
+    steepest slope, over Q.
 
     In integers: D | M and G is over Q·M; r and m are over W = lcm(t, w)·2^k
     at level k.  A level scales M, A and G by 2·pd and L by pd - pn, which
@@ -580,8 +576,9 @@ def prefix_with_value(
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
             t = Fraction(n - (below_lo + below_hi - base) * m, 2 * d * m)
-            s, e = Fraction(keys[i] >> 1, A.den), Fraction(keys[i + 1] >> 1, A.den)
-            c, _, _ = _invert(v, s, e, t, tol)
+            c, _, _ = _invert(v, t, tol)
+            # t comes from bracket midpoints, so c may miss the component
+            c = min(max(c, Fraction(keys[i] >> 1, A.den)), Fraction(keys[i + 1] >> 1, A.den))
             return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
         below_lo, below_hi = upto_lo, upto_hi
     raise BadParameter(f"target {target} exceeds v(A)")
@@ -635,7 +632,7 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     consumed = ZERO  # F at the start cut
     while ONE - consumed > epsilon:
         t = consumed + epsilon
-        c, g_left, g_at = _invert(v, start[0], ONE, t, tol)
+        c, g_left, g_at = _invert(v, t, tol)
         if g_at > t and g_left > consumed:  # stop short of the atom at c
             end, f_end = (c, 0), g_left
         else:  # a hit, or a lone atom at c after a zero-mass run-up

@@ -1,5 +1,6 @@
 """Config ingestion and the command-line front end."""
 
+import ast
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,13 @@ from hypothesis import strategies as st
 
 from cakecalc import (
     FULL,
+    BadParameter,
+    BadPartition,
+    CantorComponent,
+    CdfValue,
     Interval,
     ParseError,
+    TooManyDigits,
     bundled_config_path,
     decomposition_masses,
     evaluate,
@@ -102,6 +109,50 @@ class TestConfig:
         v, w = valuation_from_dict(config), built()
         assert v == w
         assert v._table == w._table and v._parts == w._parts
+        assert v._parts == tuple(map(ref_integer_part, v.cantor))
+
+    @pytest.mark.parametrize("cantor, error", [
+        ([{"support": "(0,1]", "p": "1/3", "weight": "1"}], BadParameter),
+        ([{"support": "[1/2,1/2]", "p": "1/3", "weight": "1"}], BadParameter),
+        ([{"support": "[0,1]", "p": "1/3", "weight": "0"}], BadParameter),
+        ([{"support": "[0,1]", "p": "1/2", "weight": "1"}], BadParameter),
+        ([{"support": "[0,1/2]", "p": "1/3", "weight": "1/2"},
+          {"support": "[1/4,1]", "p": "1/4", "weight": "1/2"}], BadPartition),
+    ], ids=["open_support", "one_point_support", "zero_weight", "ratio_above_a_third",
+            "overlapping_supports"])
+    def test_bad_cantor_components_are_1(self, cantor, error, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"cantor": cantor}))
+        with pytest.raises(error):
+            load_valuation(path)
+        assert main(["evaluate", str(path), "[0,1]"]) == 1
+        assert f"error: {error.__name__}: " in capsys.readouterr().err
+
+    def test_overlapping_cantor_supports_are_named(self):
+        message = "Cantor supports overlap: [0,1/2] and [1/4,1]"
+        config = {"cantor": [{"support": "[1/4,1]", "p": "1/4", "weight": "1/2"},
+                             {"support": "[0,1/2]", "p": "1/3", "weight": "1/2"}]}
+        with pytest.raises(BadPartition) as loaded:
+            valuation_from_dict(config)
+        with pytest.raises(BadPartition) as made:
+            make_valuation(cantor_parts=[
+                CantorComponent(Interval(F(1, 4), F(1), True, True), F(1, 4), F(1, 2)),
+                CantorComponent(Interval(F(0), F(1, 2), True, True), F(1, 3), F(1, 2)),
+            ])
+        assert str(loaded.value) == str(made.value) == message
+
+
+def ref_integer_part(comp):
+    """The integers of a public Cantor component, from its `Fraction`s:
+    (E, S, T, pn, pd, wn, wd) for the support [S/E, T/E] over the lcm E of
+    the ends' denominators, the ratio pn/pd and the weight wn/wd."""
+    s, t, p, w = comp.support.lo, comp.support.hi, comp.p, comp.weight
+    E = lcm(s.denominator, t.denominator)
+    return (E, s.numerator * (E // s.denominator), t.numerator * (E // t.denominator),
+            p.numerator, p.denominator, w.numerator, w.denominator)
+
+
+RATIOS = [F(1, 3), F(1, 4), F(1, 5), F(2, 7)]
 
 
 @st.composite
@@ -109,7 +160,8 @@ def configs_and_constructions(draw):
     """A box or density config on a random partition of [0,1], its ends
     written over a multiple of their denominators, and a thunk that builds
     the same valuation from `Fraction`s through `make_box_valuation` or
-    `make_valuation`."""
+    `make_valuation`.  A density config may have atoms and Cantor
+    components on disjoint closed supports, given in either order."""
     n = draw(st.integers(1, 5))
     den = draw(st.integers(n + 1, 30))
     inner = sorted(draw(st.sets(st.integers(1, den - 1), min_size=n - 1, max_size=n - 1)))
@@ -132,18 +184,40 @@ def configs_and_constructions(draw):
     raw = [F(draw(st.integers(0, 5))) if keep else None for keep in kept]
     locs = sorted(draw(st.sets(st.integers(0, 24).map(lambda k: F(k, 24)), max_size=3)))
     weights = [F(draw(st.integers(1, 4))) for _ in locs]
+    cden = draw(st.integers(2, 12))
+    ends = sorted(draw(st.sets(st.integers(0, cden).map(lambda k: F(k, cden)), max_size=4)))
+    parts = [
+        (Interval(a, b, True, True), draw(st.sampled_from(RATIOS)), F(draw(st.integers(1, 4))))
+        for a, b in zip(ends[::2], ends[1::2])
+    ]
+    if draw(st.booleans()):
+        parts.reverse()
     mass = sum(w for w in weights) + sum(r * s.length for r, s in zip(raw, supports) if r)
+    mass += sum(w for *_, w in parts)
     assume(mass > 0)
     atoms = [(x, w / mass) for x, w in zip(locs, weights)]
     density = [(s, r / mass) for r, s in zip(raw, supports) if r is not None]
+    cantor = [CantorComponent(s, p, w / mass) for s, p, w in parts]
     config = {
         "atoms": [{"at": str(x), "weight": text(w)} for x, w in atoms],
         "density_pieces": [
             {"support": t, "density": text(r / mass)}
             for t, r in zip(texts, raw) if r is not None
         ],
+        "cantor": [
+            {"support": f"[{text(c.support.lo)},{text(c.support.hi)}]", "p": str(c.p),
+             "weight": text(c.weight)}
+            for c in cantor
+        ],
     }
-    return config, lambda: make_valuation(atoms=atoms, density=density)
+    return config, lambda: make_valuation(atoms=atoms, density=density, cantor_parts=cantor)
+
+
+def readme_block(start: str) -> str:
+    """The text of the first README code block that the regex `start`
+    finds, up to its closing fence."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.search(start + r"(.*?)^```$", readme, re.M | re.S).group(1)
 
 
 def cli(*argv):
@@ -216,8 +290,7 @@ class TestCli:
         # every command of README's Examples block exits 0, and where a
         # "# -> X" comment follows it, X is the last line of its output
         root = Path(__file__).resolve().parent.parent
-        readme = (root / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"^## Examples$.*?^```sh$(.*?)^```$", readme, re.M | re.S).group(1)
+        block = readme_block(r"^## Examples$.*?^```sh$")
         lines = [line for line in block.splitlines() if line.strip()]
         assert lines
         for line in lines:
@@ -233,6 +306,25 @@ class TestCli:
             comment = comment.strip()
             if comment.startswith("->"):
                 assert done.stdout.strip().splitlines()[-1].strip() == comment[2:].strip(), line
+
+    def test_readme_library_example(self):
+        # README's Python block runs, and each expression statement gives
+        # what the comment after it says, as its repr or its text
+        block = readme_block(r"^```python$")
+        lines, scope, checked = block.splitlines(), {}, 0
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                value = eval(compile(ast.Expression(stmt.value), "README", "eval"), scope)
+                comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+                assert comment in (repr(value), str(value)), (comment, value)
+                checked += 1
+            else:
+                exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+        assert checked == 2
+
+    def test_readme_config_example(self):
+        v = valuation_from_dict(json.loads(readme_block(r"^```json$")))
+        assert decomposition_masses(v) == (F(1, 4), F(1, 4), F(1, 2))
 
     def test_witness(self):
         code, out = cli("--json", "witness", "6")
@@ -289,6 +381,22 @@ class TestExitCodes:
         try:
             # the witness of n intervals has the point 3/2^(n + 1), of 663 digits for n = 2200
             assert main([*flags, "witness", "2200"]) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert "TooManyDigits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_a_number_past_the_int_to_str_limit_is_1(self, capsys, flags):
+        if not hasattr(sys, "set_int_max_str_digits"):  # none before 3.10.7
+            pytest.skip("this interpreter prints ints of any length")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # p = 1/10^400 has 401 digits, the remaining length (1 - p)^2 of A_2 801
+            assert main([*flags, "cantor", f"1/1{'0' * 400}", "2"]) == 1
+            for value in (CdfValue.exact(F(1, 10**700)), CdfValue(F(0), F(1, 10**700))):
+                with pytest.raises(TooManyDigits):
+                    str(value)
         finally:
             sys.set_int_max_str_digits(limit)
         assert "TooManyDigits" in capsys.readouterr().err

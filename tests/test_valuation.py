@@ -634,7 +634,7 @@ class TestIntegerCantorReaders:
         targets = [t for t in ts if t > 0] + [ref_cdf(v, table, (x, 1), tol).hi for x in ends]
         for t in targets:
             if 0 < t <= 1:
-                assert _invert(v, F(0), F(1), t, tol) == ref_invert(v, table, F(0), F(1), t, tol)
+                assert _invert(v, t, tol) == ref_invert(v, table, F(0), F(1), t, tol)
 
 
 # The parent's two readers of F in `evaluate` and `prefix_with_value`, as
