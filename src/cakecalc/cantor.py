@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import BadParameter
+from .errors import BadParameter, rational_text
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -37,7 +37,7 @@ THIRD = Fraction(1, 3)
 def check_ratio(p: Fraction) -> Fraction:
     p = Fraction(p)
     if not (ZERO < p <= THIRD):
-        raise BadParameter(f"Cantor ratio p={p} outside (0, 1/3]")
+        raise BadParameter(f"Cantor ratio p={rational_text(p)} outside (0, 1/3]")
     return p
 
 

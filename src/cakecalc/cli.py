@@ -161,7 +161,10 @@ COMMANDS = {
 def _jsonable(x):
     """The report with library values as JSON: an exact value is "p/q", a
     bracket {"lo", "hi"}, and interval sets and rationals their text."""
-    # containers first: Fraction's isinstance check is an ABC's, and slow
+    # containers and plain leaves first: Fraction's isinstance check is an
+    # ABC's, and slow
+    if isinstance(x, (str, int)):  # bool is an int
+        return x
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, list):

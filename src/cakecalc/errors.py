@@ -2,8 +2,34 @@
 
 Domain errors (bad inputs to an otherwise well-formed request) derive from
 CakeError; parse/config errors derive from ParseError.  The CLI maps these
-to exit codes 1 and 2 respectively.
+to exit codes 1 and 2 respectively.  Every number in a message is written
+by `rational_text`, so a message whose numbers pass Python's int-to-str
+limit ends in `TooManyDigits`, not in a `ValueError`.
 """
+
+import sys
+from math import gcd
+
+
+def rational_text(x, den: int = 1) -> str:
+    """x/den in lowest terms, as `Fraction` prints it, for an int x over
+    den > 0 or an int or `Fraction` x alone.  A number whose text would
+    pass Python's int-to-str digit limit raises `TooManyDigits`; every
+    number the CLI prints is written through here."""
+    try:
+        if den == 1:
+            return str(x)
+        g = gcd(x, den)
+        return f"{x // g}/{den // g}" if g != den else f"{x // g}"
+    except ValueError as exc:  # int-to-str refused a number past the limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        raise TooManyDigits(
+            f"a number has more digits than Python's {limit}-digit int-to-str limit"
+        ) from exc
+
+
+def _atoms_text(atoms) -> str:
+    return ", ".join(f"{{{rational_text(a)}}} (weight {rational_text(w)})" for a, w in atoms)
 
 
 class CakeError(Exception):
@@ -31,7 +57,8 @@ class NotNormalized(CakeError):
 
     def __init__(self, total):
         self.total = total
-        super().__init__(f"total mass is {total}, expected 1 (deficit {1 - total})")
+        text, deficit = rational_text(total), rational_text(1 - total)
+        super().__init__(f"total mass is {text}, expected 1 (deficit {deficit})")
 
 
 class BadTolerance(CakeError):
@@ -51,8 +78,7 @@ class AtomObstruction(CakeError):
 
     def __init__(self, atoms):
         self.atoms = list(atoms)
-        locs = ", ".join(f"{{{a}}} (weight {w})" for a, w in self.atoms)
-        super().__init__(f"atoms obstruct the cut: {locs}")
+        super().__init__(f"atoms obstruct the cut: {_atoms_text(self.atoms)}")
 
 
 class ZeroPiece(CakeError):
@@ -64,8 +90,7 @@ class NotSliceable(CakeError):
 
     def __init__(self, atoms):
         self.atoms = list(atoms)
-        locs = ", ".join(f"{{{a}}} (weight {w})" for a, w in self.atoms)
-        super().__init__(f"atoms too heavy to slice: {locs}")
+        super().__init__(f"atoms too heavy to slice: {_atoms_text(self.atoms)}")
 
 
 class TooManyDigits(CakeError):

@@ -33,7 +33,6 @@ parsed set goes from text to keys without a `Fraction` too.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Sequence
 
-from .errors import InvalidInterval, OutOfCake, ParseError, TooManyDigits
+from .errors import InvalidInterval, OutOfCake, ParseError, rational_text
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -94,8 +93,8 @@ def _check_ends(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: 
     c = ln * hd - hn * ld  # the sign of lo - hi
     if ln >= 0 and hn <= hd and (c < 0 or c == 0 and lo_closed and hi_closed):
         return
-    text = (f"{'[' if lo_closed else '('}{Fraction(ln, ld)},"
-            f"{Fraction(hn, hd)}{']' if hi_closed else ')'}")
+    text = (f"{'[' if lo_closed else '('}{rational_text(ln, ld)},"
+            f"{rational_text(hn, hd)}{']' if hi_closed else ')'}")
     if ln < 0 or hn > hd:
         raise OutOfCake(f"interval {text} leaves [0,1]")
     if c > 0:
@@ -135,23 +134,6 @@ def keys_text(den: int, keys: Sequence[int]) -> str:
         f"{rational_text(e >> 1, den)}{']' if e & 1 else ')'}"
         for s, e in zip(keys[::2], keys[1::2])
     )
-
-
-def rational_text(x, den: int = 1) -> str:
-    """x/den in lowest terms, as `Fraction` prints it, for an int x over
-    den > 0 or an int or `Fraction` x alone.  A number whose text would
-    pass Python's int-to-str digit limit raises `TooManyDigits`; every
-    number the CLI prints is written through here."""
-    try:
-        if den == 1:
-            return str(x)
-        g = gcd(x, den)
-        return f"{x // g}/{den // g}" if g != den else f"{x // g}"
-    except ValueError as exc:  # int-to-str refused a number past the limit
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        raise TooManyDigits(
-            f"a number has more digits than Python's {limit}-digit int-to-str limit"
-        ) from exc
 
 
 class IntervalSet:
@@ -367,7 +349,7 @@ def as_fraction(x) -> Fraction:
 def contains(a: IntervalSet, x: Fraction) -> bool:
     x = as_fraction(x)
     if x < ZERO or x > ONE:
-        raise OutOfCake(f"point {x} is outside [0,1]")
+        raise OutOfCake(f"point {rational_text(x)} is outside [0,1]")
     return x in a
 
 

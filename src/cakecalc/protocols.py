@@ -5,6 +5,12 @@ intermediate piece stays a finite union of intervals.  Tie-breaking is
 fixed everywhere (lowest player id; left piece on equal value), which makes
 runs deterministic.  Valuations with atoms are rejected up front: exact
 halving cuts need a continuous distribution function.
+
+The protocols talk to a valuation only through Robertson–Webb queries:
+eval (`evaluate`) and cut (`cut`, `prefix_with_value`).  A moving-knife
+mark is a cut query that builds no piece (`valuation._prefix_end`); only
+the winner's piece is built.  Values are compared as their brackets'
+midpoints would be, without building the midpoints.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
 from .intervals import FULL, IntervalSet, difference, rational_text
-from .valuation import DEFAULT_TOL, Valuation, cut, evaluate, prefix_with_value
+from .valuation import DEFAULT_TOL, CdfValue, Valuation, cut, evaluate, prefix_with_value
+from .valuation import _prefix, _prefix_end
 
 
 @dataclass(frozen=True)
@@ -42,9 +49,9 @@ def _check_players(players: Sequence[Player], minimum: int) -> None:
             raise AtomObstruction(list(p.valuation.atoms))
 
 
-def _value(player: Player, piece: IntervalSet, tol) -> Fraction:
-    """Midpoint of the (usually exact) value bracket; used for comparisons."""
-    return evaluate(player.valuation, piece, tol).midpoint
+def _above(value: CdfValue, x: Fraction) -> bool:
+    """Whether the midpoint of the (usually exact) bracket `value` exceeds x."""
+    return value.lo > x if value.is_exact else value.lo + value.hi > 2 * x
 
 
 def _choose_and_cut(
@@ -55,7 +62,8 @@ def _choose_and_cut(
     left = cut(cutter.valuation, cake, Fraction(1, 2), tol)
     right = difference(cake, left)
     trace.append({"event": "cut", "player": cutter.id, "piece": str(left)})
-    takes_right = _value(chooser, right, tol) > _value(chooser, left, tol)
+    r, l = evaluate(chooser.valuation, right, tol), evaluate(chooser.valuation, left, tol)
+    takes_right = r.lo + r.hi > l.lo + l.hi  # by midpoint
     chosen, rest = (right, left) if takes_right else (left, right)
     trace.append({"event": "choose", "player": chooser.id, "piece": str(chosen)})
     return {chooser.id: chosen, cutter.id: rest}
@@ -86,7 +94,7 @@ def last_diminisher(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
         trace.append({"event": "cut", "player": cutter.id, "position": rational_text(pos)})
         holder = cutter
         for pl in active[1:]:
-            if _value(pl, piece, tol) > share:
+            if _above(evaluate(pl.valuation, piece, tol), share):
                 piece, pos = prefix_with_value(pl.valuation, piece, share, tol)
                 trace.append(
                     {"event": "diminish", "player": pl.id, "position": rational_text(pos)}
@@ -104,7 +112,8 @@ def last_diminisher(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
 def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
     """Dubins–Spanier discretization: everyone marks the smallest c where the
     remaining prefix is worth 1/n of the whole cake to them; the smallest mark
-    (tie -> lowest id) wins the prefix; the last player takes the rest."""
+    (tie -> lowest id) wins the prefix; the last player takes the rest.  A
+    mark is a cut query; only the winner's piece is built."""
     _check_players(players, 2)
     n = len(players)
     share = Fraction(1, n)
@@ -114,13 +123,10 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
     active = sorted(players, key=lambda p: p.id)
 
     while len(active) > 1:
-        marks = []
-        for pl in active:
-            piece, pos = prefix_with_value(pl.valuation, remaining, share, tol)
-            marks.append((pos, pl.id, piece))
-        pos, winner_id, piece = min(marks, key=lambda m: (m[0], m[1]))
+        pos, winner_id = min((_prefix_end(pl.valuation, remaining, share, tol), pl.id)
+                             for pl in active)
         trace.append({"event": "claim", "player": winner_id, "position": rational_text(pos)})
-        pieces[winner_id] = piece
+        piece = pieces[winner_id] = _prefix(remaining, pos)
         remaining = difference(remaining, piece)
         active = [p for p in active if p.id != winner_id]
 
@@ -159,10 +165,8 @@ def check_envy_free(
         for i in players
         for j in alloc.pieces
     }
-    envy = [
-        (i.id, j)
-        for i in players
-        for j in alloc.pieces
-        if j != i.id and values[(i.id, j)].lo > values[(i.id, i.id)].hi + tol
-    ]
+    envy = []
+    for i in players:
+        bound = values[i.id, i.id].hi + tol
+        envy += [(i.id, j) for j in alloc.pieces if j != i.id and values[i.id, j].lo > bound]
     return {"values": values, "envy": envy, "envy_free": not envy}

@@ -16,6 +16,8 @@ keys plus the integer orbit walk `cantor.walk` inside Cantor supports.
 `cut`, `prefix_with_value` and `slice_valuation` invert F through
 `_invert`, which inverts the table with the Cantor mass to the left as an
 integer offset and descends through the cells of a Cantor part in integers.
+`prefix_with_value` is the cut query `_prefix_end`, which returns only the
+position, plus the piece `_prefix`.
 
 All arithmetic is exact.  Only Cantor orbits that do not close within the
 tolerance force approximation: certified brackets (CdfValue) or points.
@@ -24,8 +26,9 @@ tolerance force approximation: certified brackets (CdfValue) or points.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -49,6 +52,7 @@ from .intervals import (
     Interval,
     IntervalSet,
     _encode,
+    _from_keys,
     as_fraction,
     contains,
     intersect,
@@ -78,7 +82,8 @@ class CdfValue:
 
     @property
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        # an exact value is built with one Fraction for both ends
+        return self.lo is self.hi or self.lo == self.hi
 
     @property
     def value(self) -> Fraction:
@@ -137,19 +142,45 @@ class _Table(NamedTuple):
     R: list[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Valuation:
     """Built only by `integer_valuation`, from checked integer data: the
-    public fields, and `_table`, G (the atom + density part of F), and
-    `_parts`, the Cantor parts in integers: (E, S, T, pn, pd, wn, wd) for
-    the support [S/E, T/E], over the lcm E of the ends' denominators, the
-    ratio pn/pd and the weight wn/wd."""
+    public `atoms` and `cantor`, and `_table`, G (the atom + density part
+    of F), `_parts`, the Cantor parts in integers: (E, S, T, pn, pd, wn, wd)
+    for the support [S/E, T/E], over the lcm E of the ends' denominators,
+    the ratio pn/pd and the weight wn/wd, and `_densities`, the densities
+    (s, e, dn, dd) with their support keys over a `den`.  The public
+    `density` is a view built from `_densities` on first read, as
+    `IntervalSet.components` is from its keys; `==`, `hash` and `repr` go
+    by (atoms, density, cantor), as they would for three fields."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
-    density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
     cantor: tuple[CantorComponent, ...]  # sorted by support
-    _table: _Table = field(repr=False, compare=False)
-    _parts: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _table: _Table
+    _parts: tuple[tuple[int, ...], ...]
+    _densities: tuple[int, tuple[tuple[int, int, int, int], ...]]  # den, (s, e, dn, dd)
+
+    @cached_property
+    def density(self) -> tuple[tuple[Interval, Fraction], ...]:
+        """(support, constant density) pairs."""
+        den, density = self._densities
+        supports = key_intervals(den, [k for s, e, *_ in density for k in (s, e)])
+        return tuple((sup, Fraction(dn, dd)) for sup, (*_, dn, dd) in zip(supports, density))
+
+    def _fields(self) -> tuple:
+        return self.atoms, self.density, self.cantor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(atoms={self.atoms!r}, "
+                f"density={self.density!r}, cantor={self.cantor!r})")
 
     @property
     def has_atoms(self) -> bool:
@@ -228,25 +259,27 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     their keys s, e over a common denominator `den`; every pair n/d is in
     lowest terms with d > 0.  Every `Valuation` is built here, and every
     check compares integers; the public fields are built once, after the
-    checks pass."""
+    checks pass, but for `density`, which is built on first read."""
     if len({(an, ad) for an, ad, _, _ in atoms}) != len(atoms):
         raise BadParameter("duplicate atom locations")
     for an, ad, wn, wd in atoms:
         if not 0 <= an <= ad:
-            raise OutOfCake(f"atom at {Fraction(an, ad)} is outside [0,1]")
+            raise OutOfCake(f"atom at {rational_text(an, ad)} is outside [0,1]")
         if wn <= 0:
-            raise BadParameter(f"atom weight {Fraction(wn, wd)} must be positive")
+            raise BadParameter(f"atom weight {rational_text(wn, wd)} must be positive")
 
     for _, _, dn, dd in density:
         if dn < 0:
-            raise BadParameter(f"negative density {Fraction(dn, dd)}")
+            raise BadParameter(f"negative density {rational_text(dn, dd)}")
     _check_pairwise_disjoint(den, density, "density supports")
 
     for s, e, pn, pd, wn, wd in cantor_parts:
         if not 0 < 3 * pn <= pd:
-            raise BadParameter(f"Cantor ratio p={Fraction(pn, pd)} outside (0, 1/3]")
+            raise BadParameter(f"Cantor ratio p={rational_text(pn, pd)} outside (0, 1/3]")
         if wn <= 0:
-            raise BadParameter(f"Cantor component weight {Fraction(wn, wd)} must be positive")
+            raise BadParameter(
+                f"Cantor component weight {rational_text(wn, wd)} must be positive"
+            )
         if s >> 1 == e >> 1:
             raise BadParameter("Cantor component support must have positive length")
         if s & 1 or not e & 1:
@@ -260,18 +293,18 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     if n != d:
         raise NotNormalized(Fraction(n, d))
 
-    supports = key_intervals(den, [k for s, e, *_ in (*density, *parts) for k in (s, e)])
+    supports = key_intervals(den, [k for s, e, *_ in parts for k in (s, e)])
     integer_parts = []
     for s, e, pn, pd, wn, wd in parts:
         g = gcd(s >> 1, e >> 1, den)  # den/g is the lcm of the ends' denominators
         integer_parts.append((den // g, (s >> 1) // g, (e >> 1) // g, pn, pd, wn, wd))
     return Valuation(
         tuple((Fraction(an, ad), Fraction(wn, wd)) for an, ad, wn, wd in atoms),
-        tuple((sup, Fraction(dn, dd)) for sup, (_, _, dn, dd) in zip(supports, density)),
         tuple(CantorComponent(sup, Fraction(pn, pd), Fraction(wn, wd))
-              for sup, (_, _, pn, pd, wn, wd) in zip(supports[len(density):], parts)),
+              for sup, (_, _, pn, pd, wn, wd) in zip(supports, parts)),
         table,
         tuple(integer_parts),
+        (den, tuple(density)),
     )
 
 
@@ -297,7 +330,7 @@ def make_box_valuation(boxes: Iterable[tuple[Interval, int]]) -> Valuation:
     box_list = [(sup, as_fraction(n)) for sup, n in boxes]
     for _, n in box_list:
         if n.denominator != 1:
-            raise BadParameter(f"box count {n} is not a nonnegative integer")
+            raise BadParameter(f"box count {rational_text(n)} is not a nonnegative integer")
     den, keys = _encode([cut for sup, _ in box_list for cut in (sup.start, sup.end)])
     return integer_box_valuation(
         den, [(s, e, n.numerator) for (_, n), s, e in zip(box_list, keys[::2], keys[1::2])]
@@ -310,7 +343,7 @@ def integer_box_valuation(den: int, boxes) -> Valuation:
     H/den gets density n·den/(total·(H - L))."""
     for s, e, n in boxes:
         if n < 0:
-            raise BadParameter(f"box count {n} is not a nonnegative integer")
+            raise BadParameter(f"box count {rational_text(n)} is not a nonnegative integer")
         if s >> 1 == e >> 1:
             raise BadPartition(f"singleton {keys_text(den, (s, e))} cannot carry boxes")
     ordered = _check_pairwise_disjoint(den, boxes, "box supports")
@@ -350,7 +383,7 @@ def cantor_valuation(p=Fraction(1, 3)) -> Valuation:
 def _check_tol(tol) -> Fraction:
     tol = as_fraction(tol)
     if tol.numerator <= 0:
-        raise BadTolerance(f"tolerance {tol} must be positive")
+        raise BadTolerance(f"tolerance {rational_text(tol)} must be positive")
     return tol
 
 
@@ -358,7 +391,7 @@ def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     """F(x) = v([0,x]) for side="at"; the left limit F(x-) for side="left_limit"."""
     x = as_fraction(x)
     if not (ZERO <= x <= ONE):
-        raise OutOfCake(f"point {x} is outside [0,1]")
+        raise OutOfCake(f"point {rational_text(x)} is outside [0,1]")
     tol = _check_tol(tol)
     if side not in _SIDES:
         raise BadParameter(f"unknown side {side!r}")
@@ -556,13 +589,27 @@ def prefix_with_value(
     Requires v to have no atom inside A; the distribution is then continuous
     on A and the prefix value sweeps [0, v(A)] exactly.
     """
+    c = _prefix_end(v, A, target, tol)
+    # c is 0 only for a target of 0: without an atom in A, v(A ∩ [0,0]) = 0
+    return (_prefix(A, c) if c else EMPTY), c
+
+
+def _prefix(A: IntervalSet, c: Fraction) -> IntervalSet:
+    """A ∩ [0,c]; the keys (0, 2·c.numerator + 1) of [0,c] over
+    c.denominator are canonical, since c is reduced."""
+    return intersect(A, _from_keys(c.denominator, (0, 2 * c.numerator + 1)))
+
+
+def _prefix_end(v: Valuation, A: IntervalSet, target: Fraction, tol) -> Fraction:
+    """The c of `prefix_with_value(v, A, target, tol)`, with its checks but
+    without the piece: a Robertson–Webb cut query."""
     tol = _check_tol(tol)
     target = as_fraction(target)
     if target < ZERO:
-        raise BadParameter(f"target {target} is negative")
+        raise BadParameter(f"target {rational_text(target)} is negative")
     _check_no_atoms(v, A)
     if target == ZERO:
-        return EMPTY, ZERO
+        return ZERO
 
     # the target is reached in the first component that takes the running
     # total to it, where v(A ∩ [0,c]) = below + F(c) - base; brackets compare
@@ -578,10 +625,15 @@ def prefix_with_value(
             t = Fraction(n - (below_lo + below_hi - base) * m, 2 * d * m)
             c, _, _ = _invert(v, t, tol)
             # t comes from bracket midpoints, so c may miss the component
-            c = min(max(c, Fraction(keys[i] >> 1, A.den)), Fraction(keys[i + 1] >> 1, A.den))
-            return intersect(A, IntervalSet(((ZERO, 0), (c, 1)))), c
+            # [s, e]/A.den: clamp it there
+            den, s, e = A.den, keys[i] >> 1, keys[i + 1] >> 1
+            if c.numerator * den < s * c.denominator:
+                return Fraction(s, den)
+            if c.numerator * den > e * c.denominator:
+                return Fraction(e, den)
+            return c
         below_lo, below_hi = upto_lo, upto_hi
-    raise BadParameter(f"target {target} exceeds v(A)")
+    raise BadParameter(f"target {rational_text(target)} exceeds v(A)")
 
 
 def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
@@ -589,7 +641,7 @@ def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
     tol = _check_tol(tol)
     alpha = as_fraction(alpha)
     if not (ZERO <= alpha <= ONE):
-        raise BadParameter(f"alpha {alpha} outside [0,1]")
+        raise BadParameter(f"alpha {rational_text(alpha)} outside [0,1]")
     _check_no_atoms(v, A)
     vA = evaluate(v, A, tol / 4)
     if vA.hi == ZERO:
@@ -615,7 +667,7 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     tol = _check_tol(tol)
     epsilon = as_fraction(epsilon)
     if epsilon <= ZERO:
-        raise BadParameter(f"epsilon {epsilon} must be positive")
+        raise BadParameter(f"epsilon {rational_text(epsilon)} must be positive")
     heavy = [(loc, w) for loc, w in v.atoms if w > epsilon]
     if heavy:
         raise NotSliceable(heavy)

@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -32,9 +33,11 @@ from cakecalc import (
     make_box_valuation,
     make_valuation,
     parse_interval_set,
+    valuation,
     valuation_from_dict,
 )
 from cakecalc.cli import build_parser, main, run
+from cakecalc.intervals import key_intervals
 
 F = Fraction
 
@@ -140,6 +143,81 @@ class TestConfig:
                 CantorComponent(Interval(F(0), F(1, 2), True, True), F(1, 3), F(1, 2)),
             ])
         assert str(loaded.value) == str(made.value) == message
+
+
+FIG2_REPR = (
+    "Valuation(atoms=(), density=("
+    + ", ".join(
+        f"(Interval(lo=Fraction({a}, {b}), hi=Fraction({c}, {d}), lo_closed=True, "
+        f"hi_closed={closed}), Fraction({n}, 17))"
+        for (a, b, c, d, closed), n in zip(
+            [(0, 1, 1, 6, False), (1, 6, 1, 3, False), (1, 3, 1, 2, False),
+             (1, 2, 2, 3, False), (2, 3, 5, 6, False), (5, 6, 1, 1, True)],
+            [12, 6, 30, 12, 24, 18],
+        )
+    )
+    + "), cantor=())"
+)
+MIX_REPR = (
+    "Valuation(atoms=((Fraction(1, 2), Fraction(1, 4)),), density=("
+    "(Interval(lo=Fraction(0, 1), hi=Fraction(1, 2), lo_closed=True, hi_closed=False), "
+    "Fraction(1, 2)), "
+    "(Interval(lo=Fraction(1, 2), hi=Fraction(1, 1), lo_closed=True, hi_closed=True), "
+    "Fraction(3, 4))), "
+    "cantor=(CantorComponent(support=Interval(lo=Fraction(1, 4), hi=Fraction(1, 2), "
+    "lo_closed=True, hi_closed=True), p=Fraction(1, 4), weight=Fraction(1, 8)),))"
+)
+
+
+def civ(lo, hi, lo_closed=True, hi_closed=True):
+    return Interval(F(lo), F(hi), lo_closed, hi_closed)
+
+
+def mix_valuation():
+    return make_valuation(
+        atoms=[(F(1, 2), F(1, 4))],
+        density=[(civ(0, F(1, 2), True, False), F(1, 2)), (civ(F(1, 2), 1), F(3, 4))],
+        cantor_parts=[CantorComponent(civ(F(1, 4), F(1, 2)), F(1, 4), F(1, 8))],
+    )
+
+
+class TestLazyDensity:
+    """`density` is a view built on first read; a `Valuation` compares,
+    hashes, prints and pickles as the three-field dataclass it was."""
+
+    def test_loading_builds_no_interval(self, monkeypatch):
+        built = []
+
+        def counting(den, keys):
+            out = key_intervals(den, keys)
+            built.extend(out)
+            return out
+
+        monkeypatch.setattr(valuation, "key_intervals", counting)
+        v = load_valuation(bundled_config_path("fig2"))
+        evaluate(v, parse_interval_set("[0,1/2]"))
+        assert built == [] and "density" not in vars(v)
+        assert len(v.density) == 6 and len(built) == 6
+        assert v.density is v.density and len(built) == 6
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda: load_valuation(bundled_config_path("fig2")), FIG2_REPR),
+        (mix_valuation, MIX_REPR),
+    ], ids=["fig2", "mix"])
+    def test_eq_hash_repr_and_pickle_as_before(self, make, text):
+        v, w = make(), make()
+        assert repr(v) == text
+        fields = eval(text.replace("Valuation(", "dict("), {
+            "Fraction": F, "Interval": Interval, "CantorComponent": CantorComponent})
+        # a frozen dataclass hashes the tuple of its compared fields
+        assert hash(v) == hash((fields["atoms"], fields["density"], fields["cantor"]))
+        assert v == w and hash(v) == hash(w) and v != make_box_valuation([(FULL.components[0], 1)])
+        for read in (False, True):  # before and after the view is built
+            if read:
+                v.density
+            back = pickle.loads(pickle.dumps(v))
+            assert back == v and hash(back) == hash(v) and repr(back) == text
+            assert back._table == v._table and back._parts == v._parts
 
 
 def ref_integer_part(comp):
@@ -400,6 +478,26 @@ class TestExitCodes:
         finally:
             sys.set_int_max_str_digits(limit)
         assert "TooManyDigits" in capsys.readouterr().err
+
+    def test_an_error_message_past_the_int_to_str_limit_is_1(self, tmp_path):
+        if not hasattr(sys, "set_int_max_str_digits"):  # none before 3.10.7
+            pytest.skip("this interpreter prints ints of any length")
+        # the total mass of the two atoms has 801 digits, past a 640-digit limit
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"atoms": [{"at": "1/3", "weight": f"1/{10**400 + 1}"},
+                                              {"at": "2/3", "weight": f"1/{10**400 + 3}"}]}))
+        code = ("import sys; sys.set_int_max_str_digits(640); from cakecalc.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        root = Path(__file__).resolve().parents[1]
+        for flags in ([], ["--json"]):
+            done = subprocess.run(
+                [sys.executable, "-c", code, *flags, "evaluate", str(path), "[0,1]"],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+            )
+            assert done.returncode == 1, done.stderr
+            assert done.stderr.startswith("error: TooManyDigits: ")
+            assert "Traceback" not in done.stderr
 
     def test_domain_error_is_1(self, capsys):
         assert main(["cut", str(bundled_config_path("dirac")), "[0,1]", "1/2"]) == 1

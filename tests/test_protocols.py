@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cakecalc import (
     EMPTY,
@@ -11,12 +13,17 @@ from cakecalc import (
     AtomObstruction,
     Allocation,
     BadParameter,
+    CakeError,
     CantorComponent,
     Interval,
+    IntervalSet,
     Player,
     check_envy_free,
     check_proportional,
+    cut,
     cut_and_choose,
+    cantor_valuation,
+    difference,
     dirac_valuation,
     evaluate,
     intersect,
@@ -25,10 +32,14 @@ from cakecalc import (
     make_box_valuation,
     make_valuation,
     moving_knife,
+    normalize,
+    prefix_with_value,
     uniform_valuation,
     union,
 )
-from conftest import rand_box_valuation
+from cakecalc.intervals import rational_text
+from cakecalc.valuation import _cdf_at_keys, _check_no_atoms, _check_tol, _invert
+from conftest import rand_box_valuation, rand_scfree_valuation
 
 F = Fraction
 
@@ -202,3 +213,214 @@ class TestFairnessChecks:
         assert not prop["players"][1]["ok"]
         envy = check_envy_free(skew, players)
         assert envy["envy"] == [(1, 0)]
+
+    def test_envy_needs_more_than_tol(self):
+        # player 0 values the other piece at exactly their own value plus tol
+        players = [Player(0, uniform_valuation()), Player(1, uniform_valuation())]
+        split = Allocation(
+            "manual", {0: interval_set((0, "3/8")), 1: interval_set(("3/8", 1, False, True))}
+        )
+        report = check_envy_free(split, players, F(1, 4))
+        assert report == ref_check_envy_free(split, players, F(1, 4))
+        assert report["envy"] == [] and report["envy_free"]
+
+
+# The parent's cut query and protocols, kept as references for the integer
+# versions: `prefix_with_value` clamped its cut with `Fraction` min/max and
+# built [0,c] with the checked `IntervalSet(cuts)`, `moving_knife` built
+# every player's piece, and values were compared by their midpoints.
+
+def ref_prefix_with_value(v, A, target, tol):
+    tol = _check_tol(tol)
+    target = F(target)
+    if target < 0:
+        raise BadParameter(f"target {target} is negative")
+    _check_no_atoms(v, A)
+    if target == 0:
+        return EMPTY, F(0)
+    keys = A.keys
+    lo, hi, d = _cdf_at_keys(v, A.den, keys, tol, 4 * max(2, len(keys)))
+    n, m = 2 * d * target.numerator, target.denominator
+    below_lo = below_hi = 0
+    for i in range(0, len(keys), 2):
+        base = lo[i] + hi[i]
+        upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
+        if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
+            t = F(n - (below_lo + below_hi - base) * m, 2 * d * m)
+            c, _, _ = _invert(v, t, tol)
+            c = min(max(c, F(keys[i] >> 1, A.den)), F(keys[i + 1] >> 1, A.den))
+            return intersect(A, IntervalSet(((F(0), 0), (c, 1)))), c
+        below_lo, below_hi = upto_lo, upto_hi
+    raise BadParameter(f"target {target} exceeds v(A)")
+
+
+def ref_value(player, piece, tol):
+    return evaluate(player.valuation, piece, tol).midpoint
+
+
+def ref_choose_and_cut(cutter, chooser, cake, tol, trace):
+    left = cut(cutter.valuation, cake, F(1, 2), tol)
+    right = difference(cake, left)
+    trace.append({"event": "cut", "player": cutter.id, "piece": str(left)})
+    takes_right = ref_value(chooser, right, tol) > ref_value(chooser, left, tol)
+    chosen, rest = (right, left) if takes_right else (left, right)
+    trace.append({"event": "choose", "player": chooser.id, "piece": str(chosen)})
+    return {chooser.id: chosen, cutter.id: rest}
+
+
+def ref_cut_and_choose(p1, p2, tol):
+    trace = []
+    return Allocation("cut_and_choose", ref_choose_and_cut(p1, p2, FULL, tol, trace), trace)
+
+
+def ref_last_diminisher(players, tol):
+    share = F(1, len(players))
+    trace, pieces, remaining, active = [], {}, FULL, sorted(players, key=lambda p: p.id)
+    while len(active) > 2:
+        cutter = active[0]
+        piece, pos = ref_prefix_with_value(cutter.valuation, remaining, share, tol)
+        trace.append({"event": "cut", "player": cutter.id, "position": rational_text(pos)})
+        holder = cutter
+        for pl in active[1:]:
+            if ref_value(pl, piece, tol) > share:
+                piece, pos = ref_prefix_with_value(pl.valuation, piece, share, tol)
+                trace.append(
+                    {"event": "diminish", "player": pl.id, "position": rational_text(pos)}
+                )
+                holder = pl
+        pieces[holder.id] = piece
+        trace.append({"event": "take", "player": holder.id, "piece": str(piece)})
+        remaining = difference(remaining, piece)
+        active = [p for p in active if p.id != holder.id]
+    pieces.update(ref_choose_and_cut(active[0], active[1], remaining, tol, trace))
+    return Allocation("last_diminisher", pieces, trace)
+
+
+def ref_moving_knife(players, tol):
+    share = F(1, len(players))
+    trace, pieces, remaining, active = [], {}, FULL, sorted(players, key=lambda p: p.id)
+    while len(active) > 1:
+        marks = []
+        for pl in active:
+            piece, pos = ref_prefix_with_value(pl.valuation, remaining, share, tol)
+            marks.append((pos, pl.id, piece))
+        pos, winner_id, piece = min(marks, key=lambda m: (m[0], m[1]))
+        trace.append({"event": "claim", "player": winner_id, "position": rational_text(pos)})
+        pieces[winner_id] = piece
+        remaining = difference(remaining, piece)
+        active = [p for p in active if p.id != winner_id]
+    pieces[active[0].id] = remaining
+    trace.append({"event": "take_rest", "player": active[0].id, "piece": str(remaining)})
+    return Allocation("moving_knife", pieces, trace)
+
+
+def ref_check_envy_free(alloc, players, tol):
+    values = {
+        (i.id, j): evaluate(i.valuation, alloc.pieces[j], tol)
+        for i in players
+        for j in alloc.pieces
+    }
+    envy = [
+        (i.id, j)
+        for i in players
+        for j in alloc.pieces
+        if j != i.id and values[(i.id, j)].lo > values[(i.id, i.id)].hi + tol
+    ]
+    return {"values": values, "envy": envy, "envy_free": not envy}
+
+
+def run_and_check(protocol, envy_check, players, tol):
+    """The allocation's pieces, as (den, keys), its trace and both fairness
+    reports, or the error the run raised."""
+    try:
+        alloc = protocol(players, tol)
+    except CakeError as exc:
+        return type(exc), str(exc)
+    pieces = {i: (s.den, s.keys) for i, s in alloc.pieces.items()}
+    return (alloc.protocol, pieces, alloc.trace, check_proportional(alloc, players, tol),
+            envy_check(alloc, players, tol))
+
+
+def prefix_outcome(f, v, a, target, tol):
+    try:
+        piece, c = f(v, a, target, tol)
+    except CakeError as exc:
+        return type(exc), str(exc)
+    return (piece.den, piece.keys), c
+
+
+GRID = sorted({F(k, d) for d in range(1, 13) for k in range(d + 1)})
+
+
+@st.composite
+def cantor_mixes(draw):
+    """Density pieces on a grid partition under one C_1/3 or C_1/4 on a
+    grid support, scaled to mass 1; no atoms."""
+    a, b = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+    weight = F(draw(st.integers(1, 4)))
+    points = sorted({F(0), F(1), *draw(st.lists(st.sampled_from(GRID), max_size=3))})
+    pieces = [(civ(lo, hi, lo == 0), F(draw(st.integers(0, 3))))
+              for lo, hi in zip(points, points[1:])]
+    total = weight + sum(d * sup.length for sup, d in pieces)
+    return make_valuation(
+        density=[(sup, d / total) for sup, d in pieces],
+        cantor_parts=[CantorComponent(civ(a, b), draw(st.sampled_from([F(1, 3), F(1, 4)])),
+                                      weight / total)],
+    )
+
+
+randoms = st.randoms(use_true_random=False)
+atomless_valuations = st.one_of(
+    randoms.map(rand_box_valuation),
+    randoms.map(lambda rng: rand_scfree_valuation(rng, allow_atoms=False)),
+    cantor_mixes(),
+)
+# large tolerances widen the brackets, so that midpoint targets miss their
+# component and the cut is clamped to it
+TOLS = [F(1, 2**40), F(1, 2**12), F(1, 64), F(1, 4), F(1, 2)]
+
+
+class TestAgainstTheParentProtocols:
+    """The cut query without `Fraction` clamps, marks that build no piece
+    and comparisons without midpoints give the parent's pieces, positions,
+    traces, values and verdicts."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(atomless_valuations, min_size=2, max_size=4), st.sampled_from(TOLS))
+    def test_protocols_match_the_parent(self, vals, tol):
+        players = [Player(i, v) for i, v in enumerate(vals)]
+        for new, ref in ((moving_knife, ref_moving_knife), (last_diminisher, ref_last_diminisher)):
+            assert run_and_check(new, check_envy_free, players, tol) == run_and_check(
+                ref, ref_check_envy_free, players, tol)
+        two = players[:2]
+        assert run_and_check(lambda ps, t: cut_and_choose(*ps, t), check_envy_free, two, tol) == (
+            run_and_check(lambda ps, t: ref_cut_and_choose(*ps, t), ref_check_envy_free, two, tol))
+
+    @settings(deadline=None, max_examples=100)
+    @given(atomless_valuations, st.lists(st.sampled_from(GRID), min_size=2, max_size=6),
+           st.lists(st.sampled_from(GRID[1:]), min_size=1, max_size=3), st.sampled_from(TOLS))
+    # midpoint targets that the cut reaches left of the component's start
+    # and right of its end, so that it is clamped on both sides
+    @example(cantor_valuation(F(1, 4)), [F(30011, 110000), F(1)], [F(1, 192)], F(1, 4))
+    @example(cantor_valuation(F(1, 4)), [F(0), F(13, 40), F(3, 5), F(17, 20)], [F(21, 32)],
+             F(1, 2))
+    def test_cut_query_matches_the_parent(self, v, points, shares, tol):
+        a = normalize(civ(*sorted(pair)) for pair in zip(points[::2], points[1::2]))
+        va = evaluate(v, a, tol / 4)
+        for target in [s * va.midpoint for s in shares] + [va.lo, va.hi, va.hi + F(1, 7)]:
+            assert prefix_outcome(prefix_with_value, v, a, target, tol) == prefix_outcome(
+                ref_prefix_with_value, v, a, target, tol)
+
+    @pytest.mark.parametrize("points, target, tol, side", [
+        ([F(30011, 110000), F(1)], F(1, 192), F(1, 4), 0),
+        ([F(0), F(13, 40), F(3, 5), F(17, 20)], F(21, 32), F(1, 2), 3),
+    ])
+    def test_clamped_cuts(self, points, target, tol, side):
+        # the cut lands on a component end: the start of [30011/110000, 1],
+        # where F is a bracket around 1/3 and the target's cut is 3/11, and
+        # the end of [3/5, 17/20]
+        v = cantor_valuation(F(1, 4))
+        a = normalize(civ(*pair) for pair in zip(points[::2], points[1::2]))
+        piece, c = prefix_with_value(v, a, target, tol)
+        assert c == points[side]
+        assert (piece, c) == ref_prefix_with_value(v, a, target, tol)
