@@ -18,8 +18,8 @@ Otherwise truncating at depth d leaves a certified bracket of width 2^-d.
 For p = 1/3 the denominator of y never grows, so every rational orbit
 cycles and the walk needs no depth bound (this is the ternary-digit
 evaluation).  The inverse descent of `valuation` produces points with
-periodic orbits, so F is exact at its cuts for every p.  `staircase`,
-`staircase_bracket` and `staircase_exact_third` are the walk on `Fraction`s.
+periodic orbits, so F is exact at its cuts for every p.
+`staircase_bracket` is the walk on `Fraction`s.
 """
 
 from __future__ import annotations
@@ -69,23 +69,10 @@ def walk(pn: int, pd: int, n: int, d: int, depth) -> tuple[int, int, int]:
 
 
 def staircase_bracket(p: Fraction, y: Fraction, depth) -> tuple[Fraction, Fraction]:
-    """`walk` on Fractions: a bracket [lo,hi] ∋ F_p(y) with hi-lo <= 2^-depth."""
+    """`walk` on Fractions: a bracket [lo,hi] ∋ F_p(y) with hi-lo <= 2^-depth;
+    depth None, which ends for every y when p = 1/3, gives lo == hi."""
     p = check_ratio(p)
     y = min(max(Fraction(y), ZERO), ONE)  # F_p is 0 left of 0 and 1 right of 1
     lo, hi, den = walk(p.numerator, p.denominator, y.numerator, y.denominator, depth)
     return Fraction(lo, den), Fraction(hi, den)
 
-
-def staircase_exact_third(y: Fraction) -> Fraction:
-    """Exact F_{1/3}(y) for rational y in [0,1]."""
-    return staircase_bracket(THIRD, y, None)[0]
-
-
-def staircase(p: Fraction, y: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """F_p(y) as an exact pair (lo == hi) whenever the walk closes, else a
-    bracket of width <= tol."""
-    p = check_ratio(p)
-    tol = Fraction(tol)
-    # the smallest depth >= 1 with 2^-depth <= tol
-    depth = max(1, ((tol.denominator - 1) // tol.numerator).bit_length())
-    return staircase_bracket(p, y, None if p == THIRD else depth)

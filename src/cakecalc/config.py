@@ -91,7 +91,7 @@ def load_valuation(path) -> Valuation:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
     try:
         return valuation_from_dict(data)

@@ -86,11 +86,12 @@ class ZeroPiece(CakeError):
 
 
 class NotSliceable(CakeError):
-    """Atoms heavier than the slicing threshold exist."""
+    """Atoms heavier than the slicing threshold exist, or atoms lie beside
+    a Cantor part; `why` says which."""
 
-    def __init__(self, atoms):
+    def __init__(self, atoms, why="too heavy to slice"):
         self.atoms = list(atoms)
-        super().__init__(f"atoms too heavy to slice: {_atoms_text(self.atoms)}")
+        super().__init__(f"atoms {why}: {_atoms_text(self.atoms)}")
 
 
 class TooManyDigits(CakeError):

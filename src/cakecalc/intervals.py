@@ -82,9 +82,7 @@ class Interval:
         return self.start <= (x, 0) and (x, 1) <= self.end
 
     def __str__(self) -> str:
-        lb = "[" if self.lo_closed else "("
-        rb = "]" if self.hi_closed else ")"
-        return f"{lb}{self.lo},{self.hi}{rb}"
+        return keys_text(*_encode((self.start, self.end)))
 
 
 def _check_ends(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool) -> None:
@@ -159,7 +157,8 @@ class IntervalSet:
         if len(keys) % 2 or not {side for _, side in cuts} <= {0, 1} or not all(
             map(lt, (-1, *keys), (*keys, 2 * den + 2))
         ):
-            raise InvalidInterval(f"cuts {cuts} are not those of a canonical set")
+            text = ", ".join(f"({rational_text(x)}, {side})" for x, side in cuts)
+            raise InvalidInterval(f"cuts ({text}) are not those of a canonical set")
         _from_keys(den, keys, self)
 
     def __setattr__(self, name, value):

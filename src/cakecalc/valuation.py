@@ -95,24 +95,6 @@ class CdfValue:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __add__(self, other: "CdfValue") -> "CdfValue":
-        return CdfValue(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "CdfValue") -> "CdfValue":
-        return CdfValue(self.lo - other.hi, self.hi - other.lo)
-
-    def clamp(self, lo=ZERO, hi=ONE) -> "CdfValue":
-        """A bracket cut down to [lo, hi]; an exact value must lie in it,
-        since clamping it would hide an arithmetic error."""
-        if self.is_exact:
-            assert lo <= self.lo <= hi, (self, lo, hi)
-            return self
-        return CdfValue(max(self.lo, lo), min(self.hi, hi))
-
     def __str__(self) -> str:
         lo = rational_text(self.lo)
         return lo if self.is_exact else f"[{lo}, {rational_text(self.hi)}]"
@@ -660,9 +642,10 @@ def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
 def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]:
     """Split [0,1] into finitely many disjoint pieces of value in (0, ε].
 
-    Atoms of weight <= ε come out as singleton pieces; heavier atoms make the
-    valuation non-sliceable.  A value that a Cantor orbit leaves open is
-    certified within min(tol, ε)/2, and the bound degrades by that much.
+    Atoms of weight <= ε come out as singleton pieces; heavier atoms, and
+    any atom beside a Cantor part, make the valuation non-sliceable.  A
+    value that a Cantor orbit leaves open is certified within
+    min(tol, ε)/2, and the bound degrades by that much.
     """
     tol = _check_tol(tol)
     epsilon = as_fraction(epsilon)
@@ -674,7 +657,7 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     if v.cantor and v.atoms:
         # mixed atom+singular slicing is not needed anywhere; keep the exact
         # paths honest instead of guessing
-        raise NotSliceable(list(v.atoms))
+        raise NotSliceable(v.atoms, "beside a Cantor part are not sliced")
 
     # every piece but the last ends where F reaches `consumed + ε`; a hit
     # advances `consumed` by exactly ε, so bracket errors do not add up

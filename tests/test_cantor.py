@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from cakecalc.cantor import staircase, staircase_bracket, staircase_exact_third
+from cakecalc.cantor import staircase_bracket
 from cakecalc.errors import BadParameter
 from conftest import staircase_digit_oracle
 
 F = Fraction
+THIRD = F(1, 3)  # the one ratio whose walk needs no depth bound
 
 
 class TestExactThird:
@@ -30,16 +31,17 @@ class TestExactThird:
         ],
     )
     def test_known_values(self, y, expected):
-        assert staircase_exact_third(y) == expected
+        assert staircase_bracket(THIRD, y, None) == (expected, expected)
 
     def test_symmetry(self):
         rng = random.Random(7)
         for _ in range(200):
             y = F(rng.randint(0, 1000), 1000)
-            assert staircase_exact_third(y) + staircase_exact_third(1 - y) == 1
+            lo, hi = staircase_bracket(THIRD, y, None)
+            assert lo == hi and lo + staircase_bracket(THIRD, 1 - y, None)[0] == 1
 
     def test_monotone(self):
-        vals = [staircase_exact_third(F(k, 500)) for k in range(501)]
+        vals = [staircase_bracket(THIRD, F(k, 500), None)[0] for k in range(501)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_agrees_with_digit_map_oracle(self):
@@ -47,7 +49,8 @@ class TestExactThird:
         for _ in range(300):
             den = rng.randint(1, 10**4)
             y = F(rng.randint(0, den), den)
-            assert staircase_exact_third(y) == staircase_digit_oracle(y)
+            expected = staircase_digit_oracle(y)
+            assert staircase_bracket(THIRD, y, None) == (expected, expected)
 
 
 class TestBrackets:
@@ -68,20 +71,22 @@ class TestBrackets:
         rng = random.Random(5)
         for _ in range(100):
             y = F(rng.randint(0, 997), 997)
-            lo, hi = staircase_bracket(F(1, 3), y, 40)
-            assert lo <= staircase_exact_third(y) <= hi
+            lo, hi = staircase_bracket(THIRD, y, 40)
+            assert lo <= staircase_bracket(THIRD, y, None)[0] <= hi
 
     def test_staircase_dispatch(self):
-        lo, hi = staircase(F(1, 3), F(1, 4), F(1, 2**30))
+        # p = 1/3 walks without a depth bound; another p to the depth 20
+        # that a tolerance of 2^-20 implies
+        lo, hi = staircase_bracket(THIRD, F(1, 4), None)
         assert lo == hi == F(1, 3)
-        lo, hi = staircase(F(1, 4), F(1, 7), F(1, 2**20))
+        lo, hi = staircase_bracket(F(1, 4), F(1, 7), 20)
         assert hi - lo <= F(1, 2**20)
 
     def test_plateau_exact_for_any_p(self):
         # the removed middle (l, l+p) maps to the constant 1/2
         p = F(1, 4)
         l = (1 - p) / 2
-        lo, hi = staircase(p, l + p / 2, F(1, 2**10))
+        lo, hi = staircase_bracket(p, l + p / 2, 10)
         assert lo == hi == F(1, 2)
 
 
@@ -108,15 +113,15 @@ def cell_oracle(p, n):
 class TestOrbitCycles:
     def test_periodic_point_is_exact_for_quarter(self):
         # 3/11 -> 8/11 -> 3/11 under the two branches of C_1/4
-        assert staircase(F(1, 4), F(3, 11), F(1, 2**10)) == (F(1, 3), F(1, 3))
-        assert staircase(F(1, 4), F(8, 11), F(1, 2**10)) == (F(2, 3), F(2, 3))
+        assert staircase_bracket(F(1, 4), F(3, 11), 10) == (F(1, 3), F(1, 3))
+        assert staircase_bracket(F(1, 4), F(8, 11), 10) == (F(2, 3), F(2, 3))
 
     def test_outside_the_unit_interval(self):
         # the distribution function is 0 left of 0 and 1 right of 1; the
         # unbounded p = 1/3 walk must not follow an orbit that runs away
-        assert staircase_exact_third(F(-1, 2)) == 0
-        assert staircase_exact_third(F(3, 2)) == 1
-        assert staircase(F(1, 4), F(5, 4), F(1, 2**10)) == (1, 1)
+        assert staircase_bracket(THIRD, F(-1, 2), None) == (0, 0)
+        assert staircase_bracket(THIRD, F(3, 2), None) == (1, 1)
+        assert staircase_bracket(F(1, 4), F(5, 4), 10) == (1, 1)
 
     @pytest.mark.parametrize("p", [F(1, 4), F(1, 5), F(2, 7)])
     def test_brackets_nest_and_hold_the_oracle_value(self, p):

@@ -576,6 +576,20 @@ class TestSchema:
         assert main(["evaluate", str(path), "[0,1/2)"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_an_integer_past_the_int_to_str_limit_is_a_parse_error(self, tmp_path, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+        if not limit:
+            pytest.skip("this interpreter reads ints of any length")
+        # json.dumps cannot write a box count of limit + 1 digits, so write the text
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_halves(1)).replace(": 1}", f": 1{'0' * limit}}}", 1))
+        with pytest.raises(ParseError, match="bad JSON"):
+            load_valuation(path)
+        for flags in ([], ["--json"]):
+            assert main([*flags, "evaluate", str(path), "[0,1/2]"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("parse error: bad JSON") and "Traceback" not in err
+
     def test_negative_approx_is_2(self, capsys):
         argv = ["--approx", "-1", "evaluate", str(bundled_config_path("fig2")), "[0,2/6]"]
         assert main(argv) == 2

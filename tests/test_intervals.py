@@ -72,6 +72,11 @@ class TestInvariants:
         with pytest.raises(InvalidInterval):
             IntervalSet(cuts)
 
+    def test_cut_constructor_writes_its_points_as_rationals(self):
+        text = r"^cuts \(\(1/2, 0\), \(1/3, 1\)\) are not those of a canonical set$"
+        with pytest.raises(InvalidInterval, match=text):
+            IntervalSet([(F(1, 2), 0), (F(1, 3), 1)])
+
 
 class TestNormalize:
     def test_touching_closed_merge(self):
@@ -202,11 +207,11 @@ class TestParsing:
 
 
 def interval_text(a: IntervalSet) -> str:
-    """The text of a set as the parent renderer wrote it: each component as
-    a checked `Interval` of `Fraction` ends."""
+    """The text of a set as an earlier renderer wrote it: each component's
+    `Fraction` ends formatted by `str`, as `Interval.__str__` once did."""
     den, keys = a.den, a.keys
     return ", ".join(
-        str(Interval(F(s >> 1, den), F(e >> 1, den), not s & 1, e & 1 == 1))
+        f"{'(' if s & 1 else '['}{F(s >> 1, den)},{F(e >> 1, den)}{']' if e & 1 else ')'}"
         for s, e in zip(keys[::2], keys[1::2])
     ) or "∅"
 
@@ -231,6 +236,25 @@ class TestKeyText:
         with pytest.raises(TooManyDigits):
             str(a)
         assert str(interval_set((0, F(1, 10 ** (limit - 2))))).endswith("0]")
+
+    def test_an_interval_point_past_the_int_to_str_limit_is_too_many_digits(self):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+        if not limit:
+            pytest.skip("this interpreter prints ints of any length")
+        x = F(1, 10**limit)  # limit + 1 digits
+        with pytest.raises(TooManyDigits):
+            str(Interval(F(0), x, True, True))
+        with pytest.raises(TooManyDigits):  # the message of cuts out of order
+            IntervalSet([(x, 0), (F(0), 1)])
+
+    @pytest.mark.parametrize("lo, hi", [(F(0), F(1)), (F(1, 6), F(3, 4)), (F(2, 7), F(1))])
+    @pytest.mark.parametrize("lo_closed", [True, False])
+    @pytest.mark.parametrize("hi_closed", [True, False])
+    def test_an_interval_prints_as_its_set(self, lo, hi, lo_closed, hi_closed):
+        iv = Interval(lo, hi, lo_closed, hi_closed)
+        one = normalize([iv])
+        assert str(iv) == str(one) == interval_text(one)
+        assert str(iv) == f"{'[' if lo_closed else '('}{lo},{hi}{']' if hi_closed else ')'}"
 
 
 class TestLaws:

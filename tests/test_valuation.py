@@ -51,7 +51,13 @@ from cakecalc import (
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
 from cakecalc.intervals import _encode
-from cakecalc.valuation import _check_pairwise_disjoint, _invert, _invert_table, _table_at_keys
+from cakecalc.valuation import (
+    _check_pairwise_disjoint,
+    _clamp,
+    _invert,
+    _invert_table,
+    _table_at_keys,
+)
 from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
 
 F = Fraction
@@ -227,10 +233,12 @@ class TestCdf:
             cdf(uniform_valuation(), F(1, 2), "right_limit")
 
     def test_clamp_cuts_brackets_and_checks_exact_values(self):
-        assert CdfValue(F(-1, 8), F(1, 2)).clamp() == CdfValue(F(0), F(1, 2))
-        assert CdfValue.exact(F(1, 3)).clamp() == CdfValue.exact(F(1, 3))
+        # [lo/d, hi/d] cut down to [0, 1]: [-1/8, 1/2] and [1/4, 9/8] over 8
+        assert _clamp(-1, 4, 8) == (0, 4)
+        assert _clamp(2, 9, 8) == (2, 8)
+        assert _clamp(1, 1, 3) == (1, 1)
         with pytest.raises(AssertionError):
-            CdfValue.exact(F(9, 8)).clamp()
+            _clamp(9, 9, 8)
 
     def test_value_of_a_bracket_is_an_error(self):
         assert CdfValue.exact(F(1, 3)).value == F(1, 3)
@@ -244,7 +252,7 @@ class TestCdf:
     def test_bracket_width_respected(self):
         val = cdf(cantor_valuation(F(1, 4)), F(1, 7), tol=F(1, 2**20))
         assert val.lo <= val.hi
-        assert val.width <= F(1, 2**20)
+        assert val.hi - val.lo <= F(1, 2**20)
 
 
 class TestEvaluate:
@@ -472,29 +480,31 @@ def ref_staircase_bracket(p, y, depth):
 
 def ref_cdf(v, table, cut, tol):
     x = cut[0]
-    result = CdfValue.exact(ref_table_value(table, cut))
+    lo = hi = ref_table_value(table, cut)
     for comp in v.cantor:
         s, t = comp.support.lo, comp.support.hi
         if x >= t:
-            result = result + CdfValue.exact(comp.weight)
+            lo, hi = lo + comp.weight, hi + comp.weight
         elif x > s:
             w_tol = tol / len(v.cantor) / comp.weight
             depth = max(1, ((w_tol.denominator - 1) // w_tol.numerator).bit_length())
-            lo, hi = ref_staircase_bracket(
+            a, b = ref_staircase_bracket(
                 comp.p, (x - s) / (t - s), None if comp.p == F(1, 3) else depth
             )
-            result = result + CdfValue(comp.weight * lo, comp.weight * hi)
-    return result.clamp()
+            lo, hi = lo + comp.weight * a, hi + comp.weight * b
+    return CdfValue(max(lo, F(0)), min(hi, F(1)))
 
 
 def ref_evaluate(v, table, a, tol):
     cuts = a.cuts
     per_call = tol / max(2, len(cuts))
-    total = CdfValue.exact(F(0))
+    lo = hi = F(0)
     for s, e in zip(cuts[::2], cuts[1::2]):
-        value = ref_cdf(v, table, e, per_call) - ref_cdf(v, table, s, per_call)
-        total = total + value.clamp(F(0), F(1))
-    return total.clamp()
+        f_s, f_e = ref_cdf(v, table, s, per_call), ref_cdf(v, table, e, per_call)
+        # each component's bracket [F(e).lo - F(s).hi, F(e).hi - F(s).lo]
+        # is cut down to [0, 1] before it is added
+        lo, hi = lo + max(f_e.lo - f_s.hi, F(0)), hi + min(f_e.hi - f_s.lo, F(1))
+    return CdfValue(max(lo, F(0)), min(hi, F(1)))
 
 
 def ref_descend(table, rate, comp, offset, t, tol):
@@ -662,14 +672,14 @@ def ref_prefix_scfree(v, a, target):
 def ref_prefix_cantor(v, table, a, target, tol):
     cuts = a.cuts
     values = [ref_cdf(v, table, cut, tol / (4 * max(2, len(cuts)))) for cut in cuts]
-    below = CdfValue.exact(F(0))
+    lo = hi = F(0)  # the bracket of v(A) left of the component
     for i, (base, top) in enumerate(zip(values[::2], values[1::2])):
-        upto = below + (top - base)
-        if upto.midpoint >= target or (2 * i + 2 == len(cuts) and target <= upto.hi):
-            t = target - below.midpoint + base.midpoint
+        upto_lo, upto_hi = lo + top.lo - base.hi, hi + top.hi - base.lo
+        if (upto_lo + upto_hi) / 2 >= target or (2 * i + 2 == len(cuts) and target <= upto_hi):
+            t = target - (lo + hi) / 2 + base.midpoint
             c, _, _ = ref_invert(v, table, cuts[2 * i][0], cuts[2 * i + 1][0], t, tol)
             return intersect(a, interval_set((0, c))), c
-        below = upto
+        lo, hi = upto_lo, upto_hi
     raise BadParameter(f"target {target} exceeds v(A)")
 
 
@@ -874,7 +884,7 @@ class TestCut:
         target = F(1, 10)
         _, c = prefix_with_value(mix, a, target, tol)
         f = cdf(mix, c, tol=tol / 2**10)
-        assert f.width <= tol / 2**10
+        assert f.hi - f.lo <= tol / 2**10
         assert base + target - tol / 2 <= f.lo and f.hi <= base + target + tol / 2
         # a density far heavier than the Cantor part, and a target reached at
         # 1/4, a point of C_1/3: no gap ends the descent, the density bounds it
@@ -947,14 +957,22 @@ class TestSlice:
         assert all(evaluate(v, p).value == F(1, 17) for p in pieces)
 
     def test_not_sliceable(self):
-        with pytest.raises(NotSliceable):
+        with pytest.raises(NotSliceable, match=r"^atoms too heavy to slice: \{1/2\} \(weight 1\)$"):
             slice_valuation(dirac_valuation(F(1, 2)), F(1, 2))
         mixed = make_valuation(
             atoms=[(F(1, 2), F(1, 4))],
             cantor_parts=[CantorComponent(civ(0, 1), F(1, 3), F(3, 4))],
         )
-        with pytest.raises(NotSliceable):
+        beside = r"^atoms beside a Cantor part are not sliced: "
+        with pytest.raises(NotSliceable, match=beside + r"\{1/2\} \(weight 1/4\)$"):
             slice_valuation(mixed, F(1, 2))
+        # an atom lighter than ε is refused beside a Cantor part, not as too heavy
+        light = make_valuation(
+            atoms=[(F(1, 10), F(1, 8))],
+            cantor_parts=[CantorComponent(civ(0, 1), F(1, 3), F(7, 8))],
+        )
+        with pytest.raises(NotSliceable, match=beside + r"\{1/10\} \(weight 1/8\)$"):
+            slice_valuation(light, F(1, 3))
 
     @pytest.mark.parametrize("epsilon", [F(0), F(-1, 4)])
     def test_nonpositive_epsilon(self, epsilon):
