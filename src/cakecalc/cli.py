@@ -30,7 +30,7 @@ from .protocols import (
     last_diminisher,
     moving_knife,
 )
-from .valuation import CdfValue, cdf, cut, evaluate, slice_valuation
+from .valuation import CdfValue, _slice as slice_with_values, cdf, cut, evaluate
 
 PROTOCOLS = {f.__name__: f for f in (cut_and_choose, last_diminisher, moving_knife)}
 
@@ -93,8 +93,9 @@ def _cut(args, tol):
 
 def _slice(args, tol):
     v = load_valuation(args.config)
-    pieces = slice_valuation(v, parse_rational(args.epsilon), tol)
-    values = [evaluate(v, s, tol) for s in pieces]
+    pieces, values = slice_with_values(v, parse_rational(args.epsilon), tol)
+    # the slicer knows the value of a piece it cut off the table; evaluate the rest
+    values = [evaluate(v, s, tol) if val is None else val for s, val in zip(pieces, values)]
     report = {"command": "slice", "pieces": pieces, "values": values}
     return report, [[s, "  value ", val] for s, val in zip(pieces, values)]
 

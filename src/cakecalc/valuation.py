@@ -13,11 +13,13 @@ integers.  `cdf`, `evaluate` and `prefix_with_value`, whatever the parts
 of the valuation, read F through one reader, `_cdf_at_keys`: integer
 bracket ends over one denominator at a set's cuts, from one sweep over its
 keys plus the integer orbit walk `cantor.walk` inside Cantor supports.
-`cut`, `prefix_with_value` and `slice_valuation` invert F through
-`_invert`, which inverts the table with the Cantor mass to the left as an
-integer offset and descends through the cells of a Cantor part in integers.
+`cut` and `prefix_with_value` invert F through `_invert`, which inverts
+the table with the Cantor mass to the left as an integer offset and
+descends through the cells of a Cantor part in integers.
 `prefix_with_value` is the cut query `_prefix_end`, which returns only the
-position, plus the piece `_prefix`.
+position, plus the piece `_prefix`.  `slice_valuation` is one forward pass
+over the table rows and the Cantor parts, sharing `_invert_rows`, the
+table's row rule, with `_invert`.
 
 All arithmetic is exact.  Only Cantor orbits that do not close within the
 tolerance force approximation: certified brackets (CdfValue) or points.
@@ -474,34 +476,30 @@ def _table_at_keys(table: _Table, den: int, keys: Sequence[int]) -> tuple[list[i
 # --- CDF inversion -----------------------------------------------------------
 
 
-def _invert_table(table: _Table, t: Fraction, n: int = 0, d: int = 1):
-    """The minimal x with F(x) >= t, or 1, with (F(x-), F(x)), for F = G + n/d.
-    With (t - n/d)·QD = a/b, the row is the first with GA[i] >= ceil(a/b)."""
+def _invert_rows(table: _Table, a: int, b: int, lo: int = 0):
+    """The table's row rule for G(x) >= a/(b·QD): the first row i >= lo with
+    GA[i] >= ceil(a/b), or the last, and the minimal such x = xn/xd, as (i,
+    xn, xd, G(x-), G(x)) with G over QD·b; left of row i, G rises linearly."""
     D, QD, X, GL, GA, R = table
-    a, b = (t.numerator * d - n * t.denominator) * QD, t.denominator * d
-    i = bisect_left(GA, -(-a // b), 0, len(X) - 1)
+    i = bisect_left(GA, -(-a // b), lo, len(X) - 1)
     if i == 0 or GL[i] * b <= a:
-        n *= QD
-        return Fraction(X[i], D), Fraction(GL[i] * d + n, QD * d), Fraction(GA[i] * d + n, QD * d)
-    # G rises linearly from GA[i-1] at X[i-1] with slope R[i-1]/Q
-    i -= 1
-    return Fraction(X[i] * R[i] * b + a - GA[i] * b, D * R[i] * b), t, t
+        return i, X[i], D, GL[i] * b, GA[i] * b
+    return i, X[i - 1] * R[i - 1] * b + a - GA[i - 1] * b, D * R[i - 1] * b, a, a
 
 
-def _invert(v: Valuation, t: Fraction, tol: Fraction):
-    """The minimal c with F(c) >= t, or 1, and (F(c-), F(c)).  Off the
-    Cantor supports F is G plus the Cantor mass to the left; on one,
-    `_descend` finds c or a c within tol/4 of it, and F(c-) = F(c) = t is
-    reported (slicing allows no atoms then)."""
+def _invert(v: Valuation, t: Fraction, tol: Fraction) -> Fraction:
+    """The minimal c with F(c) >= t, or 1.  Off the Cantor supports F is G
+    plus the Cantor mass to the left; on one, `_descend` finds c or a c
+    within tol/4 of it."""
     table, n, d = v._table, 0, 1  # n/d: the Cantor mass left of the piece of the line
     tn, td = t.numerator, t.denominator
     for part in v._parts:
         E, _, T, _, _, wn, wd = part
         (g,), q = _table_at_keys(table, E, (2 * T,))  # G(T/E-) over q at the support end
         if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:  # F(T/E-) >= t
-            return _descend(table, max(table.R), part, t - Fraction(n, d), tol), t, t
+            return _descend(table, max(table.R), part, t - Fraction(n, d), tol)
         n, d = n * wd + wn * d, d * wd
-    return _invert_table(table, t, n, d)
+    return Fraction(*_invert_rows(table, (tn * d - n * td) * table.QD, td * d)[1:3])
 
 
 def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):
@@ -531,7 +529,7 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: 
     while True:
         QM = Q * M
         if g_a * W >= r * QM:
-            return _invert_table(table, Fraction(r, W))[0]
+            return Fraction(*_invert_rows(table, r * table.QD, W)[1:3])
         flat = g_a == g_b
         if flat:  # a repeat of the relative target closes the recursion
             num, den = r * QM - g_a * W, m * QM
@@ -605,7 +603,7 @@ def _prefix_end(v: Valuation, A: IntervalSet, target: Fraction, tol) -> Fraction
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
             t = Fraction(n - (below_lo + below_hi - base) * m, 2 * d * m)
-            c, _, _ = _invert(v, t, tol)
+            c = _invert(v, t, tol)
             # t comes from bracket midpoints, so c may miss the component
             # [s, e]/A.den: clamp it there
             den, s, e = A.den, keys[i] >> 1, keys[i + 1] >> 1
@@ -643,10 +641,18 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     """Split [0,1] into finitely many disjoint pieces of value in (0, ε].
 
     Atoms of weight <= ε come out as singleton pieces; heavier atoms, and
-    any atom beside a Cantor part, make the valuation non-sliceable.  A
-    value that a Cantor orbit leaves open is certified within
-    min(tol, ε)/2, and the bound degrades by that much.
-    """
+    any atom beside a Cantor part, make the valuation non-sliceable.  Each
+    piece but the last ends where F first reaches F at its start plus ε,
+    found by `_slice` in one forward pass that knows the value of every
+    piece cut off the table.  A value that a Cantor orbit leaves open is
+    certified within min(tol, ε)/2, and the bound degrades by that much."""
+    return _slice(v, epsilon, tol)[0]
+
+
+def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[CdfValue | None]]:
+    """`slice_valuation`'s pieces and values: exact where the table gave both
+    ends of a piece, None where `_descend` gave one.  Masses are integers over
+    B; a hit advances `consumed` by exactly ε, so errors do not add up."""
     tol = _check_tol(tol)
     epsilon = as_fraction(epsilon)
     if epsilon <= ZERO:
@@ -655,23 +661,36 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     if heavy:
         raise NotSliceable(heavy)
     if v.cantor and v.atoms:
-        # mixed atom+singular slicing is not needed anywhere; keep the exact
-        # paths honest instead of guessing
+        # `_descend` cannot see an atom at the cut it returns
         raise NotSliceable(v.atoms, "beside a Cantor part are not sliced")
 
-    # every piece but the last ends where F reaches `consumed + ε`; a hit
-    # advances `consumed` by exactly ε, so bracket errors do not add up
     tol = min(tol, epsilon)  # a hit within tol/4 past t stops short of t + ε
-    pieces: list[IntervalSet] = []
-    start = (ZERO, 0)
-    consumed = ZERO  # F at the start cut
-    while ONE - consumed > epsilon:
-        t = consumed + epsilon
-        c, g_left, g_at = _invert(v, t, tol)
-        if g_at > t and g_left > consumed:  # stop short of the atom at c
-            end, f_end = (c, 0), g_left
-        else:  # a hit, or a lone atom at c after a zero-mass run-up
-            end, f_end = (c, 1), g_at
-        pieces.append(IntervalSet((start, end)))
-        start, consumed = end, f_end
-    return pieces + [IntervalSet((start, (ONE, 1)))]
+    table, parts = v._table, v._parts
+    B = lcm(table.QD, epsilon.denominator, *(wd for *_, wd in parts))
+    e, s = epsilon.numerator * (B // epsilon.denominator), B // table.QD
+    # per Cantor part: G(T/E-) over q at the end of its support, and its mass over B
+    ends = [(*_table_at_keys(table, E, (2 * T,)), w * (B // d)) for E, _, T, _, _, w, d in parts]
+    pieces, values, hit = [], [], CdfValue(epsilon, epsilon)
+    sn, sd, sk, known = 0, 1, 0, True  # the start cut (sn/sd, side sk); F exact there?
+    consumed = left = row = j = 0  # left: the Cantor mass left of part j
+    while B - consumed > e:
+        t = consumed + e
+        while j < len(parts) and ends[j][0][0] * B < (t - left - ends[j][2]) * ends[j][1]:
+            left, j = left + ends[j][2], j + 1  # F(T/E-) < t: past part j
+        if j < len(parts):
+            c = _descend(table, max(table.R), parts[j], Fraction(t - left, B), tol)
+            en, ed, ek, f_end, exact = c.numerator, c.denominator, 1, t, False
+        else:
+            row, en, ed, gl, ga = _invert_rows(table, t - left, s, row)
+            gl, ga, g, exact = gl + left, ga + left, gcd(en, ed), True
+            en, ed = en // g, ed // g
+            # stop short of an atom at the end; else a hit, or a lone atom after no mass
+            ek, f_end = (0, gl) if ga > t and gl > consumed else (1, ga)
+        L = lcm(sd, ed)
+        pieces.append(_from_keys(L, (2 * sn * (L // sd) + sk, 2 * en * (L // ed) + ek)))
+        value = hit if f_end == t else CdfValue.exact(Fraction(f_end - consumed, B))
+        values.append(value if known and exact else None)
+        sn, sd, sk, known, consumed = en, ed, ek, exact, f_end
+    pieces.append(_from_keys(sd, (2 * sn + sk, 2 * sd + 1)))
+    values.append(CdfValue.exact(Fraction(B - consumed, B)) if known else None)
+    return pieces, values

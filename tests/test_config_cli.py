@@ -331,6 +331,27 @@ class TestCli:
         assert len(report["pieces"]) == 4
         assert report["values"] == ["1/4"] * 4
 
+    @pytest.mark.parametrize("epsilon, pieces, values", [
+        ("1/8",
+         ["[0,1/7]", "(1/7,2/7]", "(2/7,3/7]", "(3/7,1/2)", "[1/2,1/2]", "(1/2,9/14]",
+          "(9/14,11/14]", "(11/14,13/14]", "(13/14,1]"],
+         ["1/8", "1/8", "1/8", "1/16", "1/8", "1/8", "1/8", "1/8", "1/16"]),
+        ("3/16",
+         ["[0,3/14]", "(3/14,3/7]", "(3/7,1/2]", "(1/2,5/7]", "(5/7,13/14]", "(13/14,1]"],
+         ["3/16"] * 5 + ["1/16"]),
+    ])
+    def test_slice_values_from_the_slicer(self, epsilon, pieces, values, tmp_path):
+        # the piece that stops short of the atom, and at ε = 1/8 the atom's
+        # lone piece: values the slicer reports without `evaluate`
+        path = tmp_path / "atom.json"
+        path.write_text(json.dumps({
+            "atoms": [{"at": "1/2", "weight": "1/8"}],
+            "density_pieces": [{"support": "[0,1]", "density": "7/8"}],
+        }))
+        code, out = cli("--json", "slice", str(path), epsilon)
+        assert code == 0
+        assert json.loads(out) == {"command": "slice", "pieces": pieces, "values": values}
+
     def test_approx_column(self):
         code, out = cli("--approx", "4", "evaluate", str(bundled_config_path("fig2")), "[0,2/6]")
         assert out.strip() == "3/17 ≈ 0.1765"

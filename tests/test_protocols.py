@@ -247,7 +247,7 @@ def ref_prefix_with_value(v, A, target, tol):
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
             t = F(n - (below_lo + below_hi - base) * m, 2 * d * m)
-            c, _, _ = _invert(v, t, tol)
+            c = _invert(v, t, tol)
             c = min(max(c, F(keys[i] >> 1, A.den)), F(keys[i + 1] >> 1, A.den))
             return intersect(A, IntervalSet(((F(0), 0), (c, 1)))), c
         below_lo, below_hi = upto_lo, upto_hi

@@ -50,12 +50,13 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.intervals import _encode
+from cakecalc.intervals import IntervalSet, _encode
 from cakecalc.valuation import (
     _check_pairwise_disjoint,
     _clamp,
     _invert,
-    _invert_table,
+    _invert_rows,
+    _slice,
     _table_at_keys,
 )
 from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
@@ -343,6 +344,14 @@ def ref_table_value(table, cut):
     return p_at + (g_left - p_at) * (x - px) / (bx - px)
 
 
+def invert_table(table, t):
+    """The minimal x with G(x) >= t, or 1, with (G(x-), G(x)), by the row
+    rule that the slicer and `_invert` share."""
+    a, b = t.numerator * table.QD, t.denominator
+    _, xn, xd, g_left, g_at = _invert_rows(table, a, b)
+    return F(xn, xd), F(g_left, table.QD * b), F(g_at, table.QD * b)
+
+
 def ref_invert_table(table, t):
     i = bisect_left(table, t, hi=len(table) - 1, key=itemgetter(2))
     x, g_left, g_at = table[i]
@@ -441,7 +450,7 @@ class TestIntegerTable:
         ref = ref_breakpoint_table(v.atoms, v.density)
         targets = [g for _, gl, ga in ref for g in (gl, ga)] + ts
         for t in targets:
-            x, g_left, g_at = got = _invert_table(v._table, t)
+            x, g_left, g_at = got = invert_table(v._table, t)
             assert got == ref_invert_table(ref, t)
             assert ref_table_value(ref, (x, 1)) == g_at >= t
             assert ref_table_value(ref, (x, 0)) == g_left <= t
@@ -531,17 +540,21 @@ def ref_descend(table, rate, comp, offset, t, tol):
             a, length, g_a, offset = a + length - child, child, g_r, offset + m
 
 
-def ref_invert(v, table, lo, hi, t, tol):
+def ref_invert_sides(v, table, t, tol):
+    """The minimal c with F(c) >= t, with (F(c-), F(c)), reported as (t, t)
+    where the descent finds c."""
     offset = F(0)
     rate = max((d for _, d in v.density), default=F(0))
     for comp in v.cantor:
         if ref_table_value(table, (comp.support.hi, 0)) + offset + comp.weight >= t:
-            c = ref_descend(table, rate, comp, offset, t, tol)
-            break
+            return ref_descend(table, rate, comp, offset, t, tol), t, t
         offset += comp.weight
-    else:
-        c = ref_invert_table(table, t - offset)[0]
-    return min(max(c, lo), hi), t, t
+    x, g_left, g_at = ref_invert_table(table, t - offset)
+    return x, g_left + offset, g_at + offset
+
+
+def ref_invert(v, table, lo, hi, t, tol):
+    return min(max(ref_invert_sides(v, table, t, tol)[0], lo), hi)
 
 
 GRID = sorted({F(k, d) for d in range(1, 13) for k in range(d + 1)})
@@ -664,7 +677,7 @@ def ref_prefix_scfree(v, a, target):
     for base, top in zip(g[::2], g[1::2]):
         upto += top - base
         if upto * d >= n:
-            c = _invert_table(v._table, F(n - (upto - top) * d, q * d))[0]
+            c = invert_table(v._table, F(n - (upto - top) * d, q * d))[0]
             return intersect(a, interval_set((0, c))), c
     raise BadParameter(f"target {target} exceeds v(A)")
 
@@ -677,7 +690,7 @@ def ref_prefix_cantor(v, table, a, target, tol):
         upto_lo, upto_hi = lo + top.lo - base.hi, hi + top.hi - base.lo
         if (upto_lo + upto_hi) / 2 >= target or (2 * i + 2 == len(cuts) and target <= upto_hi):
             t = target - (lo + hi) / 2 + base.midpoint
-            c, _, _ = ref_invert(v, table, cuts[2 * i][0], cuts[2 * i + 1][0], t, tol)
+            c = ref_invert(v, table, cuts[2 * i][0], cuts[2 * i + 1][0], t, tol)
             return intersect(a, interval_set((0, c))), c
         lo, hi = upto_lo, upto_hi
     raise BadParameter(f"target {target} exceeds v(A)")
@@ -1075,3 +1088,92 @@ class TestSlice:
                     assert intersect(whole, p).is_empty
                     whole = union(whole, p)
                 assert whole == FULL
+
+
+# The slicer that the one integer pass replaces, as its reference: one
+# `Fraction` inversion per piece, here over the `Fraction` references above,
+# and each piece built through the checked `IntervalSet(cuts)`.
+
+def ref_slice(v, epsilon, tol=DEFAULT_TOL):
+    table = ref_breakpoint_table(v.atoms, v.density)
+    tol = min(tol, epsilon)
+    pieces = []
+    start = (F(0), 0)
+    consumed = F(0)  # F at the start cut
+    while 1 - consumed > epsilon:
+        t = consumed + epsilon
+        c, g_left, g_at = ref_invert_sides(v, table, t, tol)
+        if g_at > t and g_left > consumed:  # stop short of the atom at c
+            end, f_end = (c, 0), g_left
+        else:  # a hit, or a lone atom at c after a zero-mass run-up
+            end, f_end = (c, 1), g_at
+        pieces.append(IntervalSet((start, end)))
+        start, consumed = end, f_end
+    return pieces + [IntervalSet((start, (F(1), 1)))]
+
+
+LIGHT_ATOM_OVER_A_DENSITY = make_valuation(
+    atoms=[(F(1, 2), F(1, 8))], density=[(civ(0, 1), F(7, 8))]
+)
+HALF_CANTOR_UNDER_A_DENSITY = make_valuation(
+    density=[(civ(0, 1), F(1, 2))],
+    cantor_parts=[CantorComponent(civ(0, F(1, 2)), F(1, 4), F(1, 2))],
+)
+
+
+@st.composite
+def slicing_cases(draw):
+    """A sliceable valuation, ε and tol: light atoms at 0, at 1, at density
+    ends and inside zero-density gaps or pieces; boxes, some of them empty;
+    the large-denominator tables above; or C_p parts beside a density.  ε
+    is raised to the weight of the heaviest atom, if lower."""
+    kind = draw(st.integers(0, 3))
+    tol = draw(st.sampled_from(TOLS))
+    if kind == 0:
+        return draw(cantor_mixes(with_atoms=False)), F(1, draw(st.integers(1, 12))), tol
+    if kind == 1:
+        v = draw(table_valuations())
+    else:
+        inner = draw(st.lists(st.sampled_from(GRID[1:-1]), max_size=5))
+        points = sorted({F(0), F(1), *inner})
+        counts = [draw(st.integers(0, 3)) for _ in points[1:]]
+        assume(any(counts))
+        supports = [civ(a, b, a == 0) for a, b in zip(points, points[1:])]
+        v = make_box_valuation(zip(supports, counts))
+        if kind == 3:  # some pieces dropped, so gaps; atoms at ends and inside
+            middles = [(a + b) / 2 for a, b in zip(points, points[1:])]
+            locs = draw(st.lists(st.sampled_from(points + middles), unique=True, max_size=4))
+            atoms = [(a, F(draw(st.integers(1, 3)))) for a in locs]
+            density = [(sup, d) for sup, d in v.density if draw(st.booleans())]
+            total = sum(w for _, w in atoms) + sum(d * sup.length for sup, d in density)
+            assume(total > 0)
+            v = make_valuation(atoms=[(a, w / total) for a, w in atoms],
+                               density=[(sup, d / total) for sup, d in density])
+    eps = draw(st.sampled_from([F(1, n) for n in range(1, 41)] + [F(3, 7), F(2, 9)]))
+    return v, max([eps, *(w for _, w in v.atoms)]), tol
+
+
+class TestSlicePass:
+    """The one integer pass of `_slice` against the `Fraction` loop it
+    replaces: the same pieces, and every value it reports is `evaluate`'s."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(slicing_cases())
+    @example((LIGHT_ATOM_OVER_A_DENSITY, F(1, 8), DEFAULT_TOL))
+    @example((LIGHT_ATOM_OVER_A_DENSITY, F(3, 16), DEFAULT_TOL))
+    @example((TWO_PARTS_OVER_A_DENSITY, F(1, 7), F(1, 2**20)))
+    @example((cantor_valuation(F(1, 4)), F(1, 17), F(1, 2)))
+    @example((HALF_CANTOR_UNDER_A_DENSITY, F(1, 5), F(1, 2**20))).via(
+        "a piece from a descended cut to a table cut has no known value")
+    def test_pieces_match_the_fraction_loop(self, case):
+        v, eps, tol = case
+        pieces, values = _slice(v, eps, tol)
+        expected = ref_slice(v, eps, tol)
+        assert [(p.den, p.keys) for p in pieces] == [(p.den, p.keys) for p in expected]
+        assert slice_valuation(v, eps, tol) == pieces
+        assert len(values) == len(pieces)
+        for piece, value in zip(pieces, values):
+            if value is not None:
+                assert value == evaluate(v, piece, tol)
+        if not v.cantor:  # every end is read off the table
+            assert None not in values
