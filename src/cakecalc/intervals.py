@@ -16,9 +16,12 @@ A set is stored as a positive integer `den` and the strictly increasing
 tuple `keys` of its components' cuts, where the cut (x, side) has the
 integer key 2*x*den + side.  `den` is the lcm of the denominators of the
 cut points present, so (den, keys) is unique to the point set.  The set
-operations are sweeps over integers that build no `Fraction`: a binary one
-rescales both operands to the lcm of their dens and divides the result's
-den by the gcd of its points.  Outside this module the encoding is known
+operations are sweeps over integers that build no `Fraction`.  The binary
+ones go through `intersect`, which sweeps in the own scale of the operand
+with more keys, locates the other operand's cuts there by one division
+each, and writes the kept keys over the result's den, found from their
+points; operands of about equal size are both rescaled to the lcm of their
+dens first.  Outside this module the encoding is known
 to the Cantor iterates of `foundations`, to `valuation` (its constructors
 take supports as keys, and its reader of F sweeps a set's keys) and to
 the config loader, which hands the constructors the keys of
@@ -245,20 +248,27 @@ def _reduced(den: int, keys: Iterable[int]) -> IntervalSet:
     """The set of canonical `keys` over `den`, with `den` divided by the gcd
     of its points, so that it is the lcm of their denominators."""
     keys = tuple(keys)
-    g = den
+    g = _point_gcd(den, keys)
+    return _from_keys(den // g, keys if g == 1 else tuple(_scaled(keys, 1, g)))
+
+
+def _point_gcd(g: int, keys: Iterable[int]) -> int:
+    """The gcd of g and the points of `keys`; the scan stops once it is 1."""
     for k in keys:
         g = gcd(g, k >> 1)
         if g == 1:
-            return _from_keys(den, keys)
-    return _from_keys(den // g, tuple((k >> 1) // g * 2 + (k & 1) for k in keys))
+            break
+    return g
 
 
-def _rescaled(a: IntervalSet, den: int) -> Sequence[int]:
-    """The keys of `a` over a multiple `den` of its own."""
-    f = den // a.den
-    if f == 1:
-        return a.keys
-    return [(k >> 1) * 2 * f + (k & 1) for k in a.keys]
+def _scaled(keys: Iterable[int], f: int, g: int = 1) -> list[int]:
+    """`keys` with each point x written as x // g * f, for g a divisor of
+    every point: the keys over den * f / g of the cuts they have over den."""
+    if g == 1:
+        c = 2 * f - 2  # 2*x*f + side is k + 2*x*(f - 1)
+        return [k + (k >> 1) * c for k in keys]
+    f *= 2
+    return [(k >> 1) // g * f + (k & 1) for k in keys]
 
 
 def translate_keys(length: int, shifts: Iterable[int]) -> tuple[int, ...]:
@@ -273,8 +283,8 @@ def translate_keys(length: int, shifts: Iterable[int]) -> tuple[int, ...]:
     return tuple(keys)
 
 
-EMPTY = IntervalSet()
-FULL = IntervalSet(((ZERO, 0), (ONE, 1)))
+EMPTY = _from_keys(1, ())
+FULL = _from_keys(1, (0, 3))
 
 
 def normalize(raw: Iterable[Interval]) -> IntervalSet:
@@ -309,28 +319,75 @@ def complement(a: IntervalSet) -> IntervalSet:
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """Each component [s, e] of the operand with fewer keys is bisected into
-    the other operand's keys ys: its piece starts at s if s lies inside the
-    other operand, takes the keys of ys strictly between s and e, and ends
-    at e if e lies inside.  So the work is O(k log m + output) for k and m
-    components, and the keys rise strictly across pieces: canonical."""
+    """Each component [s, e] of the operand a with fewer keys is bisected
+    into the keys ys of the other operand b: its piece starts at s if s lies
+    inside b, takes the keys of ys strictly between s and e, and ends at e
+    if e lies inside.  So the work is O(k log m + output) for k and m
+    components, and the keys rise strictly across pieces: canonical.
+
+    The sweep runs over b.den: a cut x/a.den of a lies on the point q, or
+    strictly between q and q + 1, for (q, r) = divmod(x * b.den, a.den).
+    The result's den is lcm(b.den / gb, a.den / ga), for gb and ga the gcds
+    of each den with the points kept in its scale, and only if it is not
+    b.den are the kept keys written over it, each once.  Where a has at
+    least about half of b's keys, a division per cut costs more than
+    rescaling b, so both are rescaled to the lcm of the dens instead."""
     if len(a.keys) > len(b.keys):
         a, b = b, a
-    if a.is_empty:  # the empty operand is the intersection
+    xs, ys = a.keys, b.keys
+    if not xs:  # the empty operand is the intersection
         return a
-    den = lcm(a.den, b.den)
-    xs, ys = _rescaled(a, den), _rescaled(b, den)
+    da, db = a.den, b.den
     out: list[int] = []
     append = out.append
-    for s, e in zip(xs[::2], xs[1::2]):
-        i = bisect_right(ys, s)
-        j = bisect_left(ys, e, i)
-        if i & 1:
-            append(s)
-        out += ys[i:j]
-        if j & 1:
-            append(e)
-    result = _reduced(den, out)
+    at: list[int] = []  # the index in `out` of each late cut, held by a 0
+    late: list[int] = []  # the kept cuts of a without a key over db, over da
+    f, r = divmod(db, da)
+    # the 16 keeps tiny operands, where two rescaling passes cost more than
+    # a few divisions, on the division path
+    if r and 2 * len(xs) < len(ys) + 16:
+        i = 0
+        for n, k in enumerate(xs):
+            # the point is q/db if r == 0, else it lies after every key at
+            # q/db and before every key at (q + 1)/db
+            q, r = divmod((k >> 1) * db, da)
+            if n & 1:  # an end: the keys of b before it
+                j = bisect_left(ys, 2 * q + (2 if r else k & 1), i)
+                out += ys[i:j]
+            else:  # a start: the keys of b at or before it
+                i = j = bisect_right(ys, 2 * q + (1 if r else k & 1))
+            if j & 1:  # the cut lies inside b
+                if r:
+                    at.append(len(out))
+                    late.append(k)
+                append(0 if r else 2 * q + (k & 1))
+    else:  # sweep over the lcm of the dens, which is db if da divides it
+        if r:
+            f = da // gcd(da, db)
+            ys = _scaled(ys, f)
+            db *= f
+            f = db // da
+        if f != 1:
+            xs = _scaled(xs, f)
+        for s, e in zip(xs[::2], xs[1::2]):
+            i = bisect_right(ys, s)
+            j = bisect_left(ys, e, i)
+            if i & 1:
+                append(s)
+            out += ys[i:j]
+            if j & 1:
+                append(e)
+    g = _point_gcd(db, out)
+    den = db // g
+    if late:
+        ga = _point_gcd(da, late)
+        den = lcm(den, da // ga)
+    if den != db:
+        out = _scaled(out, den * g // db, g)
+    if late:
+        for n, k in zip(at, _scaled(late, den * ga // da, ga)):
+            out[n] = k
+    result = _from_keys(den, tuple(out))
     # an operand that is the result may have its views built already
     return a if result == a else b if result == b else result
 

@@ -2,12 +2,12 @@
 
 import sys
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cakecalc import (
@@ -33,7 +33,7 @@ from cakecalc import (
     total_length,
     union,
 )
-from cakecalc.intervals import lex_rational, parse_rational
+from cakecalc.intervals import _from_keys, lex_rational, parse_rational
 from conftest import interval_sets, intervals, small_fractions
 
 F = Fraction
@@ -457,3 +457,93 @@ class TestCutsOnly:
         ends = [e for c in a.components for e in (c.lo, c.hi)]
         for y in ends + [x]:
             assert (y in a) == any(c.contains(y) for c in a.components)
+
+
+def ref_keys_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """`intersect` as a rescale-and-reduce sweep: the keys of both operands
+    over the lcm of their dens, the sweep of the operand with fewer keys
+    into the other's, then the result's den divided by the gcd of its
+    points.  An operand equal to the result is returned itself."""
+    if len(a.keys) > len(b.keys):
+        a, b = b, a
+    if a.is_empty:
+        return a
+    den = lcm(a.den, b.den)
+    xs, ys = ([(k >> 1) * 2 * (den // s.den) + (k & 1) for k in s.keys] for s in (a, b))
+    out = []
+    for s, e in zip(xs[::2], xs[1::2]):
+        i = bisect_right(ys, s)
+        j = bisect_left(ys, e, i)
+        out += [s] * (i & 1) + ys[i:j] + [e] * (j & 1)
+    g = gcd(den, *(k >> 1 for k in out))
+    result = _from_keys(den // g, tuple((k >> 1) // g * 2 + (k & 1) for k in out))
+    return a if result == a else b if result == b else result
+
+
+RATIOS = [F(1, 3), F(1, 4), F(1, 5), F(1, 6)]
+PREFIX = interval_set((0, LONG_CUT))  # as valuation._prefix intersects
+
+
+def iterate_set(p, n) -> IntervalSet:
+    return cantor_iterate(p, n).set
+
+
+@st.composite
+def operands(draw, n: int):
+    """A_n(p) (A_0 is FULL), its complement, a set of large-denominator
+    intervals or the prefix [0, LONG_CUT]."""
+    kind = draw(st.sampled_from(["iterate", "complement", "large", "prefix"]))
+    if kind == "large":
+        return normalize(draw(large_interval_lists))
+    if kind == "prefix":
+        return PREFIX
+    a = iterate_set(draw(st.sampled_from(RATIOS)), n)
+    return complement(a) if kind == "complement" else a
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(0, 10))
+    return draw(operands(n)), draw(operands(draw(st.integers(0, 10 - n))))
+
+
+class TestLargerOperandScale:
+    """`intersect` sweeps in the scale of the operand with more keys; its
+    results, and those of `difference` and `union`, are the keys and den
+    of the rescale-and-reduce sweep, operand for operand."""
+
+    @settings(deadline=None)
+    @given(operand_pairs())
+    # results whose den is a proper divisor of the lcm of the operands' dens
+    @example((iterate_set(F(1, 3), 1), iterate_set(F(1, 4), 2)))
+    @example((iterate_set(F(1, 3), 4), iterate_set(F(1, 4), 3)))
+    # the one cut kept from [1/12, 1/3] shares the factor 4 with its den:
+    # the result [1/5, 1/3] has den 15, not lcm(5, 12)
+    @example((interval_set(("1/12", "1/3")), interval_set(("1/5", "1/2"))))
+    def test_matches_the_rescale_and_reduce_reference(self, pair):
+        a, b = pair
+        ca, cb = complement(a), complement(b)
+        for x, y in ((a, b), (b, a), (a, cb), (ca, cb), (a, FULL), (FULL, a)):
+            got, want = intersect(x, y), ref_keys_intersect(x, y)
+            assert (got.den, got.keys) == (want.den, want.keys)
+            assert (got is x, got is y) == (want is x, want is y)
+            assert got.den == present_lcm(got)
+        results = {
+            difference: ref_keys_intersect(a, cb),
+            union: complement(ref_keys_intersect(ca, cb)),
+        }
+        for op, want in results.items():
+            got = op(a, b)
+            assert (got.den, got.keys) == (want.den, want.keys), op.__name__
+            assert got.den == present_lcm(got), op.__name__
+        assert intersect(a, b) == intersect(b, a)
+        assert intersect(a, FULL) is a
+
+    @pytest.mark.parametrize("n, m, dens, den", [
+        (1, 2, (3, 32), 32),
+        (4, 3, (81, 128), 3456),  # the lcm of the dens is 10,368
+    ])
+    def test_a_difference_keeps_only_the_den_of_its_points(self, n, m, dens, den):
+        a, b = iterate_set(F(1, 3), n), iterate_set(F(1, 4), m)
+        got = difference(a, b)
+        assert (a.den, b.den) == dens and lcm(*dens) > got.den == den == present_lcm(got)

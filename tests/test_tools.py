@@ -1,7 +1,10 @@
 """tools/src_lines.py: the line kinds of a source file, and totals that
-equal `wc -l`."""
+equal `wc -l`; tools/output_hash.py: one stable digest per workload and
+seed."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +37,16 @@ def test_each_line_gets_its_kind(tmp_path):
 def test_the_totals_are_the_newline_counts_of_src():
     for path in (ROOT / "src").rglob("*.py"):
         assert sum(src_lines.line_kinds(path).values()) == path.read_bytes().count(b"\n")
+
+
+def test_output_hash_is_the_same_in_two_runs():
+    """tools/output_hash.py prints one digest per workload and seed, and two
+    runs on the same checkout agree."""
+    cmd = [sys.executable, str(ROOT / "tools" / "output_hash.py"), "--requests", "3", "--seeds", "1,2"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    lines = [line.split() for line in runs[0].splitlines()]
+    for seed in ("1", "2"):
+        assert sorted(name for name, s, _ in lines if s == seed) == [
+            "fair_division", "iterates", "singular"]
+    assert all(len(digest) == 64 for _, _, digest in lines)
