@@ -14,11 +14,19 @@ Rationals and supports are strings, box counts JSON integers, and no other
 top-level key is allowed.  Box counts and explicit densities are mutually
 exclusive per file; the box form describes the whole valuation (it normalizes
 itself to mass 1), so it cannot be combined with atoms or Cantor components.
+
+`load_valuation` reads the file on every call, so a missing file is always an
+error and an edited one is parsed again, but it parses each text only once:
+equal text read under the same int-to-str limit gives the same (immutable)
+`Valuation` object.  Errors are never kept, and the memo holds at most
+`functools.lru_cache`'s default of 128 texts.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -84,17 +92,36 @@ def valuation_from_dict(data: dict) -> Valuation:
     return integer_valuation(atoms, den, density, cantor)
 
 
+class _BadJSON(ParseError):
+    """A config's text is not JSON; `load_valuation` names the file."""
+
+
+@lru_cache
+def _parsed(text: str, limit: int) -> Valuation:
+    """The valuation of a config's text.  The int-to-str limit `limit` is part
+    of the key, because it decides whether json.loads and lex_rational accept
+    a long digit string."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
+        raise _BadJSON(exc) from exc
+    return valuation_from_dict(data)
+
+
 def load_valuation(path) -> Valuation:
+    """The valuation of the config file at `path`.  The file is read on every
+    call; its text is parsed once per int-to-str limit and the valuation
+    reused (see the module docstring).  An unreadable file, bad JSON or a
+    schema violation raises ParseError naming `path`; the constructors'
+    CakeErrors pass through."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
-        raise ParseError(f"bad JSON in {path}: {exc}") from exc
-    try:
-        return valuation_from_dict(data)
+        return _parsed(text, getattr(sys, "get_int_max_str_digits", int)())  # none before 3.10.7
+    except _BadJSON as exc:
+        raise ParseError(f"bad JSON in {path}: {exc}") from exc.__cause__
     except ParseError as exc:
         raise ParseError(f"{exc} in {path}") from exc
 

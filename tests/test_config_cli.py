@@ -24,8 +24,10 @@ from cakecalc import (
     CantorComponent,
     CdfValue,
     Interval,
+    NotNormalized,
     ParseError,
     TooManyDigits,
+    ZeroMass,
     bundled_config_path,
     decomposition_masses,
     evaluate,
@@ -37,6 +39,7 @@ from cakecalc import (
     valuation_from_dict,
 )
 from cakecalc.cli import build_parser, main, run
+from cakecalc.config import _parsed
 from cakecalc.intervals import key_intervals
 
 F = Fraction
@@ -194,6 +197,7 @@ class TestLazyDensity:
             return out
 
         monkeypatch.setattr(valuation, "key_intervals", counting)
+        _parsed.cache_clear()  # a fresh parse: an earlier load may have built the kept view
         v = load_valuation(bundled_config_path("fig2"))
         evaluate(v, parse_interval_set("[0,1/2]"))
         assert built == [] and "density" not in vars(v)
@@ -626,3 +630,122 @@ class TestSchema:
         assert capsys.readouterr().out.strip().endswith("3" * limit)
         assert main(["--approx", str(limit + 1)] + argv) == 2
         assert f"{limit}-digit" in capsys.readouterr().err
+
+
+class TestLoadMemo:
+    """`load_valuation` reads the file on every call and parses equal text
+    once per int-to-str limit; an error is never kept and always names the
+    path of its own call."""
+
+    def test_equal_text_gives_the_same_valuation(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (a, b):
+            path.write_text(json.dumps(_halves(2)))
+        v = load_valuation(a)
+        assert load_valuation(a) is v and load_valuation(b) is v
+        assert v == valuation_from_dict(_halves(2))
+
+    def test_a_rewritten_file_is_parsed_again(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_halves(2)))
+        before = load_valuation(path)
+        path.write_text(json.dumps(_halves(3)))
+        after = load_valuation(path)
+        assert after == valuation_from_dict(_halves(3)) and after != before
+
+    def test_a_removed_file_is_an_error_after_a_load(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_halves(2)))
+        load_valuation(path)
+        path.unlink()
+        with pytest.raises(ParseError, match="cannot read config"):
+            load_valuation(path)
+
+    @pytest.mark.parametrize("broken, error", [
+        ("{not json", ParseError),
+        (json.dumps({"atoms": [{"at": "1/2"}]}), ParseError),
+        (json.dumps({"density_pieces": [{"support": "[0,1]", "boxes": 0}]}), ZeroMass),
+    ], ids=["bad_json", "schema", "zero_mass"])
+    def test_a_fixed_config_loads(self, broken, error, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(broken)
+        for _ in range(2):  # the error is raised afresh, not kept
+            with pytest.raises(error):
+                load_valuation(path)
+        path.write_text(json.dumps(_halves(2)))
+        assert load_valuation(path) == valuation_from_dict(_halves(2))
+
+    @pytest.mark.parametrize("broken", ["{not json", json.dumps({"atoms": [{"at": "1/2"}]})],
+                             ids=["bad_json", "schema"])
+    def test_equal_bad_text_names_each_path(self, broken, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        messages = []
+        for path in (a, b, a):
+            path.write_text(broken)
+            with pytest.raises(ParseError) as caught:
+                load_valuation(path)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[2] and str(a) in messages[0]
+        assert messages[1] == messages[0].replace(str(a), str(b))
+
+    @pytest.mark.parametrize("text, error, message", [
+        (None, ParseError, "cannot read config {path}: [Errno 2] No such file or directory: "
+                           "'{path}'"),
+        ("{not json", ParseError, "bad JSON in {path}: Expecting property name enclosed in "
+                                  "double quotes: line 1 column 2 (char 1)"),
+        (json.dumps({"atoms": [{"at": "1/2"}]}), ParseError, "missing field 'weight' in {path}"),
+        (json.dumps({"atoms": [{"at": "1/2", "weight": "1/2"}]}), NotNormalized,
+         "total mass is 1/2, expected 1 (deficit 1/2)"),
+    ], ids=["missing_file", "bad_json", "schema", "not_normalized"])
+    def test_error_text(self, text, error, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        message = message.format(path=path)
+        code, line = ((2, f"parse error: {message}\n") if error is ParseError
+                      else (1, f"error: {error.__name__}: {message}\n"))
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                load_valuation(path)
+            assert type(caught.value) is error and str(caught.value) == message
+            for flags in ([], ["--json"]):
+                assert main([*flags, "evaluate", str(path), "[0,1]"]) == code
+                assert capsys.readouterr().err == line
+
+    def test_the_int_to_str_limit_is_part_of_the_key(self, tmp_path):
+        if not hasattr(sys, "set_int_max_str_digits"):  # none before 3.10.7
+            pytest.skip("this interpreter reads ints of any length")
+        one = f"{10**699}/{10**699}"  # 700 digits over 700: past a 640-digit limit
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"density_pieces": [{"support": "[0,1]", "density": one}]}))
+        v = load_valuation(path)
+        assert v == load_valuation(bundled_config_path("uniform"))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least limit Python allows
+        try:
+            with pytest.raises(ParseError, match="bad rational") as caught:
+                load_valuation(path)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(caught.value) == f"bad rational {one!r} in {path}"
+        assert load_valuation(path) is v
+
+    @pytest.mark.parametrize("protocol, players", [
+        ("cut_and_choose", "uu"), ("last_diminisher", "ufu"), ("moving_knife", "ufu"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_a_repeated_config_plays_as_two_copies(self, protocol, players, flags, tmp_path):
+        """Two players named by one path share one `Valuation`; they play as
+        two players with a file each, with a cold memo and with a warm one."""
+        uniform, fig2 = bundled_config_path("uniform"), str(bundled_config_path("fig2"))
+        copy = tmp_path / "uniform.json"
+        copy.write_text(uniform.read_text() + "\n")  # other text: a valuation of its own
+        repeated = [str(uniform) if c == "u" else fig2 for c in players]
+        copies = [str(copy) if c == "u" and i else path
+                  for i, (c, path) in enumerate(zip(players, repeated))]
+        argv = ["--approx", "3", *flags, "protocol", protocol]
+        _parsed.cache_clear()
+        cold = cli(*argv, *repeated)
+        warm = cli(*argv, *repeated)
+        assert load_valuation(copy) is not load_valuation(uniform)
+        assert cold == warm == cli(*argv, *copies) and cold[0] == 0
