@@ -8,6 +8,10 @@ K-digit decimal column to human-readable output.  Exit codes: 0 success,
 Each command is a handler in COMMANDS: handler(args, tol) returns the JSON
 report and the human text as lines of cells, both holding library values
 (CdfValue, IntervalSet, Fraction) as they are, and `run` renders one of them.
+The report goes to json.dumps as it is: the C encoder writes its dicts,
+lists, strings, ints and bools, and calls `_json_default` only for a
+library value.  `slice` hands both renderings its pieces as text, each cut
+point written once, since a slicing's pieces are consecutive intervals.
 """
 
 from __future__ import annotations
@@ -22,14 +26,8 @@ from .config import load_valuation
 from .errors import BadParameter, CakeError, ParseError
 from .foundations import cantor_iterate, disjoint_union_witness, removed_mass
 from .intervals import IntervalSet, parse_interval_set, parse_rational, rational_text, total_length
-from .protocols import (
-    Player,
-    check_envy_free,
-    check_proportional,
-    cut_and_choose,
-    last_diminisher,
-    moving_knife,
-)
+from .protocols import Player, check_envy_free, cut_and_choose, last_diminisher, moving_knife
+from .protocols import _proportional
 from .valuation import CdfValue, _slice as slice_with_values, cdf, cut, evaluate
 
 PROTOCOLS = {f.__name__: f for f in (cut_and_choose, last_diminisher, moving_knife)}
@@ -96,8 +94,15 @@ def _slice(args, tol):
     pieces, values = slice_with_values(v, parse_rational(args.epsilon), tol)
     # the slicer knows the value of a piece it cut off the table; evaluate the rest
     values = [evaluate(v, s, tol) if val is None else val for s, val in zip(pieces, values)]
-    report = {"command": "slice", "pieces": pieces, "values": values}
-    return report, [[s, "  value ", val] for s, val in zip(pieces, values)]
+    # each piece is one interval that starts at the point where the one before
+    # it ends, so the text of every cut point is written once, from its end key
+    first = pieces[0]
+    points = [rational_text(first.keys[0] >> 1, first.den)]
+    points += [rational_text(s.keys[1] >> 1, s.den) for s in pieces]
+    texts = [f"{'(' if s.keys[0] & 1 else '['}{a},{b}{']' if s.keys[1] & 1 else ')'}"
+             for s, a, b in zip(pieces, points, points[1:])]
+    report = {"command": "slice", "pieces": texts, "values": values}
+    return report, [[s, "  value ", val] for s, val in zip(texts, values)]
 
 
 def _protocol(args, tol):
@@ -110,9 +115,10 @@ def _protocol(args, tol):
         alloc = cut_and_choose(players[0], players[1], tol)
     else:
         alloc = PROTOCOLS[args.name](players, tol)
-    proportional = check_proportional(alloc, players, tol)["proportional"]
     envy = check_envy_free(alloc, players, tol)
     values = envy["values"]
+    # the envy check's value matrix holds the values the proportionality check reads
+    proportional = _proportional(values, players, tol)["proportional"]
     report = {
         "protocol": alloc.protocol,
         "pieces": alloc.pieces,
@@ -159,24 +165,17 @@ COMMANDS = {
 }
 
 
-def _jsonable(x):
-    """The report with library values as JSON: an exact value is "p/q", a
+def _json_default(x):
+    """A library value of a report as JSON: an exact value is "p/q", a
     bracket {"lo", "hi"}, and interval sets and rationals their text."""
-    # containers and plain leaves first: Fraction's isinstance check is an
-    # ABC's, and slow
-    if isinstance(x, (str, int)):  # bool is an int
-        return x
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
     if isinstance(x, CdfValue):
-        return str(x) if x.is_exact else {"lo": rational_text(x.lo), "hi": rational_text(x.hi)}
+        lo = rational_text(x.lo)
+        return lo if x.is_exact else {"lo": lo, "hi": rational_text(x.hi)}
     if isinstance(x, IntervalSet):
         return str(x)
     if isinstance(x, Fraction):
         return rational_text(x)
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _decimal(x: Fraction, digits: int) -> str:
@@ -208,7 +207,7 @@ def run(argv=None, out=None) -> int:
     report, lines = COMMANDS[args.command](args, tol)
     if args.json:
         # dumps, unlike dump, takes the C encoder
-        out.write(json.dumps(_jsonable(report), ensure_ascii=False) + "\n")
+        out.write(json.dumps(report, ensure_ascii=False, default=_json_default) + "\n")
     else:
         for cells in lines:
             print("".join(_cell(c, args.approx) for c in cells), file=out)

@@ -15,11 +15,11 @@ top-level key is allowed.  Box counts and explicit densities are mutually
 exclusive per file; the box form describes the whole valuation (it normalizes
 itself to mass 1), so it cannot be combined with atoms or Cantor components.
 
-`load_valuation` reads the file on every call, so a missing file is always an
-error and an edited one is parsed again, but it parses each text only once:
-equal text read under the same int-to-str limit gives the same (immutable)
-`Valuation` object.  Errors are never kept, and the memo holds at most
-`functools.lru_cache`'s default of 128 texts.
+`load_valuation` reads the file, as UTF-8, on every call, so a missing file
+is always an error and an edited one is parsed again, but it parses each
+text only once: equal text read under the same int-to-str limit gives the
+same (immutable) `Valuation` object.  Errors are never kept, and the memo
+holds at most `functools.lru_cache`'s default of 128 texts.
 """
 
 from __future__ import annotations
@@ -103,20 +103,23 @@ def _parsed(text: str, limit: int) -> Valuation:
     a long digit string."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
+    # a JSONDecodeError, an int past the int-to-str limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise _BadJSON(exc) from exc
     return valuation_from_dict(data)
 
 
 def load_valuation(path) -> Valuation:
-    """The valuation of the config file at `path`.  The file is read on every
-    call; its text is parsed once per int-to-str limit and the valuation
-    reused (see the module docstring).  An unreadable file, bad JSON or a
+    """The valuation of the config file at `path`.  The file is read as UTF-8
+    on every call; its text is parsed once per int-to-str limit and the
+    valuation reused (see the module docstring).  An unreadable file, one
+    that is not UTF-8, bad JSON (nested too deep for the parser, too) or a
     schema violation raises ParseError naming `path`; the constructors'
     CakeErrors pass through."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
         return _parsed(text, getattr(sys, "get_int_max_str_digits", int)())  # none before 3.10.7

@@ -11,18 +11,25 @@ eval (`evaluate`) and cut (`cut`, `prefix_with_value`).  A moving-knife
 mark is a cut query that builds no piece (`valuation._prefix_end`); only
 the winner's piece is built.  Values are compared as their brackets'
 midpoints would be, without building the midpoints.
+
+The envy check reads the value matrix `_values`: each player without a
+Cantor part reads F once per allocation, at the pieces' merged cuts, and
+a player with one evaluates each piece.  The CLI takes its proportionality
+verdict from the same matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
-from .intervals import FULL, IntervalSet, difference, rational_text
+from .foundations import CantorIterateSet
+from .intervals import FULL, IntervalSet, _scaled, difference, rational_text
 from .valuation import DEFAULT_TOL, CdfValue, Valuation, cut, evaluate, prefix_with_value
-from .valuation import _prefix, _prefix_end
+from .valuation import _cdf_value, _check_tol, _prefix, _prefix_end, _table_at_keys
 
 
 @dataclass(frozen=True)
@@ -138,16 +145,49 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
 # --- fairness verification ---------------------------------------------------
 
 
-def check_proportional(
-    alloc: Allocation, players: Sequence[Player], tol=DEFAULT_TOL
-) -> dict:
-    """Each player must value their own piece at >= 1/n (within tol when
-    singular parts force brackets)."""
-    n = len(players)
-    share = Fraction(1, n)
+def _values(
+    alloc: Allocation, players: Sequence[Player], tol
+) -> dict[tuple[int, int], CdfValue]:
+    """The value matrix {(i, j): v_i(X_j)}, each value equal to
+    `evaluate(v_i, X_j, tol)`.  The pieces' keys are rescaled to the lcm L
+    of their dens and merged into one sorted run, so a player without a
+    Cantor part reads G once, by one `_table_at_keys` sweep over the run,
+    and each value is a signed sum over its piece's positions in it.  A
+    player with a Cantor part evaluates each piece, since a bracket's walk
+    depth depends on the piece's own key count; so does every player for a
+    Cantor iterate, which `evaluate` reads by descent without its keys."""
+    tol = _check_tol(tol)
+    swept = {j: s for j, s in alloc.pieces.items() if not isinstance(s, CantorIterateSet)}
+    L = lcm(*(s.den for s in swept.values()))
+    scaled = {j: _scaled(s.keys, L // s.den) for j, s in swept.items()}
+    merged = sorted({k for keys in scaled.values() for k in keys})
+    at = {k: n for n, k in enumerate(merged)}
+    positions = {j: ([at[k] for k in keys[::2]], [at[k] for k in keys[1::2]])
+                 for j, keys in scaled.items()}
+    values = {}
+    for pl in players:
+        v = pl.valuation
+        if v._parts:
+            values.update(((pl.id, j), evaluate(v, s, tol)) for j, s in alloc.pieces.items())
+            continue
+        g, q = _table_at_keys(v._table, L, merged)
+        g_at = g.__getitem__
+        for j, s in alloc.pieces.items():
+            if j in positions:
+                starts, ends = positions[j]
+                total = sum(map(g_at, ends)) - sum(map(g_at, starts))
+                values[pl.id, j] = _cdf_value(total, total, q)
+            else:
+                values[pl.id, j] = evaluate(v, s, tol)
+    return values
+
+
+def _proportional(values: dict, players: Sequence[Player], tol) -> dict:
+    """`check_proportional`'s report from the values (i, i) of `values`."""
+    share = Fraction(1, len(players))
     verdicts = {}
     for pl in players:
-        val = evaluate(pl.valuation, alloc.pieces[pl.id], tol)
+        val = values[pl.id, pl.id]
         verdicts[pl.id] = {"value": val, "ok": val.lo >= share - tol}
     return {
         "threshold": share,
@@ -156,15 +196,22 @@ def check_proportional(
     }
 
 
+def check_proportional(
+    alloc: Allocation, players: Sequence[Player], tol=DEFAULT_TOL
+) -> dict:
+    """Each player must value their own piece at >= 1/n - tol.  The slack
+    applies to every value, exact ones too, not only where singular parts
+    force brackets (see ROADMAP item 5).  Only the n own pieces are read,
+    so each is evaluated; a whole value matrix would cost more."""
+    own = {(pl.id, pl.id): evaluate(pl.valuation, alloc.pieces[pl.id], tol) for pl in players}
+    return _proportional(own, players, tol)
+
+
 def check_envy_free(
     alloc: Allocation, players: Sequence[Player], tol=DEFAULT_TOL
 ) -> dict:
     """No player may value another piece above their own."""
-    values = {
-        (i.id, j): evaluate(i.valuation, alloc.pieces[j], tol)
-        for i in players
-        for j in alloc.pieces
-    }
+    values = _values(alloc, players, tol)
     envy = []
     for i in players:
         bound = values[i.id, i.id].hi + tol

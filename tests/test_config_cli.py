@@ -38,9 +38,10 @@ from cakecalc import (
     valuation,
     valuation_from_dict,
 )
-from cakecalc.cli import build_parser, main, run
+from cakecalc.cli import COMMANDS, _cell, build_parser, main, run
 from cakecalc.config import _parsed
-from cakecalc.intervals import key_intervals
+from cakecalc.intervals import IntervalSet, key_intervals, parse_rational, rational_text
+from cakecalc.valuation import _slice
 
 F = Fraction
 
@@ -615,6 +616,42 @@ class TestSchema:
             err = capsys.readouterr().err
             assert err.startswith("parse error: bad JSON") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff\xfe{\x00}\x00", "cannot read config {path}: 'utf-8' codec can't decode byte "
+                                 "0xff in position 0: invalid start byte"),
+        (b"[" * 200_000 + b"]" * 200_000, "bad JSON in {path}: maximum recursion depth exceeded"),
+    ], ids=["utf16", "deep"])
+    def test_unreadable_text_is_a_parse_error(self, text, message, tmp_path, capsys):
+        # a file that is not UTF-8, and JSON nested past the parser's recursion
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        message = message.format(path=path)
+        kept = _parsed.cache_info().currsize
+        for _ in range(2):  # the error is raised afresh, not kept
+            with pytest.raises(ParseError) as caught:
+                load_valuation(path)
+            assert str(caught.value).startswith(message)
+            for flags in ([], ["--json"]):
+                assert main([*flags, "evaluate", str(path), "[0,1]"]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"parse error: {message}") and "Traceback" not in err
+        assert _parsed.cache_info().currsize == kept
+        path.write_text(json.dumps(_halves(2)), encoding="utf-8")
+        assert load_valuation(path) == valuation_from_dict(_halves(2))
+
+    def test_configs_are_read_as_utf8_under_any_locale(self, tmp_path):
+        # under an ASCII locale a read in the locale's encoding fails on the
+        # first non-ASCII byte; UTF-8 text reads, and breaks only the schema
+        path = tmp_path / "config.json"
+        path.write_bytes('{"größe": []}'.encode("utf-8"))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0"}
+        argv = [sys.executable, "-m", "cakecalc.cli", "evaluate", str(path), "[0,1]"]
+        done = subprocess.run(argv, capture_output=True, env=env)
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"parse error: unknown config sections")
+
     def test_negative_approx_is_2(self, capsys):
         argv = ["--approx", "-1", "evaluate", str(bundled_config_path("fig2")), "[0,2/6]"]
         assert main(argv) == 2
@@ -749,3 +786,117 @@ class TestLoadMemo:
         warm = cli(*argv, *repeated)
         assert load_valuation(copy) is not load_valuation(uniform)
         assert cold == warm == cli(*argv, *copies) and cold[0] == 0
+
+
+# The parent's renderer, kept as a reference for json.dumps with a default:
+# it walked the report and turned every library value into JSON first.
+
+def ref_jsonable(x):
+    if isinstance(x, (str, int)):
+        return x
+    if isinstance(x, dict):
+        return {k: ref_jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [ref_jsonable(v) for v in x]
+    if isinstance(x, CdfValue):
+        return str(x) if x.is_exact else {"lo": rational_text(x.lo), "hi": rational_text(x.hi)}
+    if isinstance(x, IntervalSet):
+        return str(x)
+    if isinstance(x, Fraction):
+        return rational_text(x)
+    return x
+
+
+def ref_slice_report(config, epsilon, tol):
+    """The parent's slice report, with the pieces as sets."""
+    v = load_valuation(config)
+    pieces, values = _slice(v, parse_rational(epsilon), tol)
+    values = [evaluate(v, s, tol) if val is None else val for s, val in zip(pieces, values)]
+    return {"command": "slice", "pieces": pieces, "values": values}
+
+
+@pytest.fixture(scope="module")
+def render_configs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("render")
+    configs = {
+        # atom-free C_1/4, and the same beside a density: bracketed values
+        "c4": {"cantor": [{"support": "[0,1]", "p": "1/4", "weight": "1"}]},
+        "c4_mix": {"density_pieces": [{"support": "[0,1]", "density": "1/2"}],
+                   "cantor": [{"support": "[0,1]", "p": "1/4", "weight": "1/2"}]},
+        # its cuts give the C_1/4 player bracketed values at tol 1/1024
+        "early": {"density_pieces": [{"support": "[0,4/15]", "density": "15/4"}]},
+        # densities whose slice cuts have different dens side by side
+        "steps": {"density_pieces": [{"support": "[0,1/3)", "density": "1/2"},
+                                     {"support": "[1/3,5/7)", "density": "29/16"},
+                                     {"support": "[5/7,1]", "density": "1/2"}]},
+    }
+    paths = {n: str(bundled_config_path(n)) for n in ("fig2", "uniform", "dirac", "cantor_mix")}
+    for name, data in configs.items():
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return paths
+
+
+RENDERED = [
+    'evaluate {fig2} "[0,1/6), (1/2,1]"',
+    '--tol 1/1024 evaluate {c4} "[0,1/7], [1/5,2/3)"',
+    "cdf {cantor_mix} 1/3 --side left_limit",
+    "--tol 1/1024 cdf {c4} 2/15",
+    'cut {fig2} "[0,1/6], [1/2,1]" 1/2',
+    "slice {fig2} 1/5",
+    "slice {steps} 1/9",
+    "--tol 1/1024 slice {c4_mix} 1/17",
+    "protocol cut_and_choose {fig2} {uniform}",
+    "protocol last_diminisher {uniform} {fig2} {uniform}",
+    "--tol 1/1024 protocol moving_knife {early} {c4} {uniform}",
+    "--tol 1/1024 protocol last_diminisher {early} {c4} {uniform}",
+    "--tol 1/1024 protocol last_diminisher {c4} {c4_mix} {steps}",
+    "cantor 1/4 3",
+    "witness 5",
+]
+
+
+class TestRender:
+    """--json output is json.dumps of the parent's rendering of the report,
+    and slice writes the text it wrote with sets for pieces."""
+
+    @pytest.mark.parametrize("argv", RENDERED)
+    def test_json_equals_the_parent_rendering(self, argv, render_configs):
+        argv = shlex.split(argv.format(**render_configs))
+        args = build_parser().parse_args(argv)
+        report, _ = COMMANDS[args.command](args, parse_rational(args.tol))
+        code, out = cli("--json", *argv)
+        assert code == 0
+        assert out == json.dumps(ref_jsonable(report), ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        "--tol 1/1024 protocol moving_knife {early} {c4} {uniform}",
+        "--tol 1/1024 protocol last_diminisher {early} {c4} {uniform}",
+        "--tol 1/1024 slice {c4_mix} 1/17",
+    ])
+    def test_brackets_are_rendered(self, argv, render_configs):
+        report = json.loads(cli("--json", *shlex.split(argv.format(**render_configs)))[1])
+        values = report["values"]
+        flat = values if isinstance(values, list) else [x for row in values.values()
+                                                        for x in row.values()]
+        assert any(isinstance(x, dict) and set(x) == {"lo", "hi"} for x in flat)
+
+    @pytest.mark.parametrize("config, epsilon, tol", [
+        ("fig2", "1/5", "1/1099511627776"), ("steps", "1/9", "1/1099511627776"),
+        ("c4_mix", "1/17", "1/1024"), ("uniform", "1/40", "1/1099511627776"),
+    ])
+    @pytest.mark.parametrize("approx", ["0", "3"])
+    def test_slice_text_and_json(self, config, epsilon, tol, approx, render_configs):
+        path = render_configs[config]
+        ref = ref_slice_report(path, epsilon, parse_rational(tol))
+        if config == "steps":  # adjacent pieces over different dens
+            assert any(a.den != b.den for a, b in zip(ref["pieces"], ref["pieces"][1:]))
+        text = "".join(
+            "".join(_cell(c, int(approx)) for c in (s, "  value ", val)) + "\n"
+            for s, val in zip(ref["pieces"], ref["values"])
+        )
+        argv = ["--tol", tol, "--approx", approx, "slice", path, epsilon]
+        assert cli(*argv) == (0, text)
+        assert cli("--json", *argv) == (
+            0, json.dumps(ref_jsonable(ref), ensure_ascii=False) + "\n")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from cakecalc import (
     check_proportional,
     cut,
     cut_and_choose,
+    cantor_iterate,
     cantor_valuation,
     difference,
     dirac_valuation,
@@ -37,6 +39,7 @@ from cakecalc import (
     uniform_valuation,
     union,
 )
+from cakecalc import protocols
 from cakecalc.intervals import rational_text
 from cakecalc.valuation import _cdf_at_keys, _check_no_atoms, _check_tol, _invert
 from conftest import rand_box_valuation, rand_scfree_valuation
@@ -314,6 +317,19 @@ def ref_moving_knife(players, tol):
     return Allocation("moving_knife", pieces, trace)
 
 
+def ref_check_proportional(alloc, players, tol):
+    share = F(1, len(players))
+    verdicts = {}
+    for pl in players:
+        val = evaluate(pl.valuation, alloc.pieces[pl.id], tol)
+        verdicts[pl.id] = {"value": val, "ok": val.lo >= share - tol}
+    return {
+        "threshold": share,
+        "players": verdicts,
+        "proportional": all(v["ok"] for v in verdicts.values()),
+    }
+
+
 def ref_check_envy_free(alloc, players, tol):
     values = {
         (i.id, j): evaluate(i.valuation, alloc.pieces[j], tol)
@@ -329,16 +345,19 @@ def ref_check_envy_free(alloc, players, tol):
     return {"values": values, "envy": envy, "envy_free": not envy}
 
 
-def run_and_check(protocol, envy_check, players, tol):
+CHECKS = (check_proportional, check_envy_free)
+REF_CHECKS = (ref_check_proportional, ref_check_envy_free)
+
+
+def run_and_check(protocol, checks, players, tol):
     """The allocation's pieces, as (den, keys), its trace and both fairness
-    reports, or the error the run raised."""
+    reports by `checks`, or the error the run raised."""
     try:
         alloc = protocol(players, tol)
     except CakeError as exc:
         return type(exc), str(exc)
     pieces = {i: (s.den, s.keys) for i, s in alloc.pieces.items()}
-    return (alloc.protocol, pieces, alloc.trace, check_proportional(alloc, players, tol),
-            envy_check(alloc, players, tol))
+    return (alloc.protocol, pieces, alloc.trace, *(check(alloc, players, tol) for check in checks))
 
 
 def prefix_outcome(f, v, a, target, tol):
@@ -390,11 +409,11 @@ class TestAgainstTheParentProtocols:
     def test_protocols_match_the_parent(self, vals, tol):
         players = [Player(i, v) for i, v in enumerate(vals)]
         for new, ref in ((moving_knife, ref_moving_knife), (last_diminisher, ref_last_diminisher)):
-            assert run_and_check(new, check_envy_free, players, tol) == run_and_check(
-                ref, ref_check_envy_free, players, tol)
+            assert run_and_check(new, CHECKS, players, tol) == run_and_check(
+                ref, REF_CHECKS, players, tol)
         two = players[:2]
-        assert run_and_check(lambda ps, t: cut_and_choose(*ps, t), check_envy_free, two, tol) == (
-            run_and_check(lambda ps, t: ref_cut_and_choose(*ps, t), ref_check_envy_free, two, tol))
+        assert run_and_check(lambda ps, t: cut_and_choose(*ps, t), CHECKS, two, tol) == (
+            run_and_check(lambda ps, t: ref_cut_and_choose(*ps, t), REF_CHECKS, two, tol))
 
     @settings(deadline=None, max_examples=100)
     @given(atomless_valuations, st.lists(st.sampled_from(GRID), min_size=2, max_size=6),
@@ -424,3 +443,82 @@ class TestAgainstTheParentProtocols:
         piece, c = prefix_with_value(v, a, target, tol)
         assert c == points[side]
         assert (piece, c) == ref_prefix_with_value(v, a, target, tol)
+
+
+def assert_matrix_is_per_pair(alloc, players, tol):
+    """`_values` equals `evaluate` of every (player, piece) pair, brackets
+    included, and makes one `_table_at_keys` sweep per player without a
+    Cantor part; both checks equal their per-pair references."""
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return table_at_keys(*args)
+
+    table_at_keys = protocols._table_at_keys
+    with mock.patch.object(protocols, "_table_at_keys", counted):
+        values = protocols._values(alloc, players, tol)
+    ref = {(i.id, j): evaluate(i.valuation, s, tol)
+           for i in players for j, s in alloc.pieces.items()}
+    assert list(values) == list(ref)
+    for pair, value in ref.items():  # CdfValue's == compares (lo, hi)
+        assert (values[pair].lo, values[pair].hi) == (value.lo, value.hi), pair
+    assert len(sweeps) == sum(not pl.valuation.cantor for pl in players)
+    assert check_proportional(alloc, players, tol) == ref_check_proportional(alloc, players, tol)
+    assert check_envy_free(alloc, players, tol) == ref_check_envy_free(alloc, players, tol)
+
+
+c_p_players = st.one_of(st.sampled_from([F(1, 3), F(1, 4)]).map(cantor_valuation), cantor_mixes())
+matrix_players = st.one_of(atomless_valuations, c_p_players)
+hand_pieces = st.one_of(
+    st.lists(st.sampled_from(GRID), max_size=6).map(
+        lambda points: normalize(civ(*sorted(pair)) for pair in zip(points[::2], points[1::2]))),
+    st.just(EMPTY),
+    st.builds(lambda p, n: cantor_iterate(p, n).set,
+              st.sampled_from([F(1, 3), F(1, 4)]), st.integers(0, 4)),
+)
+
+
+class TestValueMatrix:
+    """The value matrix of the envy check and the CLI: one sweep of the
+    merged cuts per player without a Cantor part, and `evaluate` for the
+    others, equal to `evaluate` of every pair."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(matrix_players, min_size=2, max_size=4), st.sampled_from(TOLS))
+    def test_protocol_allocations(self, vals, tol):
+        players = [Player(i, v) for i, v in enumerate(vals)]
+        runs = [lambda: moving_knife(players, tol), lambda: last_diminisher(players, tol),
+                lambda: cut_and_choose(players[0], players[1], tol)]
+        for run in runs:
+            try:
+                alloc = run()
+            except CakeError:
+                continue
+            two = players if alloc.protocol != "cut_and_choose" else players[:2]
+            assert_matrix_is_per_pair(alloc, two, tol)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(st.one_of(matrix_players, randoms.map(rand_scfree_valuation)),
+                    min_size=1, max_size=4),
+           st.data(), st.sampled_from(TOLS))
+    def test_hand_made_allocations(self, vals, data, tol):
+        # overlapping pieces, EMPTY and Cantor iterates: no partition needed
+        players = [Player(i, v) for i, v in enumerate(vals)]
+        pieces = {i: data.draw(hand_pieces) for i in range(len(vals))}
+        assert_matrix_is_per_pair(Allocation("manual", pieces), players, tol)
+
+    def test_brackets(self):
+        # C_1/4 at 4/45 does not close within 1/1024: its values are brackets
+        players = [Player(0, cantor_valuation(F(1, 4))), Player(1, uniform_valuation())]
+        pieces = {0: interval_set((0, "4/45")), 1: interval_set(("4/45", 1, False, True))}
+        alloc = Allocation("manual", pieces)
+        assert_matrix_is_per_pair(alloc, players, F(1, 1024))
+        assert not protocols._values(alloc, players, F(1, 1024))[0, 0].is_exact
+
+    def test_a_tolerance_of_zero_is_refused(self):
+        players = [Player(0, uniform_valuation()), Player(1, uniform_valuation())]
+        alloc = moving_knife(players)
+        for check in (check_proportional, check_envy_free, protocols._values):
+            with pytest.raises(CakeError, match="tolerance 0 must be positive"):
+                check(alloc, players, 0)
