@@ -12,6 +12,8 @@ The report goes to json.dumps as it is: the C encoder writes its dicts,
 lists, strings, ints and bools, and calls `_json_default` only for a
 library value.  `slice` hands both renderings its pieces as text, each cut
 point written once, since a slicing's pieces are consecutive intervals.
+`slice` and `protocol` write their values from integer triples (lo, hi, d),
+`slice` each distinct one once, and build a `CdfValue` only for a text line.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .config import load_valuation
 from .errors import BadParameter, CakeError, ParseError
 from .foundations import cantor_iterate, disjoint_union_witness, removed_mass
 from .intervals import IntervalSet, parse_interval_set, parse_rational, rational_text, total_length
-from .protocols import Player, check_envy_free, cut_and_choose, last_diminisher, moving_knife
-from .protocols import _proportional
+from .protocols import Player, cut_and_choose, last_diminisher, moving_knife
+from .protocols import _values, _verdicts
 from .valuation import CdfValue, _slice as slice_with_values, cdf, cut, evaluate
+from .valuation import _cdf_value, _value_ints
 
 PROTOCOLS = {f.__name__: f for f in (cut_and_choose, last_diminisher, moving_knife)}
 
@@ -93,7 +96,7 @@ def _slice(args, tol):
     v = load_valuation(args.config)
     pieces, values = slice_with_values(v, parse_rational(args.epsilon), tol)
     # the slicer knows the value of a piece it cut off the table; evaluate the rest
-    values = [evaluate(v, s, tol) if val is None else val for s, val in zip(pieces, values)]
+    values = [_value_ints(v, s, tol) if val is None else val for s, val in zip(pieces, values)]
     # each piece is one interval that starts at the point where the one before
     # it ends, so the text of every cut point is written once, from its end key
     first = pieces[0]
@@ -101,8 +104,9 @@ def _slice(args, tol):
     points += [rational_text(s.keys[1] >> 1, s.den) for s in pieces]
     texts = [f"{'(' if s.keys[0] & 1 else '['}{a},{b}{']' if s.keys[1] & 1 else ')'}"
              for s, a, b in zip(pieces, points, points[1:])]
-    report = {"command": "slice", "pieces": texts, "values": values}
-    return report, [[s, "  value ", val] for s, val in zip(texts, values)]
+    written = {val: _value_json(*val) for val in set(values)}  # ε once, not once a piece
+    report = {"command": "slice", "pieces": texts, "values": [written[val] for val in values]}
+    return report, ([s, "  value ", _cdf_value(*val)] for s, val in zip(texts, values))
 
 
 def _protocol(args, tol):
@@ -115,24 +119,23 @@ def _protocol(args, tol):
         alloc = cut_and_choose(players[0], players[1], tol)
     else:
         alloc = PROTOCOLS[args.name](players, tol)
-    envy = check_envy_free(alloc, players, tol)
-    values = envy["values"]
-    # the envy check's value matrix holds the values the proportionality check reads
-    proportional = _proportional(values, players, tol)["proportional"]
+    values = _values(alloc, players, tol)  # integer triples, for both verdicts
+    ok, envy = _verdicts(values, players, alloc.pieces, tol)
+    proportional, envy_free = all(ok.values()), not envy
     report = {
         "protocol": alloc.protocol,
         "pieces": alloc.pieces,
-        "values": {i: {j: values[i, j] for j in alloc.pieces} for i in alloc.pieces},
+        "values": {i: {j: _value_json(*values[i, j]) for j in alloc.pieces} for i in alloc.pieces},
         "proportional": proportional,
-        "envy_free": envy["envy_free"],
+        "envy_free": envy_free,
         "trace": alloc.trace,
     }
     lines = [[f"protocol: {alloc.protocol}"]]
     lines += [
-        [f"player {i}: ", alloc.pieces[i], "  value ", values[i, i]]
+        [f"player {i}: ", alloc.pieces[i], "  value ", _cdf_value(*values[i, i])]
         for i in sorted(alloc.pieces)
     ]
-    lines += [[f"proportional: {proportional}"], [f"envy_free: {envy['envy_free']}"]]
+    lines += [[f"proportional: {proportional}"], [f"envy_free: {envy_free}"]]
     return report, lines
 
 
@@ -169,13 +172,18 @@ def _json_default(x):
     """A library value of a report as JSON: an exact value is "p/q", a
     bracket {"lo", "hi"}, and interval sets and rationals their text."""
     if isinstance(x, CdfValue):
-        lo = rational_text(x.lo)
-        return lo if x.is_exact else {"lo": lo, "hi": rational_text(x.hi)}
+        return _value_json(x.lo, x.hi)
     if isinstance(x, IntervalSet):
         return str(x)
     if isinstance(x, Fraction):
         return rational_text(x)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _value_json(lo, hi, den: int = 1):
+    """[lo/den, hi/den] as JSON, for ints over den or rationals over 1."""
+    text = rational_text(lo, den)
+    return text if lo == hi else {"lo": text, "hi": rational_text(hi, den)}
 
 
 def _decimal(x: Fraction, digits: int) -> str:

@@ -7,15 +7,14 @@ runs deterministic.  Valuations with atoms are rejected up front: exact
 halving cuts need a continuous distribution function.
 
 The protocols talk to a valuation only through Robertson–Webb queries:
-eval (`evaluate`) and cut (`cut`, `prefix_with_value`).  A moving-knife
-mark is a cut query that builds no piece (`valuation._prefix_end`); only
-the winner's piece is built.  Values are compared as their brackets'
-midpoints would be, without building the midpoints.
-
-The envy check reads the value matrix `_values`: each player without a
-Cantor part reads F once per allocation, at the pieces' merged cuts, and
-a player with one evaluates each piece.  The CLI takes its proportionality
-verdict from the same matrix.
+eval (`valuation._value_ints`, v(A) as integers (lo, hi, d) for [lo/d,
+hi/d]) and cut (`cut`, `prefix_with_value`, and `_prefix_end` for a
+moving-knife mark, which builds no piece).  Midpoints and marks are
+compared by cross-multiplication.  The checks and the CLI read the value
+matrix `_values` of such triples, with one sweep of the pieces' merged
+cuts per player without a Cantor part, and `_verdicts` decides both
+verdicts from it in integers; a `CdfValue` is built only for a value that
+a check returns.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Sequence
 from .errors import AtomObstruction, BadParameter
 from .foundations import CantorIterateSet
 from .intervals import FULL, IntervalSet, _scaled, difference, rational_text
-from .valuation import DEFAULT_TOL, CdfValue, Valuation, cut, evaluate, prefix_with_value
-from .valuation import _cdf_value, _check_tol, _prefix, _prefix_end, _table_at_keys
+from .valuation import DEFAULT_TOL, Valuation, cut, prefix_with_value
+from .valuation import _cdf_value, _check_tol, _prefix, _prefix_end, _table_at_keys, _value_ints
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,9 @@ def _check_players(players: Sequence[Player], minimum: int) -> None:
             raise AtomObstruction(list(p.valuation.atoms))
 
 
-def _above(value: CdfValue, x: Fraction) -> bool:
-    """Whether the midpoint of the (usually exact) bracket `value` exceeds x."""
-    return value.lo > x if value.is_exact else value.lo + value.hi > 2 * x
+def _above(value: tuple[int, int, int], n: int, d: int) -> bool:
+    """Whether the midpoint of [lo/q, hi/q], `value` = (lo, hi, q), exceeds n/d > 0."""
+    return (value[0] + value[1]) * d > 2 * n * value[2]
 
 
 def _choose_and_cut(
@@ -69,8 +68,8 @@ def _choose_and_cut(
     left = cut(cutter.valuation, cake, Fraction(1, 2), tol)
     right = difference(cake, left)
     trace.append({"event": "cut", "player": cutter.id, "piece": str(left)})
-    r, l = evaluate(chooser.valuation, right, tol), evaluate(chooser.valuation, left, tol)
-    takes_right = r.lo + r.hi > l.lo + l.hi  # by midpoint
+    lo, hi, d = _value_ints(chooser.valuation, left, tol)
+    takes_right = _above(_value_ints(chooser.valuation, right, tol), lo + hi, 2 * d)
     chosen, rest = (right, left) if takes_right else (left, right)
     trace.append({"event": "choose", "player": chooser.id, "piece": str(chosen)})
     return {chooser.id: chosen, cutter.id: rest}
@@ -101,7 +100,7 @@ def last_diminisher(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
         trace.append({"event": "cut", "player": cutter.id, "position": rational_text(pos)})
         holder = cutter
         for pl in active[1:]:
-            if _above(evaluate(pl.valuation, piece, tol), share):
+            if _above(_value_ints(pl.valuation, piece, tol), 1, n):
                 piece, pos = prefix_with_value(pl.valuation, piece, share, tol)
                 trace.append(
                     {"event": "diminish", "player": pl.id, "position": rational_text(pos)}
@@ -130,8 +129,11 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
     active = sorted(players, key=lambda p: p.id)
 
     while len(active) > 1:
-        pos, winner_id = min((_prefix_end(pl.valuation, remaining, share, tol), pl.id)
-                             for pl in active)
+        pos = None
+        for pl in active:  # the smallest mark, by cross-multiplication; tie -> lowest id
+            c = _prefix_end(pl.valuation, remaining, share, tol)
+            if pos is None or c.numerator * pos.denominator < pos.numerator * c.denominator:
+                pos, winner_id = c, pl.id
         trace.append({"event": "claim", "player": winner_id, "position": rational_text(pos)})
         piece = pieces[winner_id] = _prefix(remaining, pos)
         remaining = difference(remaining, piece)
@@ -147,15 +149,15 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
 
 def _values(
     alloc: Allocation, players: Sequence[Player], tol
-) -> dict[tuple[int, int], CdfValue]:
-    """The value matrix {(i, j): v_i(X_j)}, each value equal to
-    `evaluate(v_i, X_j, tol)`.  The pieces' keys are rescaled to the lcm L
-    of their dens and merged into one sorted run, so a player without a
-    Cantor part reads G once, by one `_table_at_keys` sweep over the run,
-    and each value is a signed sum over its piece's positions in it.  A
-    player with a Cantor part evaluates each piece, since a bracket's walk
-    depth depends on the piece's own key count; so does every player for a
-    Cantor iterate, which `evaluate` reads by descent without its keys."""
+) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The value matrix {(i, j): v_i(X_j)} of triples (lo, hi, d), each equal
+    in value to `_value_ints(v_i, X_j, tol)`.  The pieces' keys are rescaled
+    to the lcm L of their dens and merged into one sorted run, so a player
+    without a Cantor part reads G once, by one `_table_at_keys` sweep over
+    it, and each value is a signed sum over its piece's positions in it.  A
+    player with a Cantor part evaluates each piece, with its own d, since a
+    bracket's walk depth depends on the piece's key count; so does every
+    player for a Cantor iterate, which is read by descent without its keys."""
     tol = _check_tol(tol)
     swept = {j: s for j, s in alloc.pieces.items() if not isinstance(s, CantorIterateSet)}
     L = lcm(*(s.den for s in swept.values()))
@@ -168,7 +170,7 @@ def _values(
     for pl in players:
         v = pl.valuation
         if v._parts:
-            values.update(((pl.id, j), evaluate(v, s, tol)) for j, s in alloc.pieces.items())
+            values.update(((pl.id, j), _value_ints(v, s, tol)) for j, s in alloc.pieces.items())
             continue
         g, q = _table_at_keys(v._table, L, merged)
         g_at = g.__getitem__
@@ -176,24 +178,28 @@ def _values(
             if j in positions:
                 starts, ends = positions[j]
                 total = sum(map(g_at, ends)) - sum(map(g_at, starts))
-                values[pl.id, j] = _cdf_value(total, total, q)
+                assert 0 <= total <= q, (total, q)  # as `_clamp` checks an exact value
+                values[pl.id, j] = (total, total, q)
             else:
-                values[pl.id, j] = evaluate(v, s, tol)
+                values[pl.id, j] = _value_ints(v, s, tol)
     return values
 
 
-def _proportional(values: dict, players: Sequence[Player], tol) -> dict:
-    """`check_proportional`'s report from the values (i, i) of `values`."""
-    share = Fraction(1, len(players))
-    verdicts = {}
-    for pl in players:
-        val = values[pl.id, pl.id]
-        verdicts[pl.id] = {"value": val, "ok": val.lo >= share - tol}
-    return {
-        "threshold": share,
-        "players": verdicts,
-        "proportional": all(v["ok"] for v in verdicts.values()),
-    }
+def _verdicts(values: dict, players: Sequence[Player], pieces, tol):
+    """Whether each player i values X_i at 1/n - tol or more, and the pairs
+    (i, j), j in `pieces`, where v_i(X_j) exceeds v_i(X_i) + tol, from the
+    triples of `values` by one rule: x/dx > y/dy + tn/td iff x·dy·td >
+    (y·td + tn·dy)·dx, on 1/n and lo_ii, and on lo_ij and hi_ii."""
+    tol = _check_tol(tol)
+    tn, td, n = tol.numerator, tol.denominator, len(players)
+    ok, envy = {}, []
+    for i in (pl.id for pl in players):
+        lo, hi, d = values[i, i]
+        ok[i] = lo * n * td >= (td - n * tn) * d
+        bound = hi * td + tn * d  # (hi/d + tol)·d·td
+        envy += [(i, j) for j in pieces
+                 if j != i and values[i, j][0] * td * d > bound * values[i, j][2]]
+    return ok, envy
 
 
 def check_proportional(
@@ -203,17 +209,18 @@ def check_proportional(
     applies to every value, exact ones too, not only where singular parts
     force brackets (see ROADMAP item 5).  Only the n own pieces are read,
     so each is evaluated; a whole value matrix would cost more."""
-    own = {(pl.id, pl.id): evaluate(pl.valuation, alloc.pieces[pl.id], tol) for pl in players}
-    return _proportional(own, players, tol)
+    own = {(pl.id, pl.id): _value_ints(pl.valuation, alloc.pieces[pl.id], tol) for pl in players}
+    ok, _ = _verdicts(own, players, (), tol)
+    verdicts = {i: {"value": _cdf_value(*own[i, i]), "ok": ok[i]} for i in ok}
+    return {"threshold": Fraction(1, len(players)), "players": verdicts,
+            "proportional": all(ok.values())}
 
 
 def check_envy_free(
     alloc: Allocation, players: Sequence[Player], tol=DEFAULT_TOL
 ) -> dict:
-    """No player may value another piece above their own."""
+    """No player may value another piece above their own plus tol."""
     values = _values(alloc, players, tol)
-    envy = []
-    for i in players:
-        bound = values[i.id, i.id].hi + tol
-        envy += [(i.id, j) for j in alloc.pieces if j != i.id and values[i.id, j].lo > bound]
+    _, envy = _verdicts(values, players, alloc.pieces, tol)
+    values = {pair: _cdf_value(*value) for pair, value in values.items()}
     return {"values": values, "envy": envy, "envy_free": not envy}

@@ -2,24 +2,16 @@
 
 A Valuation is generator data: point masses (the discontinuous part), a
 piecewise-constant density (the absolutely continuous part), and rescaled
-Cantor measures (the singular-continuous part).  The induced measure is
-computed on demand on any canonical IntervalSet.  Every constructor builds
-through `integer_valuation`, which checks the data in integers and pins
-the total mass to exactly 1.
+Cantor measures (the singular-continuous part), checked in integers and
+pinned to total mass 1 by `integer_valuation`.
 
-The atom + density part G of the distribution function F is compiled once
-per valuation into one integer table (`_Table`), and each Cantor part into
-integers.  `cdf`, `evaluate` and `prefix_with_value`, whatever the parts
-of the valuation, read F through one reader, `_cdf_at_keys`: integer
-bracket ends over one denominator at a set's cuts, from one sweep over its
-keys plus the integer orbit walk `cantor.walk` inside Cantor supports.
-`cut` and `prefix_with_value` invert F through `_invert`, which inverts
-the table with the Cantor mass to the left as an integer offset and
-descends through the cells of a Cantor part in integers.
-`prefix_with_value` is the cut query `_prefix_end`, which returns only the
-position, plus the piece `_prefix`.  `slice_valuation` is one forward pass
-over the table rows and the Cantor parts, sharing `_invert_rows`, the
-table's row rule, with `_invert`.
+The atom + density part G of the distribution function F is one integer
+table (`_Table`).  F is read through `_cdf_at_keys`, integer bracket ends
+at a set's cuts, and inverted through `_invert_rows`, the table's row rule,
+and `_descend` inside a Cantor support.  The Robertson–Webb queries stay in
+integers, the eval query `_value_ints` (`evaluate` without its `CdfValue`)
+and the cut query `_prefix_end`, which hands `_invert` its target as ints;
+a `Fraction` is built only for a value or a point that is returned.
 
 All arithmetic is exact.  Only Cantor orbits that do not close within the
 tolerance force approximation: certified brackets (CdfValue) or points.
@@ -435,21 +427,24 @@ def _cdf_at_keys(v: Valuation, den: int, keys: Sequence[int], tol: Fraction, spl
 
 def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
     """v(A), the sum of F(end) - F(start) over the components; exact when sc-free."""
+    return _cdf_value(*_value_ints(v, A, tol))
+
+
+def _value_ints(v: Valuation, A: IntervalSet, tol) -> tuple[int, int, int]:
+    """`evaluate`'s v(A) as (lo, hi, d) for [lo/d, hi/d], clamped by `_clamp`."""
     tol = _check_tol(tol)
     if isinstance(A, CantorIterateSet) and not v.cantor:
         # |A ∩ sup| and atom membership by descent, without building A's cuts
         mass = sum(d * (A.length_upto(s.hi) - A.length_upto(s.lo)) for s, d in v.density)
-        mass += sum(w for loc, w in v.atoms if loc in A)
-        assert mass <= ONE, mass
-        return CdfValue.exact(mass)
+        n, d = (mass + sum(w for loc, w in v.atoms if loc in A)).as_integer_ratio()
+        return (*_clamp(n, n, d), d)
     lo, hi, d = _cdf_at_keys(v, A.den, A.keys, tol, max(2, len(A.keys)))
     if lo is hi:  # F is exact at every cut
-        total = sum(lo[1::2]) - sum(lo[::2])
-        return _cdf_value(total, total, d)
-    # each component's bracket is cut down to [0, 1] before it is added
-    los, his = zip(*(_clamp(e_lo - s_hi, e_hi - s_lo, d)
-                     for s_lo, s_hi, e_lo, e_hi in zip(lo[::2], hi[::2], lo[1::2], hi[1::2])))
-    return _cdf_value(sum(los), sum(his), d)
+        lo = hi = sum(lo[1::2]) - sum(lo[::2])
+    else:  # each component's bracket is cut down to [0, 1] before it is added
+        lo, hi = map(sum, zip(*(_clamp(e_lo - s_hi, e_hi - s_lo, d) for s_lo, s_hi, e_lo, e_hi
+                                in zip(lo[::2], hi[::2], lo[1::2], hi[1::2]))))
+    return (*_clamp(lo, hi, d), d)
 
 
 def _table_at_keys(table: _Table, den: int, keys: Sequence[int]) -> tuple[list[int], int]:
@@ -487,17 +482,16 @@ def _invert_rows(table: _Table, a: int, b: int, lo: int = 0):
     return i, X[i - 1] * R[i - 1] * b + a - GA[i - 1] * b, D * R[i - 1] * b, a, a
 
 
-def _invert(v: Valuation, t: Fraction, tol: Fraction) -> Fraction:
-    """The minimal c with F(c) >= t, or 1.  Off the Cantor supports F is G
-    plus the Cantor mass to the left; on one, `_descend` finds c or a c
-    within tol/4 of it."""
+def _invert(v: Valuation, tn: int, td: int, tol: Fraction) -> Fraction:
+    """The minimal c with F(c) >= tn/td (td > 0), or 1.  Off the Cantor
+    supports F is G plus the Cantor mass to the left; on one, `_descend`
+    gets the target less that mass as a `Fraction` and finds c, or c within tol/4."""
     table, n, d = v._table, 0, 1  # n/d: the Cantor mass left of the piece of the line
-    tn, td = t.numerator, t.denominator
     for part in v._parts:
         E, _, T, _, _, wn, wd = part
         (g,), q = _table_at_keys(table, E, (2 * T,))  # G(T/E-) over q at the support end
         if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:  # F(T/E-) >= t
-            return _descend(table, max(table.R), part, t - Fraction(n, d), tol)
+            return _descend(table, max(table.R), part, Fraction(tn * d - n * td, td * d), tol)
         n, d = n * wd + wn * d, d * wd
     return Fraction(*_invert_rows(table, (tn * d - n * td) * table.QD, td * d)[1:3])
 
@@ -585,10 +579,10 @@ def _prefix_end(v: Valuation, A: IntervalSet, target: Fraction, tol) -> Fraction
     without the piece: a Robertson–Webb cut query."""
     tol = _check_tol(tol)
     target = as_fraction(target)
-    if target < ZERO:
+    if target.numerator < 0:
         raise BadParameter(f"target {rational_text(target)} is negative")
     _check_no_atoms(v, A)
-    if target == ZERO:
+    if not target.numerator:
         return ZERO
 
     # the target is reached in the first component that takes the running
@@ -602,9 +596,8 @@ def _prefix_end(v: Valuation, A: IntervalSet, target: Fraction, tol) -> Fraction
         base = lo[i] + hi[i]
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
-            t = Fraction(n - (below_lo + below_hi - base) * m, 2 * d * m)
-            c = _invert(v, t, tol)
-            # t comes from bracket midpoints, so c may miss the component
+            c = _invert(v, n - (below_lo + below_hi - base) * m, 2 * d * m, tol)
+            # F(c)'s target comes from bracket midpoints, so c may miss the component
             # [s, e]/A.den: clamp it there
             den, s, e = A.den, keys[i] >> 1, keys[i + 1] >> 1
             if c.numerator * den < s * c.denominator:
@@ -623,14 +616,14 @@ def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
     if not (ZERO <= alpha <= ONE):
         raise BadParameter(f"alpha {rational_text(alpha)} outside [0,1]")
     _check_no_atoms(v, A)
-    vA = evaluate(v, A, tol / 4)
-    if vA.hi == ZERO:
+    lo, hi, d = _value_ints(v, A, tol / 4)
+    if not hi:
         raise ZeroPiece(f"v(A) = 0 for A = {A}")
     if alpha == ZERO:
         return EMPTY
     if alpha == ONE:
         return A
-    piece, _ = prefix_with_value(v, A, alpha * vA.midpoint, tol)
+    piece, _ = prefix_with_value(v, A, alpha * Fraction(lo + hi, 2 * d), tol)
     return piece
 
 
@@ -649,10 +642,11 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     return _slice(v, epsilon, tol)[0]
 
 
-def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[CdfValue | None]]:
-    """`slice_valuation`'s pieces and values: exact where the table gave both
-    ends of a piece, None where `_descend` gave one.  Masses are integers over
-    B; a hit advances `consumed` by exactly ε, so errors do not add up."""
+def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[tuple | None]]:
+    """`slice_valuation`'s pieces and values: (n, n, B) for n/B where the
+    table gave both ends of a piece, one triple for every piece worth ε, and
+    None where `_descend` gave one.  Masses are integers over B; a hit
+    advances `consumed` by exactly ε, so errors do not add up."""
     tol = _check_tol(tol)
     epsilon = as_fraction(epsilon)
     if epsilon <= ZERO:
@@ -670,7 +664,7 @@ def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[CdfValue
     e, s = epsilon.numerator * (B // epsilon.denominator), B // table.QD
     # per Cantor part: G(T/E-) over q at the end of its support, and its mass over B
     ends = [(*_table_at_keys(table, E, (2 * T,)), w * (B // d)) for E, _, T, _, _, w, d in parts]
-    pieces, values, hit = [], [], CdfValue(epsilon, epsilon)
+    pieces, values, hit = [], [], (e, e, B)
     sn, sd, sk, known = 0, 1, 0, True  # the start cut (sn/sd, side sk); F exact there?
     consumed = left = row = j = 0  # left: the Cantor mass left of part j
     while B - consumed > e:
@@ -688,9 +682,9 @@ def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[CdfValue
             ek, f_end = (0, gl) if ga > t and gl > consumed else (1, ga)
         L = lcm(sd, ed)
         pieces.append(_from_keys(L, (2 * sn * (L // sd) + sk, 2 * en * (L // ed) + ek)))
-        value = hit if f_end == t else CdfValue.exact(Fraction(f_end - consumed, B))
+        value = hit if f_end == t else (f_end - consumed, f_end - consumed, B)
         values.append(value if known and exact else None)
         sn, sd, sk, known, consumed = en, ed, ek, exact, f_end
     pieces.append(_from_keys(sd, (2 * sn + sk, 2 * sd + 1)))
-    values.append(CdfValue.exact(Fraction(B - consumed, B)) if known else None)
+    values.append((B - consumed, B - consumed, B) if known else None)
     return pieces, values

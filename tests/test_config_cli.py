@@ -41,7 +41,7 @@ from cakecalc import (
 from cakecalc.cli import COMMANDS, _cell, build_parser, main, run
 from cakecalc.config import _parsed
 from cakecalc.intervals import IntervalSet, key_intervals, parse_rational, rational_text
-from cakecalc.valuation import _slice
+from cakecalc.valuation import _cdf_value, _slice
 
 F = Fraction
 
@@ -811,7 +811,8 @@ def ref_slice_report(config, epsilon, tol):
     """The parent's slice report, with the pieces as sets."""
     v = load_valuation(config)
     pieces, values = _slice(v, parse_rational(epsilon), tol)
-    values = [evaluate(v, s, tol) if val is None else val for s, val in zip(pieces, values)]
+    values = [evaluate(v, s, tol) if val is None else _cdf_value(*val)
+              for s, val in zip(pieces, values)]
     return {"command": "slice", "pieces": pieces, "values": values}
 
 

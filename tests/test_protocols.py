@@ -41,7 +41,7 @@ from cakecalc import (
 )
 from cakecalc import protocols
 from cakecalc.intervals import rational_text
-from cakecalc.valuation import _cdf_at_keys, _check_no_atoms, _check_tol, _invert
+from cakecalc.valuation import _cdf_at_keys, _cdf_value, _check_no_atoms, _check_tol, _invert
 from conftest import rand_box_valuation, rand_scfree_valuation
 
 F = Fraction
@@ -250,7 +250,7 @@ def ref_prefix_with_value(v, A, target, tol):
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
             t = F(n - (below_lo + below_hi - base) * m, 2 * d * m)
-            c = _invert(v, t, tol)
+            c = _invert(v, t.numerator, t.denominator, tol)
             c = min(max(c, F(keys[i] >> 1, A.den)), F(keys[i + 1] >> 1, A.den))
             return intersect(A, IntervalSet(((F(0), 0), (c, 1)))), c
         below_lo, below_hi = upto_lo, upto_hi
@@ -343,6 +343,19 @@ def ref_check_envy_free(alloc, players, tol):
         if j != i.id and values[(i.id, j)].lo > values[(i.id, i.id)].hi + tol
     ]
     return {"values": values, "envy": envy, "envy_free": not envy}
+
+
+def ref_verdicts(values, players, pieces, tol):
+    """The parent's `Fraction` rule on the triples of a value matrix:
+    proportional iff lo >= 1/n - tol, envy iff lo_ij > hi_ii + tol."""
+    share = F(1, len(players))
+    ok, envy = {}, []
+    for i in players:
+        own = _cdf_value(*values[i.id, i.id])
+        ok[i.id] = own.lo >= share - tol
+        envy += [(i.id, j) for j in pieces
+                 if j != i.id and _cdf_value(*values[i.id, j]).lo > own.hi + tol]
+    return ok, envy
 
 
 CHECKS = (check_proportional, check_envy_free)
@@ -462,10 +475,126 @@ def assert_matrix_is_per_pair(alloc, players, tol):
            for i in players for j, s in alloc.pieces.items()}
     assert list(values) == list(ref)
     for pair, value in ref.items():  # CdfValue's == compares (lo, hi)
-        assert (values[pair].lo, values[pair].hi) == (value.lo, value.hi), pair
+        got = _cdf_value(*values[pair])
+        assert (got.lo, got.hi) == (value.lo, value.hi), pair
     assert len(sweeps) == sum(not pl.valuation.cantor for pl in players)
     assert check_proportional(alloc, players, tol) == ref_check_proportional(alloc, players, tol)
     assert check_envy_free(alloc, players, tol) == ref_check_envy_free(alloc, players, tol)
+
+
+def matrix(n, own, other):
+    """The value matrix of n players who all value their own piece at the
+    triple `own` and every other piece at `other`."""
+    return {(i, j): own if i == j else other for i in range(n) for j in range(n)}
+
+
+def players_of(n):
+    return [Player(i, uniform_valuation()) for i in range(n)]
+
+
+def assert_verdicts(values, players, tol):
+    got = protocols._verdicts(values, players, range(len(players)), tol)
+    assert got == ref_verdicts(values, players, range(len(players)), tol)
+    return got
+
+
+VERDICT_TOLS = [F(1, 2**40), F(3, 64), F(1, 24)]  # all below 1/12, so 1/n - tol > 0
+
+
+class TestIntegerVerdicts:
+    """`_verdicts` decides both verdicts by one integer rule; at and one
+    unit of the denominator either side of each threshold, on exact values
+    and on brackets, it agrees with the `Fraction` rule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    @pytest.mark.parametrize("tol", VERDICT_TOLS)
+    @pytest.mark.parametrize("k", [1, 3])  # triples in lowest terms or not
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_exact_own_values_at_one_over_n_less_tol(self, n, tol, k, delta):
+        tn, td = tol.numerator, tol.denominator
+        d = n * td * k
+        lo = (td - n * tn) * k + delta  # 1/n - tol over d, moved by delta
+        ok, _ = assert_verdicts(matrix(n, (lo, lo, d), (0, 0, 1)), players_of(n), tol)
+        assert ok == {i: delta >= 0 for i in range(n)}
+
+    @pytest.mark.parametrize("tol", VERDICT_TOLS)
+    @pytest.mark.parametrize("own, scale", [((1, 1, 3), 1), ((2, 2, 7), 5), ((4, 4, 9), 2)])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_exact_values_at_the_own_value_plus_tol(self, tol, own, scale, delta):
+        tn, td = tol.numerator, tol.denominator
+        hi, d = own[1], own[2]
+        d_j = d * td * scale  # another denominator than the own value's
+        lo_j = (hi * td + tn * d) * scale + delta  # hi/d + tol over d_j, moved by delta
+        _, envy = assert_verdicts(matrix(3, own, (lo_j, lo_j, d_j)), players_of(3), tol)
+        assert envy == ([(i, j) for i in range(3) for j in range(3) if i != j] if delta > 0
+                        else [])
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_brackets(self, delta):
+        # proportionality reads the own value's lo, envy its hi and the
+        # other value's lo, whatever the other ends are
+        tol, n = F(1, 64), 4
+        d = n * 64 * 3
+        lo = (64 - n) * 3 + delta
+        own = (lo, lo + 40, d)
+        d_j = d * 64 * 7
+        lo_j = ((lo + 40) * 64 + d) * 7 + delta
+        ok, envy = assert_verdicts(matrix(n, own, (lo_j, lo_j + 11, d_j)), players_of(n), tol)
+        assert ok == {i: delta >= 0 for i in range(n)}
+        assert bool(envy) is (delta > 0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(2, 5), st.sampled_from(VERDICT_TOLS), st.data())
+    def test_triples_near_both_thresholds(self, n, tol, data):
+        tn, td = tol.numerator, tol.denominator
+        near = st.integers(-2, 2)
+        values = {}
+        for i in range(n):
+            k = data.draw(st.sampled_from([1, 2, 3, 2**40]))
+            d = n * td * k
+            lo = (td - n * tn) * k + data.draw(near)
+            hi = min(lo + data.draw(st.sampled_from([0, 0, 1, 5, d])), d)
+            values[i, i] = (lo, hi, d)
+            for j in range(n):
+                if j != i:
+                    k2 = data.draw(st.sampled_from([1, 2, 7]))
+                    d_j = d * td * k2
+                    lo_j = max(0, min((hi * td + tn * d) * k2 + data.draw(near), d_j))
+                    hi_j = min(lo_j + data.draw(st.sampled_from([0, 1, 3])), d_j)
+                    values[i, j] = (lo_j, hi_j, d_j)
+        assert_verdicts(values, players_of(n), tol)
+
+    @pytest.mark.parametrize("c", [F(3, 8) - F(1, 64), F(3, 8), F(3, 8) + F(1, 64),
+                                   F(7, 16) - F(1, 64), F(7, 16), F(7, 16) + F(1, 64)])
+    def test_checks_at_the_thresholds(self, c):
+        # two uniform players, [0,c] and (c,1], tol 1/8: player 0 is
+        # proportional iff c >= 1/2 - 1/8, and envies player 1 iff
+        # 1 - c > c + 1/8, that is, iff c < 7/16
+        players, tol = players_of(2), F(1, 8)
+        split = Allocation("manual", {0: interval_set((0, c)), 1: interval_set((c, 1, False))})
+        prop, envy = check_proportional(split, players, tol), check_envy_free(split, players, tol)
+        assert prop == ref_check_proportional(split, players, tol)
+        assert envy == ref_check_envy_free(split, players, tol)
+        assert prop["players"][0]["ok"] is (c >= F(3, 8))
+        assert ((0, 1) in envy["envy"]) is (c < F(7, 16))
+
+    def test_a_cantor_player_with_a_d_for_each_piece(self):
+        # C_1/4 at tol 1/1024 walks each piece to a depth set by its own key
+        # count, so its brackets come over different denominators
+        players = [Player(0, cantor_valuation(F(1, 4))), Player(1, uniform_valuation()),
+                   Player(2, cantor_valuation(F(1, 3)))]
+        pieces = {0: interval_set((0, "4/45")),
+                  1: normalize([civ(F(4, 45), F(1, 2), False), civ(F(3, 5), F(7, 10))]),
+                  2: normalize([civ(F(1, 2), F(3, 5), False), civ(F(7, 10), 1, False)])}
+        alloc, tol = Allocation("manual", pieces), F(1, 1024)
+        values = protocols._values(alloc, players, tol)
+        assert len({values[0, j][2] for j in pieces}) == 3
+        assert any(values[0, j][0] < values[0, j][1] for j in pieces)
+        assert protocols._verdicts(values, players, pieces, tol) == ref_verdicts(
+            values, players, pieces, tol)
+        assert check_proportional(alloc, players, tol) == ref_check_proportional(
+            alloc, players, tol)
+        assert check_envy_free(alloc, players, tol) == ref_check_envy_free(alloc, players, tol)
 
 
 c_p_players = st.one_of(st.sampled_from([F(1, 3), F(1, 4)]).map(cantor_valuation), cantor_mixes())
@@ -514,7 +643,8 @@ class TestValueMatrix:
         pieces = {0: interval_set((0, "4/45")), 1: interval_set(("4/45", 1, False, True))}
         alloc = Allocation("manual", pieces)
         assert_matrix_is_per_pair(alloc, players, F(1, 1024))
-        assert not protocols._values(alloc, players, F(1, 1024))[0, 0].is_exact
+        lo, hi, _ = protocols._values(alloc, players, F(1, 1024))[0, 0]
+        assert lo < hi
 
     def test_a_tolerance_of_zero_is_refused(self):
         players = [Player(0, uniform_valuation()), Player(1, uniform_valuation())]

@@ -5,6 +5,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import ceil
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -51,9 +52,12 @@ from cakecalc import (
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
 from cakecalc.intervals import IntervalSet, _encode
+from cakecalc import valuation
 from cakecalc.valuation import (
+    _cdf_value,
     _check_pairwise_disjoint,
     _clamp,
+    _descend,
     _invert,
     _invert_rows,
     _slice,
@@ -657,7 +661,77 @@ class TestIntegerCantorReaders:
         targets = [t for t in ts if t > 0] + [ref_cdf(v, table, (x, 1), tol).hi for x in ends]
         for t in targets:
             if 0 < t <= 1:
-                assert _invert(v, t, tol) == ref_invert(v, table, F(0), F(1), t, tol)
+                assert _invert(v, t.numerator, t.denominator, tol) == ref_invert(
+                    v, table, F(0), F(1), t, tol)
+
+
+# The parent's `_invert`, which took its target t as a `Fraction`, kept as
+# the reference for the integer target (tn, td): the same table rule and
+# `_descend`, and the same test of F at each support end.
+
+def ref_invert_fraction_target(v, t, tol):
+    table, n, d = v._table, 0, 1
+    tn, td = t.numerator, t.denominator
+    for part in v._parts:
+        E, _, T, _, _, wn, wd = part
+        (g,), q = _table_at_keys(table, E, (2 * T,))
+        if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:
+            return _descend(table, max(table.R), part, t - F(n, d), tol)
+        n, d = n * wd + wn * d, d * wd
+    return F(*_invert_rows(table, (tn * d - n * td) * table.QD, td * d)[1:3])
+
+
+def one_part(p, weight, atoms=()):
+    """C_p on [1/5, 7/10] beside a density on [0,1] and atoms off the
+    support, scaled to mass 1."""
+    total = weight + 1 + sum(w for _, w in atoms)
+    return make_valuation(atoms=[(a, w / total) for a, w in atoms],
+                          density=[(civ(0, 1), 1 / total)],
+                          cantor_parts=[CantorComponent(civ(F(1, 5), F(7, 10)), p, weight / total)])
+
+
+class TestIntegerInvertTarget:
+    """`_invert` takes its target as integers (tn, td), in lowest terms or
+    not, and returns the point the `Fraction`-target `_invert` returned."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(cantor_mixes(), table_valuations(),
+                     st.randoms(use_true_random=False).map(rand_scfree_valuation)),
+           st.lists(small_fractions, min_size=1, max_size=4),
+           st.sampled_from([1, 2, 6, 2**20 + 1]), st.sampled_from(TOLS))
+    @example(cantor_valuation(F(1, 3)), [F(1, 3), F(5, 7)], 6, F(1, 2**40))
+    @example(cantor_valuation(F(1, 4)), [F(3, 11), F(1, 2)], 2, F(1, 2**40))
+    @example(cantor_valuation(F(1, 5)), [F(1, 7), F(2, 3)], 1, F(1, 2**20))
+    @example(one_part(F(1, 4), F(2), [(F(1, 10), F(1, 2)), (F(9, 10), F(1))]), [F(1, 2)], 2,
+             F(1, 2**12))
+    @example(one_part(F(1, 5), F(1), [(F(0), F(1, 3))]), [F(1, 3), F(7, 9)], 6, F(3, 2**31))
+    @example(one_part(F(1, 3), F(3), [(F(1), F(1))]), [F(1, 4), F(5, 6)], 2**20 + 1,
+             F(1, 2**40))
+    def test_integer_target_matches_the_fraction_target(self, v, shares, k, tol):
+        # drawn targets, F at every support end, and targets strictly inside
+        # F's rise across each support, which go through `_descend`
+        targets = [t for t in shares if t > 0]
+        inside = []
+        for c in v.cantor:
+            a = cdf(v, c.support.lo, "at", tol).hi
+            b = cdf(v, c.support.hi, "left_limit", tol).lo
+            targets += [a, b] if a > 0 else [b]
+            if a < b:
+                inside += [a + (b - a) * s for s in shares if 0 < s < 1]
+        descents = []
+
+        def counted(*args):
+            descents.append(args)
+            return descend(*args)
+
+        descend = valuation._descend
+        for t in targets + inside:
+            with mock.patch.object(valuation, "_descend", counted):
+                got = _invert(v, t.numerator * k, t.denominator * k, tol)
+            assert got == ref_invert_fraction_target(v, t, tol), t
+        assert len(descents) >= len(inside)
+        if not v.cantor:
+            assert not descents
 
 
 # The parent's two readers of F in `evaluate` and `prefix_with_value`, as
@@ -1174,6 +1248,6 @@ class TestSlicePass:
         assert len(values) == len(pieces)
         for piece, value in zip(pieces, values):
             if value is not None:
-                assert value == evaluate(v, piece, tol)
+                assert _cdf_value(*value) == evaluate(v, piece, tol)
         if not v.cantor:  # every end is read off the table
             assert None not in values
