@@ -24,10 +24,10 @@ class CantorIterateSet(IntervalSet):
     (2b)^n, L_n and the shifts reduces the table to the set's own `den`, and
     the table keeps L_0 .. L_n as integers over it.  The keys are built from
     the table on first access and cached in `_keys`; from them the base
-    class builds `cuts` and `components`.  `length_upto` and membership walk
-    down the table in O(n) steps without building any of these, and `len`,
-    `is_empty` and `length` read it directly.  Equality, hashing, iteration
-    and the set operations see the same keys as a plain IntervalSet.
+    class builds `components`.  `length_upto` and membership walk down the
+    table in O(n) steps without building either, and `len`, `is_empty` and
+    `length` read it directly.  Equality, hashing, iteration and the set
+    operations see the same keys as a plain IntervalSet.
     """
 
     __slots__ = ("p", "n", "_lengths", "_keys")
@@ -45,8 +45,8 @@ class CantorIterateSet(IntervalSet):
         init(self, "n", n)
         init(self, "den", scale // g)
         init(self, "_lengths", tuple(x // g for x in lengths))
-        for cache in ("_keys", "_cuts", "_components"):
-            init(self, cache, None)
+        init(self, "_keys", None)
+        init(self, "_components", None)
 
     @property
     def keys(self) -> tuple[int, ...]:

@@ -1,36 +1,20 @@
-"""Canonical finite unions of intervals of the unit cake [0,1].
+"""Canonical finite unions of intervals of the unit cake [0,1], in exact
+rationals.
 
-Every set is kept in a unique canonical form: components are pairwise
-disjoint, sorted, and no two of them can be merged into a single interval.
-All endpoints are exact rationals; there is no floating point in this
-module.  Degenerate singletons [a,a] are legal intervals (they carry atoms
-and show up as intersection results); degenerate intervals with an open end
-are rejected rather than silently dropped.
+A set's components are pairwise disjoint and sorted, and no two of them
+can be merged into one interval.  Singletons [a,a] are intervals (they
+carry atoms and come out of intersections); a degenerate interval with an
+open end is rejected, not dropped.
 
 Interval ends are *cuts*: (x, 0) lies just before the point x and (x, 1)
 just after it.  An interval runs from its start cut, (lo, 0) closed or
 (lo, 1) open, to its end cut, (hi, 1) closed or (hi, 0) open, so comparing
 cuts answers every endpoint question (nonempty iff start < end).
 
-A set is stored as a positive integer `den` and the strictly increasing
-tuple `keys` of its components' cuts, where the cut (x, side) has the
-integer key 2*x*den + side.  `den` is the lcm of the denominators of the
-cut points present, so (den, keys) is unique to the point set.  The set
-operations are sweeps over integers that build no `Fraction`.  The binary
-ones go through `intersect`, which sweeps in the own scale of the operand
-with more keys, locates the other operand's cuts there by one division
-each, and writes the kept keys over the result's den, found from their
-points; operands of about equal size are both rescaled to the lcm of their
-dens first.  Outside this module the encoding is known
-to the Cantor iterates of `foundations`, to `valuation` (its constructors
-take supports as keys, and its reader of F sweeps a set's keys) and to
-the config loader, which hands the constructors the keys of
-`encode_lexed`.  A set keeps nothing else, not even the cuts it was built
-from: the `Fraction` cuts and the `Interval` components are views built
-from the keys on demand, and `str` writes each point from its key with
-one gcd, building neither.  The text grammar reads numbers into integers
-through one lexer (ASCII digits, no underscores, on every Python), so a
-parsed set goes from text to keys without a `Fraction` too.
+A set is the integer keys of its cuts over one `den` (see `IntervalSet`),
+and the set operations are integer sweeps that build no `Fraction`.
+Outside this module the encoding is known to the Cantor iterates of
+`foundations`, to `valuation` and to the config loader.
 """
 
 from __future__ import annotations
@@ -40,7 +24,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import InvalidInterval, OutOfCake, ParseError, rational_text
@@ -142,39 +125,21 @@ class IntervalSet:
 
     Held as `den` and `keys`: the strictly increasing keys 2*x*den + side of
     the cuts (s0, e0, s1, e1, ...) of its components, over the lcm `den` of
-    their points' denominators, and nothing else.  `IntervalSet(cuts)` takes
-    a canonical sequence of (Fraction, side) cuts, checks it and keeps only
-    its keys; `normalize`, `interval_set` and `parse_interval_set` build a
-    set from intervals.  The `cuts` and `components` views are always built
-    from the keys on first access and cached.  x lies in the set iff an odd
-    number of keys are <= the key of (x, 0).  Equality and hashing go by
-    (den, keys) alone, also for subclasses."""
+    their points' denominators, and nothing else.  `normalize`,
+    `interval_set` and `parse_interval_set` build a set from intervals, and
+    the set operations build theirs from keys; `IntervalSet(...)` itself
+    raises `TypeError`.  The `components` view is built from the keys on
+    first access and cached.  x lies in the set iff an odd number of keys are <=
+    the key of (x, 0).  Equality and hashing go by (den, keys) alone, also
+    for subclasses."""
 
-    __slots__ = ("den", "keys", "_cuts", "_components")
+    __slots__ = ("den", "keys", "_components")
 
-    def __init__(self, cuts: Iterable[Cut] = ()):
-        cuts = tuple(cuts)
-        den, keys = _encode(cuts)
-        keys = tuple(keys)
-        # strictly increasing from the key of (0,0) to that of (1,1) is canonical
-        if len(keys) % 2 or not {side for _, side in cuts} <= {0, 1} or not all(
-            map(lt, (-1, *keys), (*keys, 2 * den + 2))
-        ):
-            text = ", ".join(f"({rational_text(x)}, {side})" for x, side in cuts)
-            raise InvalidInterval(f"cuts ({text}) are not those of a canonical set")
-        _from_keys(den, keys, self)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an IntervalSet with normalize, interval_set or parse_interval_set")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @property
-    def cuts(self) -> tuple[Cut, ...]:
-        """The cuts as (Fraction, side) pairs."""
-        if self._cuts is None:
-            den = self.den
-            cuts = tuple((Fraction(k >> 1, den), k & 1) for k in self.keys)
-            object.__setattr__(self, "_cuts", cuts)
-        return self._cuts
 
     @property
     def components(self) -> tuple[Interval, ...]:
@@ -224,16 +189,13 @@ class IntervalSet:
         return keys_text(self.den, self.keys) or "∅"
 
 
-def _from_keys(
-    den: int, keys: tuple[int, ...], s: IntervalSet | None = None
-) -> IntervalSet:
-    """The set of canonical `keys` over its canonical `den`, unchecked; it is
-    `s` if given, else a new one.  The views are built on first access."""
-    s = object.__new__(IntervalSet) if s is None else s
+def _from_keys(den: int, keys: tuple[int, ...]) -> IntervalSet:
+    """The new set of canonical `keys` over its canonical `den`, unchecked.
+    Its `components` are built on first access."""
+    s = object.__new__(IntervalSet)
     init = object.__setattr__
     init(s, "den", den)
     init(s, "keys", keys)
-    init(s, "_cuts", None)
     init(s, "_components", None)
     return s
 
@@ -310,9 +272,9 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 def complement(a: IntervalSet) -> IntervalSet:
     """Complement relative to [0,1]: the gaps between consecutive cuts of
-    [(0,0), *a.cuts, (1,1)].  Only an end gap can be empty, so this toggles
-    the keys of (0,0) and (1,1).  No other point comes or goes, so neither
-    does a factor of `den`."""
+    (0,0), the cuts of a, and (1,1).  Only an end gap can be empty, so this
+    toggles the keys of (0,0) and (1,1).  No other point comes or goes, so
+    neither does a factor of `den`."""
     keys, top = a.keys, 2 * a.den + 1
     c = keys[1:] if keys[:1] == (0,) else (0, *keys)
     return _from_keys(a.den, c[:-1] if c[-1:] == (top,) else (*c, top))

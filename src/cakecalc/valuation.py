@@ -20,9 +20,8 @@ tolerance force approximation: certified brackets (CdfValue) or points.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -118,45 +117,20 @@ class _Table(NamedTuple):
     R: list[int]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class Valuation:
     """Built only by `integer_valuation`, from checked integer data: the
-    public `atoms` and `cantor`, and `_table`, G (the atom + density part
-    of F), `_parts`, the Cantor parts in integers: (E, S, T, pn, pd, wn, wd)
-    for the support [S/E, T/E], over the lcm E of the ends' denominators,
-    the ratio pn/pd and the weight wn/wd, and `_densities`, the densities
-    (s, e, dn, dd) with their support keys over a `den`.  The public
-    `density` is a view built from `_densities` on first read, as
-    `IntervalSet.components` is from its keys; `==`, `hash` and `repr` go
-    by (atoms, density, cantor), as they would for three fields."""
+    public `atoms`, `density` and `cantor`, and `_table`, G (the atom +
+    density part of F), and `_parts`, the Cantor parts in integers: (E, S,
+    T, pn, pd, wn, wd) for the support [S/E, T/E], over the lcm E of the
+    ends' denominators, the ratio pn/pd and the weight wn/wd.  `==`, `hash`
+    and `repr` go by the three public fields."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
+    density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
     cantor: tuple[CantorComponent, ...]  # sorted by support
-    _table: _Table
-    _parts: tuple[tuple[int, ...], ...]
-    _densities: tuple[int, tuple[tuple[int, int, int, int], ...]]  # den, (s, e, dn, dd)
-
-    @cached_property
-    def density(self) -> tuple[tuple[Interval, Fraction], ...]:
-        """(support, constant density) pairs."""
-        den, density = self._densities
-        supports = key_intervals(den, [k for s, e, *_ in density for k in (s, e)])
-        return tuple((sup, Fraction(dn, dd)) for sup, (*_, dn, dd) in zip(supports, density))
-
-    def _fields(self) -> tuple:
-        return self.atoms, self.density, self.cantor
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(atoms={self.atoms!r}, "
-                f"density={self.density!r}, cantor={self.cantor!r})")
+    _table: _Table = field(compare=False, repr=False)
+    _parts: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def has_atoms(self) -> bool:
@@ -235,7 +209,7 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     their keys s, e over a common denominator `den`; every pair n/d is in
     lowest terms with d > 0.  Every `Valuation` is built here, and every
     check compares integers; the public fields are built once, after the
-    checks pass, but for `density`, which is built on first read."""
+    checks pass."""
     if len({(an, ad) for an, ad, _, _ in atoms}) != len(atoms):
         raise BadParameter("duplicate atom locations")
     for an, ad, wn, wd in atoms:
@@ -269,6 +243,7 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     if n != d:
         raise NotNormalized(Fraction(n, d))
 
+    densities = key_intervals(den, [k for s, e, *_ in density for k in (s, e)])
     supports = key_intervals(den, [k for s, e, *_ in parts for k in (s, e)])
     integer_parts = []
     for s, e, pn, pd, wn, wd in parts:
@@ -276,11 +251,11 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
         integer_parts.append((den // g, (s >> 1) // g, (e >> 1) // g, pn, pd, wn, wd))
     return Valuation(
         tuple((Fraction(an, ad), Fraction(wn, wd)) for an, ad, wn, wd in atoms),
+        tuple((sup, Fraction(dn, dd)) for sup, (*_, dn, dd) in zip(densities, density)),
         tuple(CantorComponent(sup, Fraction(pn, pd), Fraction(wn, wd))
               for sup, (_, _, pn, pd, wn, wd) in zip(supports, parts)),
         table,
         tuple(integer_parts),
-        (den, tuple(density)),
     )
 
 

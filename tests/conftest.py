@@ -6,13 +6,38 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import lt
 
 from hypothesis import strategies as st
 
-from cakecalc import Interval, IntervalSet, Valuation, make_valuation, normalize
+from cakecalc import Interval, IntervalSet, InvalidInterval, Valuation, make_valuation, normalize
+from cakecalc.intervals import _encode, _from_keys, rational_text
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# --- the cut view of a set, and the checked cut constructor -----------------
+
+def cuts_of(a: IntervalSet) -> tuple[tuple[Fraction, int], ...]:
+    """The cuts of `a` as (Fraction, side) pairs, from its keys."""
+    return tuple((Fraction(k >> 1, a.den), k & 1) for k in a.keys)
+
+
+def ref_set_from_cuts(cuts) -> IntervalSet:
+    """The set of a canonical sequence of (Fraction, side) cuts, checked:
+    the keys must rise strictly from that of (0,0) to that of (1,1), and
+    come in pairs.  The library built sets from cuts this way once; the
+    tests keep it as a reference."""
+    cuts = tuple(cuts)
+    den, keys = _encode(cuts)
+    keys = tuple(keys)
+    if len(keys) % 2 or not {side for _, side in cuts} <= {0, 1} or not all(
+        map(lt, (-1, *keys), (*keys, 2 * den + 2))
+    ):
+        text = ", ".join(f"({rational_text(x)}, {side})" for x, side in cuts)
+        raise InvalidInterval(f"cuts ({text}) are not those of a canonical set")
+    return _from_keys(den, keys)
 
 
 # --- seeded plain-random generators (fast enough for 10^4-scale suites) ----

@@ -35,12 +35,11 @@ from cakecalc import (
     make_box_valuation,
     make_valuation,
     parse_interval_set,
-    valuation,
     valuation_from_dict,
 )
 from cakecalc.cli import COMMANDS, _cell, build_parser, main, run
 from cakecalc.config import _parsed
-from cakecalc.intervals import IntervalSet, key_intervals, parse_rational, rational_text
+from cakecalc.intervals import IntervalSet, parse_rational, rational_text
 from cakecalc.valuation import _cdf_value, _slice
 
 F = Fraction
@@ -186,24 +185,8 @@ def mix_valuation():
 
 
 class TestLazyDensity:
-    """`density` is a view built on first read; a `Valuation` compares,
-    hashes, prints and pickles as the three-field dataclass it was."""
-
-    def test_loading_builds_no_interval(self, monkeypatch):
-        built = []
-
-        def counting(den, keys):
-            out = key_intervals(den, keys)
-            built.extend(out)
-            return out
-
-        monkeypatch.setattr(valuation, "key_intervals", counting)
-        _parsed.cache_clear()  # a fresh parse: an earlier load may have built the kept view
-        v = load_valuation(bundled_config_path("fig2"))
-        evaluate(v, parse_interval_set("[0,1/2]"))
-        assert built == [] and "density" not in vars(v)
-        assert len(v.density) == 6 and len(built) == 6
-        assert v.density is v.density and len(built) == 6
+    """A `Valuation` compares, hashes, prints and pickles as the dataclass
+    of its three public fields, (atoms, density, cantor)."""
 
     @pytest.mark.parametrize("make, text", [
         (lambda: load_valuation(bundled_config_path("fig2")), FIG2_REPR),
@@ -217,12 +200,9 @@ class TestLazyDensity:
         # a frozen dataclass hashes the tuple of its compared fields
         assert hash(v) == hash((fields["atoms"], fields["density"], fields["cantor"]))
         assert v == w and hash(v) == hash(w) and v != make_box_valuation([(FULL.components[0], 1)])
-        for read in (False, True):  # before and after the view is built
-            if read:
-                v.density
-            back = pickle.loads(pickle.dumps(v))
-            assert back == v and hash(back) == hash(v) and repr(back) == text
-            assert back._table == v._table and back._parts == v._parts
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and hash(back) == hash(v) and repr(back) == text
+        assert back._table == v._table and back._parts == v._parts
 
 
 def ref_integer_part(comp):

@@ -145,7 +145,6 @@ class TestIterateDescent:
         evaluate(v, staged)
         contains(staged, F(1, 3))
         assert staged._components is None
-        assert staged._cuts is None
         assert staged._keys is None
 
     @pytest.mark.parametrize("p", RATIOS)
@@ -158,7 +157,6 @@ class TestIterateDescent:
         staged = cantor_iterate(F(1, 3), 40).set
         assert total_length(staged) == 1 - removed_mass(F(1, 3), 40)
         assert staged._components is None
-        assert staged._cuts is None
         assert staged._keys is None
 
     @pytest.mark.parametrize("p", RATIOS)

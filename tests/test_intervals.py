@@ -1,5 +1,7 @@
 """Canonical interval algebra: golden examples and algebraic laws."""
 
+import copy
+import pickle
 import sys
 import time
 from bisect import bisect_left, bisect_right
@@ -34,7 +36,7 @@ from cakecalc import (
     union,
 )
 from cakecalc.intervals import _from_keys, lex_rational, parse_rational
-from conftest import interval_sets, intervals, small_fractions
+from conftest import cuts_of, interval_sets, intervals, ref_set_from_cuts, small_fractions
 
 F = Fraction
 
@@ -69,13 +71,23 @@ class TestInvariants:
         [(F(0), 0), (F(3, 2), 1)],  # off the cake
     ])
     def test_cut_constructor_rejects_non_canonical_cuts(self, cuts):
+        """`TestIntegerKeys` takes a set equal to `ref_set_from_cuts` of the
+        reference cuts as proof that they are canonical, so the reference
+        constructor must reject every other cut sequence."""
         with pytest.raises(InvalidInterval):
-            IntervalSet(cuts)
+            ref_set_from_cuts(cuts)
 
-    def test_cut_constructor_writes_its_points_as_rationals(self):
-        text = r"^cuts \(\(1/2, 0\), \(1/3, 1\)\) are not those of a canonical set$"
-        with pytest.raises(InvalidInterval, match=text):
-            IntervalSet([(F(1, 2), 0), (F(1, 3), 1)])
+    def test_sets_are_built_only_by_the_constructors(self):
+        message = "normalize, interval_set or parse_interval_set"
+        for args in ((), ([(F(0), 0), (F(1), 1)],)):
+            with pytest.raises(TypeError, match=message):
+                IntervalSet(*args)
+        plain = interval_set((0, "1/3"), ("1/2", 1, False))
+        staged = cantor_iterate(F(1, 3), 5).set
+        for a in (plain, staged, EMPTY, FULL):
+            for back in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+                assert type(back) is type(a) and back == a and hash(back) == hash(a)
+                assert str(back) == str(a)
 
 
 class TestNormalize:
@@ -244,8 +256,6 @@ class TestKeyText:
         x = F(1, 10**limit)  # limit + 1 digits
         with pytest.raises(TooManyDigits):
             str(Interval(F(0), x, True, True))
-        with pytest.raises(TooManyDigits):  # the message of cuts out of order
-            IntervalSet([(x, 0), (F(0), 1)])
 
     @pytest.mark.parametrize("lo, hi", [(F(0), F(1)), (F(1, 6), F(3, 4)), (F(2, 7), F(1))])
     @pytest.mark.parametrize("lo_closed", [True, False])
@@ -313,7 +323,7 @@ class TestLaws:
 
 def present_lcm(a: IntervalSet) -> int:
     """The lcm of the denominators of the cut points of `a`."""
-    return lcm(*(x.denominator for x, _ in a.cuts))
+    return lcm(*(x.denominator for x, _ in cuts_of(a)))
 
 
 # The plain `Fraction`-cut algorithms the integer keys replace, as references.
@@ -390,8 +400,8 @@ class TestIntegerKeys:
     def test_matches_fraction_reference(self, ivs_a, ivs_b, x):
         a, b = normalize(ivs_a), normalize(ivs_b)
         xs, ys = ref_normalize(ivs_a), ref_normalize(ivs_b)
-        assert a.cuts == xs and b.cuts == ys
-        assert IntervalSet(xs) == a and hash(IntervalSet(xs)) == hash(a)
+        assert cuts_of(a) == xs and cuts_of(b) == ys
+        assert ref_set_from_cuts(xs) == a and hash(ref_set_from_cuts(xs)) == hash(a)
         expected = {
             "complement": ref_complement(xs),
             "intersect": ref_intersect(xs, ys),
@@ -400,7 +410,7 @@ class TestIntegerKeys:
         }
         for name, op in TestCutsOnly.OPS.items():
             got = op(a, b)
-            assert got.cuts == expected[name], name
+            assert cuts_of(got) == expected[name], name
             assert got.den == present_lcm(got), name
         assert (x in a) == (bisect_right(xs, (x, 0)) % 2 == 1)
         assert a.length == sum(e[0] - s[0] for s, e in zip(xs[::2], xs[1::2]))
@@ -432,7 +442,7 @@ class TestCutsOnly:
         for name, op in self.OPS.items():
             assert op(a, b)._components is None, name
         assert a._components is None and b._components is None
-        assert IntervalSet(a.cuts) == a
+        assert ref_set_from_cuts(cuts_of(a)) == a
         result = normalize(a.components)
         assert result._components is None and result == a
 
@@ -444,8 +454,8 @@ class TestCutsOnly:
         a, b = cantor_iterate(F(1, 4), 12).set, cantor_iterate(F(1, 3), 9).set
         for name, op in self.OPS.items():
             result = op(a, b)
-            assert result._cuts is None and result._components is None, name
-        assert a._cuts is None and b._cuts is None
+            assert result._components is None, name
+        assert a._components is None and b._components is None
 
     def test_cantor_iterate(self):
         a12 = lambda p: cantor_iterate(p, 12).set

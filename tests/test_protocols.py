@@ -17,7 +17,6 @@ from cakecalc import (
     CakeError,
     CantorComponent,
     Interval,
-    IntervalSet,
     Player,
     check_envy_free,
     check_proportional,
@@ -42,7 +41,7 @@ from cakecalc import (
 from cakecalc import protocols
 from cakecalc.intervals import rational_text
 from cakecalc.valuation import _cdf_at_keys, _cdf_value, _check_no_atoms, _check_tol, _invert
-from conftest import rand_box_valuation, rand_scfree_valuation
+from conftest import rand_box_valuation, rand_scfree_valuation, ref_set_from_cuts
 
 F = Fraction
 
@@ -230,7 +229,7 @@ class TestFairnessChecks:
 
 # The parent's cut query and protocols, kept as references for the integer
 # versions: `prefix_with_value` clamped its cut with `Fraction` min/max and
-# built [0,c] with the checked `IntervalSet(cuts)`, `moving_knife` built
+# built [0,c] from its cuts (`ref_set_from_cuts`), `moving_knife` built
 # every player's piece, and values were compared by their midpoints.
 
 def ref_prefix_with_value(v, A, target, tol):
@@ -252,7 +251,7 @@ def ref_prefix_with_value(v, A, target, tol):
             t = F(n - (below_lo + below_hi - base) * m, 2 * d * m)
             c = _invert(v, t.numerator, t.denominator, tol)
             c = min(max(c, F(keys[i] >> 1, A.den)), F(keys[i + 1] >> 1, A.den))
-            return intersect(A, IntervalSet(((F(0), 0), (c, 1)))), c
+            return intersect(A, ref_set_from_cuts(((F(0), 0), (c, 1)))), c
         below_lo, below_hi = upto_lo, upto_hi
     raise BadParameter(f"target {target} exceeds v(A)")
 

@@ -51,7 +51,7 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.intervals import IntervalSet, _encode
+from cakecalc.intervals import _encode
 from cakecalc import valuation
 from cakecalc.valuation import (
     _cdf_value,
@@ -63,7 +63,14 @@ from cakecalc.valuation import (
     _slice,
     _table_at_keys,
 )
-from conftest import interval_sets, intervals, rand_scfree_valuation, small_fractions
+from conftest import (
+    cuts_of,
+    interval_sets,
+    intervals,
+    rand_scfree_valuation,
+    ref_set_from_cuts,
+    small_fractions,
+)
 
 F = Fraction
 
@@ -444,7 +451,7 @@ class TestIntegerTable:
         a = normalize(ivs)
         expected = sum(
             ref_table_value(ref, e) - ref_table_value(ref, s)
-            for s, e in zip(a.cuts[::2], a.cuts[1::2])
+            for s, e in zip(cuts_of(a)[::2], cuts_of(a)[1::2])
         )
         assert evaluate(v, a).value == expected
 
@@ -509,7 +516,7 @@ def ref_cdf(v, table, cut, tol):
 
 
 def ref_evaluate(v, table, a, tol):
-    cuts = a.cuts
+    cuts = cuts_of(a)
     per_call = tol / max(2, len(cuts))
     lo = hi = F(0)
     for s, e in zip(cuts[::2], cuts[1::2]):
@@ -757,7 +764,7 @@ def ref_prefix_scfree(v, a, target):
 
 
 def ref_prefix_cantor(v, table, a, target, tol):
-    cuts = a.cuts
+    cuts = cuts_of(a)
     values = [ref_cdf(v, table, cut, tol / (4 * max(2, len(cuts)))) for cut in cuts]
     lo = hi = F(0)  # the bracket of v(A) left of the component
     for i, (base, top) in enumerate(zip(values[::2], values[1::2])):
@@ -1166,7 +1173,7 @@ class TestSlice:
 
 # The slicer that the one integer pass replaces, as its reference: one
 # `Fraction` inversion per piece, here over the `Fraction` references above,
-# and each piece built through the checked `IntervalSet(cuts)`.
+# and each piece built from its cuts through `ref_set_from_cuts`.
 
 def ref_slice(v, epsilon, tol=DEFAULT_TOL):
     table = ref_breakpoint_table(v.atoms, v.density)
@@ -1181,9 +1188,9 @@ def ref_slice(v, epsilon, tol=DEFAULT_TOL):
             end, f_end = (c, 0), g_left
         else:  # a hit, or a lone atom at c after a zero-mass run-up
             end, f_end = (c, 1), g_at
-        pieces.append(IntervalSet((start, end)))
+        pieces.append(ref_set_from_cuts((start, end)))
         start, consumed = end, f_end
-    return pieces + [IntervalSet((start, (F(1), 1)))]
+    return pieces + [ref_set_from_cuts((start, (F(1), 1)))]
 
 
 LIGHT_ATOM_OVER_A_DENSITY = make_valuation(
