@@ -26,8 +26,8 @@ from functools import cache
 
 from .config import load_valuation
 from .errors import BadParameter, CakeError, ParseError
-from .foundations import cantor_iterate, disjoint_union_witness, removed_mass
-from .intervals import IntervalSet, parse_interval_set, parse_rational, rational_text, total_length
+from .foundations import disjoint_union_witness, removed_mass
+from .intervals import IntervalSet, parse_interval_set, parse_rational, rational_text
 from .protocols import Player, cut_and_choose, last_diminisher, moving_knife
 from .protocols import _values, _verdicts
 from .valuation import CdfValue, _slice as slice_with_values, cdf, cut, evaluate
@@ -148,9 +148,8 @@ def _cantor(args, tol):
         raise BadParameter(f"n_max {args.n_max} must be >= 0")
     rows = []
     for n in range(args.n_max + 1):
-        s = cantor_iterate(p, n).set
-        rows.append({"n": n, "components": 2**n, "remaining": total_length(s),
-                     "removed": removed_mass(p, n)})
+        removed = removed_mass(p, n)
+        rows.append({"n": n, "components": 2**n, "remaining": 1 - removed, "removed": removed})
     lines = [[_CANTOR_ROW.format("n", "components", "remaining", "removed")]]
     lines += [[_CANTOR_ROW.format(*map(rational_text, r.values()))] for r in rows]
     return {"command": "cantor", "p": p, "rows": rows}, lines

@@ -60,10 +60,6 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: Fraction) -> bool:
         return self.start <= (x, 0) and (x, 1) <= self.end
 

@@ -10,9 +10,8 @@ The protocols talk to a valuation only through Robertson–Webb queries:
 eval (`valuation._value_ints`, v(A) as integers (lo, hi, d) for [lo/d,
 hi/d]) and cut (`cut`, `prefix_with_value`, and `_prefix_end` for a
 moving-knife mark, which builds no piece).  Midpoints and marks are
-compared by cross-multiplication.  The checks and the CLI read the value
-matrix `_values` of such triples, with one sweep of the pieces' merged
-cuts per player without a Cantor part, and `_verdicts` decides both
+compared by cross-multiplication.  `check_envy_free` and the CLI read the
+value matrix `_values` of such triples, and `_verdicts` decides both
 verdicts from it in integers; a `CdfValue` is built only for a value that
 a check returns.
 """
@@ -21,14 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
-from .foundations import CantorIterateSet
-from .intervals import FULL, IntervalSet, _scaled, difference, rational_text
+from .intervals import FULL, IntervalSet, difference, rational_text
 from .valuation import DEFAULT_TOL, Valuation, cut, prefix_with_value
-from .valuation import _cdf_value, _check_tol, _prefix, _prefix_end, _table_at_keys, _value_ints
+from .valuation import _cdf_value, _check_tol, _prefix, _prefix_end, _value_ints, _value_matrix
 
 
 @dataclass(frozen=True)
@@ -150,39 +147,9 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
 def _values(
     alloc: Allocation, players: Sequence[Player], tol
 ) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """The value matrix {(i, j): v_i(X_j)} of triples (lo, hi, d), each equal
-    in value to `_value_ints(v_i, X_j, tol)`.  The pieces' keys are rescaled
-    to the lcm L of their dens and merged into one sorted run, so a player
-    without a Cantor part reads G once, by one `_table_at_keys` sweep over
-    it, and each value is a signed sum over its piece's positions in it.  A
-    player with a Cantor part evaluates each piece, with its own d, since a
-    bracket's walk depth depends on the piece's key count; so does every
-    player for a Cantor iterate, which is read by descent without its keys."""
-    tol = _check_tol(tol)
-    swept = {j: s for j, s in alloc.pieces.items() if not isinstance(s, CantorIterateSet)}
-    L = lcm(*(s.den for s in swept.values()))
-    scaled = {j: _scaled(s.keys, L // s.den) for j, s in swept.items()}
-    merged = sorted({k for keys in scaled.values() for k in keys})
-    at = {k: n for n, k in enumerate(merged)}
-    positions = {j: ([at[k] for k in keys[::2]], [at[k] for k in keys[1::2]])
-                 for j, keys in scaled.items()}
-    values = {}
-    for pl in players:
-        v = pl.valuation
-        if v._parts:
-            values.update(((pl.id, j), _value_ints(v, s, tol)) for j, s in alloc.pieces.items())
-            continue
-        g, q = _table_at_keys(v._table, L, merged)
-        g_at = g.__getitem__
-        for j, s in alloc.pieces.items():
-            if j in positions:
-                starts, ends = positions[j]
-                total = sum(map(g_at, ends)) - sum(map(g_at, starts))
-                assert 0 <= total <= q, (total, q)  # as `_clamp` checks an exact value
-                values[pl.id, j] = (total, total, q)
-            else:
-                values[pl.id, j] = _value_ints(v, s, tol)
-    return values
+    """The value matrix {(i, j): v_i(X_j)} of the players and the pieces of
+    `alloc`, as `valuation._value_matrix` builds it."""
+    return _value_matrix({pl.id: pl.valuation for pl in players}, alloc.pieces, tol)
 
 
 def _verdicts(values: dict, players: Sequence[Player], pieces, tol):

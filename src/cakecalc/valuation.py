@@ -1,20 +1,11 @@
-"""Valuations on the unit cake given by explicit Lebesgue-decomposition data.
+"""Valuations on the unit cake given by their Lebesgue decomposition:
+atoms, a piecewise-constant density and rescaled Cantor measures.
 
-A Valuation is generator data: point masses (the discontinuous part), a
-piecewise-constant density (the absolutely continuous part), and rescaled
-Cantor measures (the singular-continuous part), checked in integers and
-pinned to total mass 1 by `integer_valuation`.
-
-The atom + density part G of the distribution function F is one integer
-table (`_Table`).  F is read through `_cdf_at_keys`, integer bracket ends
-at a set's cuts, and inverted through `_invert_rows`, the table's row rule,
-and `_descend` inside a Cantor support.  The Robertson–Webb queries stay in
-integers, the eval query `_value_ints` (`evaluate` without its `CdfValue`)
-and the cut query `_prefix_end`, which hands `_invert` its target as ints;
-a `Fraction` is built only for a value or a point that is returned.
-
-All arithmetic is exact.  Only Cantor orbits that do not close within the
-tolerance force approximation: certified brackets (CdfValue) or points.
+The Robertson–Webb queries stay in integers: eval is `_value_ints`, or
+`_value_matrix` for every valuation and piece of an allocation, and cut is
+`_prefix_end`; a `Fraction` is built only for a value or a point that is
+returned.  All arithmetic is exact.  Only Cantor orbits that do not close
+within the tolerance force approximation: certified brackets or points.
 """
 
 from __future__ import annotations
@@ -46,6 +37,7 @@ from .intervals import (
     IntervalSet,
     _encode,
     _from_keys,
+    _scaled,
     as_fraction,
     contains,
     intersect,
@@ -67,11 +59,6 @@ class CdfValue:
 
     lo: Fraction
     hi: Fraction
-
-    @classmethod
-    def exact(cls, x) -> "CdfValue":
-        x = as_fraction(x)
-        return cls(x, x)
 
     @property
     def is_exact(self) -> bool:
@@ -207,9 +194,9 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     """The checked valuation of atoms (an, ad, wn, wd), densities (s, e, dn,
     dd) and Cantor components (s, e, pn, pd, wn, wd), the supports given by
     their keys s, e over a common denominator `den`; every pair n/d is in
-    lowest terms with d > 0.  Every `Valuation` is built here, and every
-    check compares integers; the public fields are built once, after the
-    checks pass."""
+    lowest terms with d > 0.  Every `Valuation` is built here.  The Cantor
+    ratio goes through `cantor.check_ratio`, and every other check compares
+    integers; the public fields are built once, after the checks pass."""
     if len({(an, ad) for an, ad, _, _ in atoms}) != len(atoms):
         raise BadParameter("duplicate atom locations")
     for an, ad, wn, wd in atoms:
@@ -224,8 +211,7 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
     _check_pairwise_disjoint(den, density, "density supports")
 
     for s, e, pn, pd, wn, wd in cantor_parts:
-        if not 0 < 3 * pn <= pd:
-            raise BadParameter(f"Cantor ratio p={rational_text(pn, pd)} outside (0, 1/3]")
+        cantor.check_ratio(Fraction(pn, pd))
         if wn <= 0:
             raise BadParameter(
                 f"Cantor component weight {rational_text(wn, wd)} must be positive"
@@ -420,6 +406,43 @@ def _value_ints(v: Valuation, A: IntervalSet, tol) -> tuple[int, int, int]:
         lo, hi = map(sum, zip(*(_clamp(e_lo - s_hi, e_hi - s_lo, d) for s_lo, s_hi, e_lo, e_hi
                                 in zip(lo[::2], hi[::2], lo[1::2], hi[1::2]))))
     return (*_clamp(lo, hi, d), d)
+
+
+def _value_matrix(
+    valuations: dict[int, Valuation], pieces: dict[int, IntervalSet], tol
+) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The value matrix {(i, j): v_i(X_j)} of triples (lo, hi, d), each equal
+    in value to `_value_ints(v_i, X_j, tol)`.  The pieces' keys are rescaled
+    to the lcm L of their dens and merged into one sorted run, so a valuation
+    without a Cantor part reads G once, by one `_table_at_keys` sweep over
+    it, and each value is a signed sum over its piece's positions in it.  A
+    valuation with a Cantor part evaluates each piece, with its own d, since
+    a bracket's walk depth depends on the piece's key count; so does every
+    valuation for a Cantor iterate, which is read by descent without its keys."""
+    tol = _check_tol(tol)
+    swept = {j: s for j, s in pieces.items() if not isinstance(s, CantorIterateSet)}
+    L = lcm(*(s.den for s in swept.values()))
+    scaled = {j: _scaled(s.keys, L // s.den) for j, s in swept.items()}
+    merged = sorted({k for keys in scaled.values() for k in keys})
+    at = {k: n for n, k in enumerate(merged)}
+    positions = {j: ([at[k] for k in keys[::2]], [at[k] for k in keys[1::2]])
+                 for j, keys in scaled.items()}
+    values = {}
+    for i, v in valuations.items():
+        if v._parts:
+            values.update(((i, j), _value_ints(v, s, tol)) for j, s in pieces.items())
+            continue
+        g, q = _table_at_keys(v._table, L, merged)
+        g_at = g.__getitem__
+        for j, s in pieces.items():
+            if j in positions:
+                starts, ends = positions[j]
+                total = sum(map(g_at, ends)) - sum(map(g_at, starts))
+                assert 0 <= total <= q, (total, q)  # as `_clamp` checks an exact value
+                values[i, j] = (total, total, q)
+            else:
+                values[i, j] = _value_ints(v, s, tol)
+    return values
 
 
 def _table_at_keys(table: _Table, den: int, keys: Sequence[int]) -> tuple[list[int], int]:

@@ -10,8 +10,10 @@ from operator import lt
 
 from hypothesis import strategies as st
 
-from cakecalc import Interval, IntervalSet, InvalidInterval, Valuation, make_valuation, normalize
-from cakecalc.intervals import _encode, _from_keys, rational_text
+from cakecalc import (
+    CdfValue, Interval, IntervalSet, InvalidInterval, Valuation, make_valuation, normalize,
+)
+from cakecalc.intervals import _encode, _from_keys, as_fraction, rational_text
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,6 +40,12 @@ def ref_set_from_cuts(cuts) -> IntervalSet:
         text = ", ".join(f"({rational_text(x)}, {side})" for x, side in cuts)
         raise InvalidInterval(f"cuts ({text}) are not those of a canonical set")
     return _from_keys(den, keys)
+
+
+def exact_value(x) -> CdfValue:
+    """The exact `CdfValue` of the rational x, both ends one `Fraction`."""
+    x = as_fraction(x)
+    return CdfValue(x, x)
 
 
 # --- seeded plain-random generators (fast enough for 10^4-scale suites) ----

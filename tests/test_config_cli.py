@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,8 +40,10 @@ from cakecalc import (
 )
 from cakecalc.cli import COMMANDS, _cell, build_parser, main, run
 from cakecalc.config import _parsed
-from cakecalc.intervals import IntervalSet, parse_rational, rational_text
+from cakecalc.foundations import CantorIterateSet, cantor_iterate
+from cakecalc.intervals import IntervalSet, parse_rational, rational_text, total_length
 from cakecalc.valuation import _cdf_value, _slice
+from conftest import exact_value
 
 F = Fraction
 
@@ -346,6 +349,20 @@ class TestCli:
         remaining = [line.split()[2] for line in out.strip().splitlines()[1:]]
         assert remaining == ["1", "2/3", "4/9", "8/27", "16/81"]
 
+    @pytest.mark.parametrize("p", [F(1, 3), F(1, 4), F(1, 5), F(1, 7)])
+    def test_cantor_table_builds_no_iterate(self, p):
+        # each row's remaining length is 1 - removed_mass(p, n), read off
+        # without A_n; the iterates' own lengths are the reference
+        ref = [rational_text(total_length(cantor_iterate(p, n).set)) for n in range(41)]
+
+        def refuse(*args):
+            raise AssertionError("the cantor command built an iterate")
+
+        with mock.patch.object(CantorIterateSet, "__init__", refuse):
+            code, out = cli("--json", "cantor", rational_text(p), "40")
+        assert code == 0
+        assert [row["remaining"] for row in json.loads(out)["rows"]] == ref
+
     def test_one_parser_serves_every_run(self, capsys):
         fresh = build_parser.__wrapped__()
         cli("--json", "cdf", str(bundled_config_path("dirac")), "1/2", "--side", "left_limit")
@@ -478,7 +495,7 @@ class TestExitCodes:
         try:
             # p = 1/10^400 has 401 digits, the remaining length (1 - p)^2 of A_2 801
             assert main([*flags, "cantor", f"1/1{'0' * 400}", "2"]) == 1
-            for value in (CdfValue.exact(F(1, 10**700)), CdfValue(F(0), F(1, 10**700))):
+            for value in (exact_value(F(1, 10**700)), CdfValue(F(0), F(1, 10**700))):
                 with pytest.raises(TooManyDigits):
                     str(value)
         finally:

@@ -60,7 +60,7 @@ class TestInvariants:
 
     def test_singleton_allowed(self):
         s = iv("1/2", "1/2")
-        assert s.is_singleton and s.length == 0
+        assert s.lo == s.hi and s.length == 0
 
     @pytest.mark.parametrize("cuts", [
         [(F(1, 2), 1), (F(1, 2), 1)],  # (1/2,1/2]

@@ -38,7 +38,7 @@ from cakecalc import (
     uniform_valuation,
     union,
 )
-from cakecalc import protocols
+from cakecalc import protocols, valuation
 from cakecalc.intervals import rational_text
 from cakecalc.valuation import _cdf_at_keys, _cdf_value, _check_no_atoms, _check_tol, _invert
 from conftest import rand_box_valuation, rand_scfree_valuation, ref_set_from_cuts
@@ -460,23 +460,25 @@ class TestAgainstTheParentProtocols:
 def assert_matrix_is_per_pair(alloc, players, tol):
     """`_values` equals `evaluate` of every (player, piece) pair, brackets
     included, and makes one `_table_at_keys` sweep per player without a
-    Cantor part; both checks equal their per-pair references."""
+    Cantor part (`_cdf_at_keys` sweeps too, for a player with one); both
+    checks equal their per-pair references."""
     sweeps = []
 
     def counted(*args):
         sweeps.append(args)
         return table_at_keys(*args)
 
-    table_at_keys = protocols._table_at_keys
-    with mock.patch.object(protocols, "_table_at_keys", counted):
+    table_at_keys = valuation._table_at_keys
+    with mock.patch.object(valuation, "_table_at_keys", counted):
         values = protocols._values(alloc, players, tol)
+    tables = [pl.valuation._table for pl in players if not pl.valuation.cantor]
     ref = {(i.id, j): evaluate(i.valuation, s, tol)
            for i in players for j, s in alloc.pieces.items()}
     assert list(values) == list(ref)
     for pair, value in ref.items():  # CdfValue's == compares (lo, hi)
         got = _cdf_value(*values[pair])
         assert (got.lo, got.hi) == (value.lo, value.hi), pair
-    assert len(sweeps) == sum(not pl.valuation.cantor for pl in players)
+    assert sum(any(table is t for t in tables) for table, *_ in sweeps) == len(tables)
     assert check_proportional(alloc, players, tol) == ref_check_proportional(alloc, players, tol)
     assert check_envy_free(alloc, players, tol) == ref_check_envy_free(alloc, players, tol)
 

@@ -1,11 +1,16 @@
 """tools/src_lines.py: the line kinds of a source file, and totals that
 equal `wc -l`; tools/output_hash.py: one stable digest per workload and
-seed."""
+seed; tools/traffic.py: the statements that the traffic does not reach."""
 
+import ast
 import importlib.util
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cakecalc import cli, protocols
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
@@ -50,3 +55,29 @@ def test_output_hash_is_the_same_in_two_runs():
         assert sorted(name for name, s, _ in lines if s == seed) == [
             "fair_division", "iterates", "singular"]
     assert all(len(digest) == 64 for _, _, digest in lines)
+
+
+def body_lines(f):
+    """The first line of each statement of the module-level function f's
+    body, its docstring left out."""
+    lines, first = inspect.getsourcelines(f)
+    (node,) = ast.parse("".join(lines)).body
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return [first - 1 + stmt.lineno for stmt in body]
+
+
+def test_traffic_lists_check_proportional_and_not_cli_run():
+    """Neither a workload nor a CLI command calls `check_proportional`, so
+    every statement of its body is listed; `cli.run` runs for each of them,
+    so no statement of its body is.  The script exits 0: every golden case
+    passed under the trace."""
+    cmd = [sys.executable, str(ROOT / "tools" / "traffic.py")]
+    report = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    listed, path = {}, None
+    for line in report.splitlines():
+        if not line.startswith(" "):
+            path = line.split(":")[0]
+        else:
+            listed.setdefault(path, set()).add(int(re.match(r" *(\d+)", line).group(1)))
+    assert set(body_lines(protocols.check_proportional)) <= listed["src/cakecalc/protocols.py"]
+    assert not set(body_lines(cli.run)) & listed.get("src/cakecalc/cli.py", set())

@@ -65,6 +65,7 @@ from cakecalc.valuation import (
 )
 from conftest import (
     cuts_of,
+    exact_value,
     interval_sets,
     intervals,
     rand_scfree_valuation,
@@ -253,7 +254,7 @@ class TestCdf:
             _clamp(9, 9, 8)
 
     def test_value_of_a_bracket_is_an_error(self):
-        assert CdfValue.exact(F(1, 3)).value == F(1, 3)
+        assert exact_value(F(1, 3)).value == F(1, 3)
         with pytest.raises(ValueError, match="not exact"):
             CdfValue(F(1, 4), F(1, 3)).value
         val = cdf(cantor_valuation(F(1, 4)), F(1, 10), tol=F(1, 16))
@@ -748,7 +749,7 @@ class TestIntegerInvertTarget:
 
 def ref_evaluate_scfree(v, a):
     g, q = _table_at_keys(v._table, a.den, a.keys)
-    return CdfValue.exact(F(sum(g[1::2]) - sum(g[::2]), q))
+    return exact_value(F(sum(g[1::2]) - sum(g[::2]), q))
 
 
 def ref_prefix_scfree(v, a, target):
