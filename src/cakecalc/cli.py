@@ -13,7 +13,8 @@ lists, strings, ints and bools, and calls `_json_default` only for a
 library value.  `slice` hands both renderings its pieces as text, each cut
 point written once, since a slicing's pieces are consecutive intervals.
 `slice` and `protocol` write their values from integer triples (lo, hi, d),
-`slice` each distinct one once, and build a `CdfValue` only for a text line.
+`slice` each distinct one once, and hand their text lines over as
+generators, so a `CdfValue` is built only for a line that is printed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .config import load_valuation
 from .errors import BadParameter, CakeError, ParseError
@@ -130,12 +132,13 @@ def _protocol(args, tol):
         "envy_free": envy_free,
         "trace": alloc.trace,
     }
-    lines = [[f"protocol: {alloc.protocol}"]]
-    lines += [
-        [f"player {i}: ", alloc.pieces[i], "  value ", _cdf_value(*values[i, i])]
-        for i in sorted(alloc.pieces)
-    ]
-    lines += [[f"proportional: {proportional}"], [f"envy_free: {envy_free}"]]
+    # built only if the text is printed
+    lines = chain(
+        [[f"protocol: {alloc.protocol}"]],
+        ([f"player {i}: ", alloc.pieces[i], "  value ", _cdf_value(*values[i, i])]
+         for i in sorted(alloc.pieces)),
+        [[f"proportional: {proportional}"], [f"envy_free: {envy_free}"]],
+    )
     return report, lines
 
 

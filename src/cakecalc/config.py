@@ -110,17 +110,21 @@ def _parsed(text: str, limit: int) -> Valuation:
 
 
 def load_valuation(path) -> Valuation:
-    """The valuation of the config file at `path`.  The file is read as UTF-8
-    on every call; its text is parsed once per int-to-str limit and the
-    valuation reused (see the module docstring).  An unreadable file, one
-    that is not UTF-8, bad JSON (nested too deep for the parser, too) or a
-    schema violation raises ParseError naming `path`; the constructors'
-    CakeErrors pass through."""
+    """The valuation of the config file at `path`.  The file is read as
+    bytes and decoded as UTF-8 on every call, with CRLF and lone CR line
+    ends read as LF, as in text mode; its text is parsed once per int-to-str
+    limit and the valuation reused (see the module docstring).  An
+    unreadable file, one that is not UTF-8, bad JSON (nested too deep for
+    the parser, too) or a schema violation raises ParseError naming `path`;
+    the constructors' CakeErrors pass through."""
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            data = f.read()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
+    if b"\r" in data:  # the newlines of a read in text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return _parsed(text, getattr(sys, "get_int_max_str_digits", int)())  # none before 3.10.7
     except _BadJSON as exc:

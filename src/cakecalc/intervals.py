@@ -354,6 +354,35 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return intersect(a, complement(b))
 
 
+def _split(a: IntervalSet, cn: int, cd: int) -> tuple[IntervalSet, IntervalSet]:
+    """(a ∩ [0,c], a ∩ (c,1]) for c = cn/cd in [0,1], cd > 0, from one
+    bisection of the key K of the cut (c, 1) into a's keys: the keys below
+    K go left and the rest right, and where K falls inside a component,
+    both halves take it.  A key equal to K ends a component at c or starts
+    one just after it, so it splits a cleanly.  Where c is off a's grid, no
+    key equals it, and a half with K is written over lcm(a.den, cd).  A half
+    that is all of a is a itself, as `intersect` returns it."""
+    keys, den = a.keys, a.den
+    q, r = divmod(cn * den, cd)
+    K = 2 * q + 1
+    # with r, c lies after every key at q/den and before every key at (q + 1)/den
+    i = bisect_left(keys, K + 1 if r else K)
+    if i & 1 and keys[i] == K:  # a component ends at c
+        i += 1
+    if not i:
+        return EMPTY, a
+    if i == len(keys):
+        return a, EMPTY
+    left, right = keys[:i], keys[i:]
+    if i & 1:  # c lies inside a component: both halves end or start at K
+        if r:  # both halves over lcm(den, cd)
+            f = cd // gcd(den, cd)
+            left, right, den = _scaled(left, f), _scaled(right, f), den * f
+            K = 2 * cn * (den // cd) + 1
+        left, right = (*left, K), (K, *right)
+    return _reduced(den, left), _reduced(den, right)
+
+
 def as_fraction(x) -> Fraction:
     """x as a `Fraction`; one is returned as it is, without `Fraction(x)`'s
     slow path for it."""

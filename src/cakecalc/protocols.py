@@ -6,14 +6,15 @@ fixed everywhere (lowest player id; left piece on equal value), which makes
 runs deterministic.  Valuations with atoms are rejected up front: exact
 halving cuts need a continuous distribution function.
 
-The protocols talk to a valuation only through Robertson–Webb queries:
-eval (`valuation._value_ints`, v(A) as integers (lo, hi, d) for [lo/d,
-hi/d]) and cut (`cut`, `prefix_with_value`, and `_prefix_end` for a
-moving-knife mark, which builds no piece).  Midpoints and marks are
-compared by cross-multiplication.  `check_envy_free` and the CLI read the
-value matrix `_values` of such triples, and `_verdicts` decides both
-verdicts from it in integers; a `CdfValue` is built only for a value that
-a check returns.
+The protocols talk to a valuation only through Robertson–Webb queries in
+integers: eval (`valuation._value_ints`, (lo, hi, d) for [lo/d, hi/d])
+and cut (`valuation._prefix_end`, a point as a reduced pair (cn, cd);
+`cut` in cut-and-choose).  Midpoints and marks are compared by
+cross-multiplication, and a round's piece and the cake left are the two
+halves of one `intervals._split` at its point.  `check_envy_free` and
+the CLI read the value matrix `_values` of such triples, and `_verdicts`
+decides both verdicts from it; a `CdfValue` is built only for a value
+that a check returns.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
-from .intervals import FULL, IntervalSet, difference, rational_text
-from .valuation import DEFAULT_TOL, Valuation, cut, prefix_with_value
-from .valuation import _cdf_value, _check_tol, _prefix, _prefix_end, _value_ints, _value_matrix
+from .intervals import FULL, IntervalSet, _split, difference, rational_text
+from .valuation import DEFAULT_TOL, Valuation, cut
+from .valuation import _cdf_value, _check_tol, _prefix_end, _value_ints, _value_matrix
 
 
 @dataclass(frozen=True)
@@ -84,28 +85,30 @@ def last_diminisher(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
     diminisher's measure); the last diminisher exits with it; the final two
     players split the remainder by cut-and-choose."""
     _check_players(players, 2)
+    tol = _check_tol(tol)
     n = len(players)
-    share = Fraction(1, n)
     trace: list[dict] = []
     pieces: dict[int, IntervalSet] = {}
     remaining = FULL
     active = sorted(players, key=lambda p: p.id)
 
     while len(active) > 2:
-        cutter = active[0]
-        piece, pos = prefix_with_value(cutter.valuation, remaining, share, tol)
-        trace.append({"event": "cut", "player": cutter.id, "position": rational_text(pos)})
-        holder = cutter
+        holder = active[0]
+        pos = _prefix_end(holder.valuation, remaining, 1, n, tol)
+        trace.append({"event": "cut", "player": holder.id, "position": rational_text(*pos)})
+        piece, rest = _split(remaining, *pos)
         for pl in active[1:]:
             if _above(_value_ints(pl.valuation, piece, tol), 1, n):
-                piece, pos = prefix_with_value(pl.valuation, piece, share, tol)
+                # the mark lies in the piece, so it cuts the remaining cake there too
+                pos = _prefix_end(pl.valuation, piece, 1, n, tol)
                 trace.append(
-                    {"event": "diminish", "player": pl.id, "position": rational_text(pos)}
+                    {"event": "diminish", "player": pl.id, "position": rational_text(*pos)}
                 )
+                piece, rest = _split(remaining, *pos)
                 holder = pl
         pieces[holder.id] = piece
         trace.append({"event": "take", "player": holder.id, "piece": str(piece)})
-        remaining = difference(remaining, piece)
+        remaining = rest
         active = [p for p in active if p.id != holder.id]
 
     pieces.update(_choose_and_cut(active[0], active[1], remaining, tol, trace))
@@ -118,8 +121,8 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
     (tie -> lowest id) wins the prefix; the last player takes the rest.  A
     mark is a cut query; only the winner's piece is built."""
     _check_players(players, 2)
+    tol = _check_tol(tol)
     n = len(players)
-    share = Fraction(1, n)
     trace: list[dict] = []
     pieces: dict[int, IntervalSet] = {}
     remaining = FULL
@@ -128,12 +131,11 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
     while len(active) > 1:
         pos = None
         for pl in active:  # the smallest mark, by cross-multiplication; tie -> lowest id
-            c = _prefix_end(pl.valuation, remaining, share, tol)
-            if pos is None or c.numerator * pos.denominator < pos.numerator * c.denominator:
-                pos, winner_id = c, pl.id
-        trace.append({"event": "claim", "player": winner_id, "position": rational_text(pos)})
-        piece = pieces[winner_id] = _prefix(remaining, pos)
-        remaining = difference(remaining, piece)
+            cn, cd = _prefix_end(pl.valuation, remaining, 1, n, tol)
+            if pos is None or cn * pos[1] < pos[0] * cd:
+                pos, winner_id = (cn, cd), pl.id
+        trace.append({"event": "claim", "player": winner_id, "position": rational_text(*pos)})
+        pieces[winner_id], remaining = _split(remaining, *pos)
         active = [p for p in active if p.id != winner_id]
 
     pieces[active[0].id] = remaining

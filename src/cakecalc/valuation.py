@@ -3,9 +3,11 @@ atoms, a piecewise-constant density and rescaled Cantor measures.
 
 The Robertson–Webb queries stay in integers: eval is `_value_ints`, or
 `_value_matrix` for every valuation and piece of an allocation, and cut is
-`_prefix_end`; a `Fraction` is built only for a value or a point that is
-returned.  All arithmetic is exact.  Only Cantor orbits that do not close
-within the tolerance force approximation: certified brackets or points.
+`_prefix_end`, whose point is a reduced pair (cn, cd) that
+`intervals._split` cuts a set at; a `Fraction` is built only for a value
+or a point that is returned.  All arithmetic is exact.  Only Cantor
+orbits that do not close within the tolerance force approximation:
+certified brackets or points.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .intervals import (
     _encode,
     _from_keys,
     _scaled,
+    _split,
     as_fraction,
     contains,
-    intersect,
     key_intervals,
     keys_text,
     rational_text,
@@ -480,18 +482,20 @@ def _invert_rows(table: _Table, a: int, b: int, lo: int = 0):
     return i, X[i - 1] * R[i - 1] * b + a - GA[i - 1] * b, D * R[i - 1] * b, a, a
 
 
-def _invert(v: Valuation, tn: int, td: int, tol: Fraction) -> Fraction:
-    """The minimal c with F(c) >= tn/td (td > 0), or 1.  Off the Cantor
-    supports F is G plus the Cantor mass to the left; on one, `_descend`
-    gets the target less that mass as a `Fraction` and finds c, or c within tol/4."""
+def _invert(v: Valuation, tn: int, td: int, tol: Fraction) -> tuple[int, int]:
+    """The minimal c with F(c) >= tn/td (td > 0), or 1, as a pair (cn, cd),
+    in lowest terms or not.  Off the Cantor supports F is G plus the Cantor
+    mass to the left; on one, `_descend` gets the target less that mass as
+    a `Fraction` and finds c, or c within tol/4."""
     table, n, d = v._table, 0, 1  # n/d: the Cantor mass left of the piece of the line
     for part in v._parts:
         E, _, T, _, _, wn, wd = part
         (g,), q = _table_at_keys(table, E, (2 * T,))  # G(T/E-) over q at the support end
         if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:  # F(T/E-) >= t
-            return _descend(table, max(table.R), part, Fraction(tn * d - n * td, td * d), tol)
+            c = _descend(table, max(table.R), part, Fraction(tn * d - n * td, td * d), tol)
+            return c.numerator, c.denominator
         n, d = n * wd + wn * d, d * wd
-    return Fraction(*_invert_rows(table, (tn * d - n * td) * table.QD, td * d)[1:3])
+    return _invert_rows(table, (tn * d - n * td) * table.QD, td * d)[1:3]
 
 
 def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):
@@ -506,22 +510,29 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: 
 
     In integers: D | M and G is over Q·M; r and m are over W = lcm(t, w)·2^k
     at level k.  A level scales M, A and G by 2·pd and L by pd - pn, which
-    keeps both children integral; a `Fraction` is built only for c."""
+    keeps both children integral; a `Fraction` is built only for c.  Q·M
+    and the row scale f = M/D are kept running, and G is read off the rows
+    as `_table_at_keys` reads it."""
     E, S, T, pn, pd, wn, wd = part
-    Q, M = table.QD // table.D, lcm(table.D, E)
+    D, QD, X, GL, GA, R = table
+    M = lcm(D, E)
+    f, QM = M // D, QD // D * M
     A, L = S * (M // E), (T - S) * (M // E)
     W = lcm(t.denominator, wd)
     r, m = t.numerator * (W // t.denominator), wn * (W // wd)
     qn, qd = tol.numerator, 4 * tol.denominator
 
-    def g_at(x, side):  # G(x/M-) or G(x/M) over Q·M
-        return _table_at_keys(table, M, (2 * x + side,))[0][0]
+    def g_at(x, side):  # G(x/M-) or G(x/M) over Q·M, from the row of x
+        i = bisect_right(X, x // f) - 1
+        y = X[i] * f
+        if x == y:
+            return (GA[i] if side else GL[i]) * f
+        return GA[i] * f + R[i] * (x - y)
 
     g_a, g_b, seen = g_at(A, 1), g_at(A + L, 0), {}
     while True:
-        QM = Q * M
         if g_a * W >= r * QM:
-            return Fraction(*_invert_rows(table, r * table.QD, W)[1:3])
+            return Fraction(*_invert_rows(table, r * QD, W)[1:3])
         flat = g_a == g_b
         if flat:  # a repeat of the relative target closes the recursion
             num, den = r * QM - g_a * W, m * QM
@@ -531,10 +542,12 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: 
                 return Fraction(L0 * A - A0 * L, L0 * M - L * M0)
         if qd * (m * QM + rate * L * W) <= qn * W * QM:
             return Fraction(A + L, M)
-        M, A, g_a, g_b, W, r = M * 2 * pd, A * 2 * pd, g_a * 2 * pd, g_b * 2 * pd, 2 * W, 2 * r
+        s = 2 * pd
+        M, A, g_a, g_b, W, r = M * s, A * s, g_a * s, g_b * s, 2 * W, 2 * r
+        f, QM = f * s, QM * s
         right, L = A + L * (pd + pn), L * (pd - pn)
         g_l = g_a if flat else g_at(A + L, 0)
-        if g_l * W >= (r - m) * Q * M:
+        if g_l * W >= (r - m) * QM:
             g_b = g_l
         else:
             g_a = g_b if flat else g_at(right, 1)
@@ -545,9 +558,10 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: 
 
 
 def _check_no_atoms(v: Valuation, A: IntervalSet) -> None:
-    obstructing = [(loc, w) for loc, w in v.atoms if contains(A, loc)]
-    if obstructing:
-        raise AtomObstruction(obstructing)
+    if v.atoms:
+        obstructing = [(loc, w) for loc, w in v.atoms if contains(A, loc)]
+        if obstructing:
+            raise AtomObstruction(obstructing)
 
 
 def prefix_with_value(
@@ -561,50 +575,47 @@ def prefix_with_value(
     Requires v to have no atom inside A; the distribution is then continuous
     on A and the prefix value sweeps [0, v(A)] exactly.
     """
-    c = _prefix_end(v, A, target, tol)
-    # c is 0 only for a target of 0: without an atom in A, v(A ∩ [0,0]) = 0
-    return (_prefix(A, c) if c else EMPTY), c
-
-
-def _prefix(A: IntervalSet, c: Fraction) -> IntervalSet:
-    """A ∩ [0,c]; the keys (0, 2·c.numerator + 1) of [0,c] over
-    c.denominator are canonical, since c is reduced."""
-    return intersect(A, _from_keys(c.denominator, (0, 2 * c.numerator + 1)))
-
-
-def _prefix_end(v: Valuation, A: IntervalSet, target: Fraction, tol) -> Fraction:
-    """The c of `prefix_with_value(v, A, target, tol)`, with its checks but
-    without the piece: a Robertson–Webb cut query."""
     tol = _check_tol(tol)
     target = as_fraction(target)
     if target.numerator < 0:
         raise BadParameter(f"target {rational_text(target)} is negative")
     _check_no_atoms(v, A)
-    if not target.numerator:
-        return ZERO
+    cn, cd = _prefix_end(v, A, target.numerator, target.denominator, tol)
+    # c is 0 only for a target of 0: without an atom in A, v(A ∩ [0,0]) = 0
+    return (_split(A, cn, cd)[0] if cn else EMPTY), Fraction(cn, cd)
+
+
+def _prefix_end(v: Valuation, A: IntervalSet, tn: int, td: int, tol: Fraction):
+    """The c of `prefix_with_value(v, A, tn/td, tol)` as a reduced pair
+    (cn, cd), without the piece: a Robertson–Webb cut query in integers.
+    The caller checks what `prefix_with_value` checks: tol, tn >= 0 (td >
+    0) and no atom of v in A."""
+    if not tn:
+        return 0, 1
 
     # the target is reached in the first component that takes the running
     # total to it, where v(A ∩ [0,c]) = below + F(c) - base; brackets compare
     # by midpoint, or by top in the last component, over 2·d with target = n/(2·d·m)
     keys = A.keys
     lo, hi, d = _cdf_at_keys(v, A.den, keys, tol, 4 * max(2, len(keys)))
-    n, m = 2 * d * target.numerator, target.denominator
+    n, m = 2 * d * tn, td
     below_lo = below_hi = 0
     for i in range(0, len(keys), 2):
         base = lo[i] + hi[i]
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
-            c = _invert(v, n - (below_lo + below_hi - base) * m, 2 * d * m, tol)
+            cn, cd = _invert(v, n - (below_lo + below_hi - base) * m, 2 * d * m, tol)
             # F(c)'s target comes from bracket midpoints, so c may miss the component
             # [s, e]/A.den: clamp it there
             den, s, e = A.den, keys[i] >> 1, keys[i + 1] >> 1
-            if c.numerator * den < s * c.denominator:
-                return Fraction(s, den)
-            if c.numerator * den > e * c.denominator:
-                return Fraction(e, den)
-            return c
+            if cn * den < s * cd:
+                cn, cd = s, den
+            elif cn * den > e * cd:
+                cn, cd = e, den
+            g = gcd(cn, cd)
+            return cn // g, cd // g
         below_lo, below_hi = upto_lo, upto_hi
-    raise BadParameter(f"target {rational_text(target)} exceeds v(A)")
+    raise BadParameter(f"target {rational_text(tn, td)} exceeds v(A)")
 
 
 def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
@@ -621,8 +632,9 @@ def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
         return EMPTY
     if alpha == ONE:
         return A
-    piece, _ = prefix_with_value(v, A, alpha * Fraction(lo + hi, 2 * d), tol)
-    return piece
+    # the target alpha·(lo + hi)/(2·d), the midpoint of v(A)'s bracket
+    cn, cd = _prefix_end(v, A, alpha.numerator * (lo + hi), alpha.denominator * 2 * d, tol)
+    return _split(A, cn, cd)[0]
 
 
 # --- slicing -----------------------------------------------------------------

@@ -636,6 +636,26 @@ class TestSchema:
         path.write_text(json.dumps(_halves(2)), encoding="utf-8")
         assert load_valuation(path) == valuation_from_dict(_halves(2))
 
+    @pytest.mark.parametrize("newline, line, char", [
+        (b"\r\n", 3, 18), (b"\r", 3, 18), (b"\r\r\n", 5, 20),  # CR then CRLF: two line ends
+    ], ids=["crlf", "cr", "cr_crlf"])
+    def test_line_ends_are_read_as_in_text_mode(self, newline, line, char, tmp_path):
+        # CRLF and lone CR read as LF
+        lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+        lf.write_bytes(json.dumps(_halves(2), indent=2).encode() + b"\n")
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        v = load_valuation(other)
+        assert v == load_valuation(lf)
+        if line == 3:  # the very text of the LF file, so the memo's valuation
+            assert v is load_valuation(lf)
+        # a malformed config's error counts lines and chars as text mode does
+        other.write_bytes(newline.join([b"{", b'  "atoms": [', b"  {not json", b"}"]))
+        with pytest.raises(ParseError) as caught:
+            load_valuation(other)
+        assert str(caught.value) == (
+            f"bad JSON in {other}: Expecting property name enclosed in double quotes: "
+            f"line {line} column 4 (char {char})")
+
     def test_configs_are_read_as_utf8_under_any_locale(self, tmp_path):
         # under an ASCII locale a read in the locale's encoding fails on the
         # first non-ASCII byte; UTF-8 text reads, and breaks only the schema

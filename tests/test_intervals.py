@@ -35,7 +35,7 @@ from cakecalc import (
     total_length,
     union,
 )
-from cakecalc.intervals import _from_keys, lex_rational, parse_rational
+from cakecalc.intervals import _from_keys, _split, lex_rational, parse_rational
 from conftest import cuts_of, interval_sets, intervals, ref_set_from_cuts, small_fractions
 
 F = Fraction
@@ -491,7 +491,7 @@ def ref_keys_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 
 RATIOS = [F(1, 3), F(1, 4), F(1, 5), F(1, 6)]
-PREFIX = interval_set((0, LONG_CUT))  # as valuation._prefix intersects
+PREFIX = interval_set((0, LONG_CUT))  # a prefix piece [0, c]
 
 
 def iterate_set(p, n) -> IntervalSet:
@@ -557,3 +557,57 @@ class TestLargerOperandScale:
         a, b = iterate_set(F(1, 3), n), iterate_set(F(1, 4), m)
         got = difference(a, b)
         assert (a.den, b.den) == dens and lcm(*dens) > got.den == den == present_lcm(got)
+
+
+@st.composite
+def split_points(draw, a):
+    """A point c of [0,1] for `_split(a, c)`: 0 or 1, an end of a component
+    of a (a closed end, an open start, or one of a singleton), a point
+    between two keys of a (inside a component or in a gap), or any point
+    with a denominator up to 16, which need not divide a.den."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.sampled_from([F(0), F(1)]))
+    if kind == 1 and a.keys:
+        return F(draw(st.sampled_from(a.keys)) >> 1, a.den)
+    if kind == 2 and a.keys:
+        i = draw(st.integers(0, len(a.keys) - 1))
+        lo, hi = F(a.keys[i] >> 1, a.den), F(a.keys[min(i + 1, len(a.keys) - 1)] >> 1, a.den)
+        return lo + (hi - lo) * F(draw(st.integers(0, 7)), 7)
+    return draw(small_fractions)
+
+
+THIRDS = interval_set((0, F(1, 3)), (F(1, 2), F(3, 4), False, True), (F(5, 6), F(5, 6)))
+
+
+class TestSplit:
+    """`_split(a, c)` is (a ∩ [0,c], a ∩ (c,1]) from one bisection: the
+    keys and den of the `intersect` and `difference` it replaces, and a
+    half that is all of a is a itself, as `intersect` returns it."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data(), interval_sets())
+    @example(None, THIRDS)
+    def test_matches_intersect_and_difference(self, data, a):
+        if data is None:
+            # [0,1/3] ∪ (1/2,3/4] ∪ {5/6}: c at a closed end, at an open
+            # start, at a singleton, in a gap, inside a component, on
+            # neither grid, and at both ends of the cake
+            points = [F(1, 3), F(1, 2), F(5, 6), F(2, 5), F(5, 8), F(1, 7), F(0), F(1)]
+        else:
+            points = [data.draw(split_points(a)) for _ in range(4)]
+        for c in points:
+            want_left = intersect(a, interval_set((0, c)))
+            want_right = difference(a, want_left)
+            left, right = _split(a, c.numerator, c.denominator)
+            for got, want in ((left, want_left), (right, want_right)):
+                assert (got.den, got.keys) == (want.den, want.keys), c
+                if got:
+                    assert (got is a) == (want is a), c
+
+    def test_a_cantor_iterate_half_is_the_iterate(self):
+        a = cantor_iterate(F(1, 4), 3).set
+        assert _split(a, 1, 1) == (a, EMPTY) and _split(a, 1, 1)[0] is a
+        for c in (F(0), F(1, 2), F(19, 256)):
+            left, right = _split(a, c.numerator, c.denominator)
+            assert type(left) is type(right) is IntervalSet and union(left, right) == a

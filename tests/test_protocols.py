@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -38,9 +39,10 @@ from cakecalc import (
     uniform_valuation,
     union,
 )
-from cakecalc import protocols, valuation
+from cakecalc import intervals, protocols, valuation
 from cakecalc.intervals import rational_text
 from cakecalc.valuation import _cdf_at_keys, _cdf_value, _check_no_atoms, _check_tol, _invert
+from cakecalc.valuation import _prefix_end
 from conftest import rand_box_valuation, rand_scfree_valuation, ref_set_from_cuts
 
 F = Fraction
@@ -249,7 +251,7 @@ def ref_prefix_with_value(v, A, target, tol):
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
             t = F(n - (below_lo + below_hi - base) * m, 2 * d * m)
-            c = _invert(v, t.numerator, t.denominator, tol)
+            c = F(*_invert(v, t.numerator, t.denominator, tol))
             c = min(max(c, F(keys[i] >> 1, A.den)), F(keys[i + 1] >> 1, A.den))
             return intersect(A, ref_set_from_cuts(((F(0), 0), (c, 1)))), c
         below_lo, below_hi = upto_lo, upto_hi
@@ -442,6 +444,25 @@ class TestAgainstTheParentProtocols:
             assert prefix_outcome(prefix_with_value, v, a, target, tol) == prefix_outcome(
                 ref_prefix_with_value, v, a, target, tol)
 
+    @settings(deadline=None, max_examples=100)
+    @given(atomless_valuations, st.lists(st.sampled_from(GRID), min_size=2, max_size=6),
+           st.lists(st.sampled_from(GRID), min_size=1, max_size=3), st.sampled_from(TOLS))
+    @example(cantor_valuation(F(1, 4)), [F(30011, 110000), F(1)], [F(1, 192)], F(1, 4))
+    @example(cantor_valuation(F(1, 4)), [F(0), F(13, 40), F(3, 5), F(17, 20)], [F(21, 32)],
+             F(1, 2))
+    def test_cut_query_returns_the_reduced_point(self, v, points, shares, tol):
+        # the parent's c as a pair in lowest terms, clamped cuts included
+        a = normalize(civ(*sorted(pair)) for pair in zip(points[::2], points[1::2]))
+        va = evaluate(v, a, tol / 4)
+        for target in [s * va.midpoint for s in shares]:
+            try:
+                _, c = ref_prefix_with_value(v, a, target, tol)
+            except BadParameter:
+                continue
+            cn, cd = _prefix_end(v, a, target.numerator, target.denominator, _check_tol(tol))
+            assert cd > 0 and gcd(cn, cd) == 1
+            assert (cn, cd) == (c.numerator, c.denominator)
+
     @pytest.mark.parametrize("points, target, tol, side", [
         ([F(30011, 110000), F(1)], F(1, 192), F(1, 4), 0),
         ([F(0), F(13, 40), F(3, 5), F(17, 20)], F(21, 32), F(1, 2), 3),
@@ -455,6 +476,37 @@ class TestAgainstTheParentProtocols:
         piece, c = prefix_with_value(v, a, target, tol)
         assert c == points[side]
         assert (piece, c) == ref_prefix_with_value(v, a, target, tol)
+
+
+ROUND_PLAYERS = [uniform_valuation(), fig2_valuation(), right_heavy_valuation(),
+                 cantor_valuation(F(1, 4)), uniform_valuation()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rounds_split_the_cake_without_intersect(n):
+    """A moving-knife or last-diminisher round takes its piece and the cake
+    left after it from one `_split`, with no `intersect` call; only the
+    final cut-and-choose of the last diminisher intersects.  With n
+    players the moving knife makes n(n+1)/2 - 1 cut queries."""
+    players = [Player(i, v) for i, v in enumerate(ROUND_PLAYERS[:n])]
+    knife, rounds = moving_knife(players), last_diminisher(players)
+    queries = []
+
+    def counted(*args):
+        queries.append(args)
+        return prefix_end(*args)
+
+    prefix_end = protocols._prefix_end
+    with mock.patch.object(intervals, "intersect", side_effect=AssertionError("intersect")):
+        with mock.patch.object(protocols, "_prefix_end", counted):
+            assert moving_knife(players) == knife
+        with mock.patch.object(protocols, "_choose_and_cut", return_value={}) as last_two:
+            got = last_diminisher(players)
+    assert len(queries) == n * (n + 1) // 2 - 1
+    assert got.pieces == {i: s for i, s in rounds.pieces.items() if i in got.pieces}
+    assert got.trace == rounds.trace[:len(got.trace)] and len(got.pieces) == n - 2
+    (*_, cake, _, _), _ = last_two.call_args
+    assert union(cake, normalize(c for s in got.pieces.values() for c in s)) == FULL
 
 
 def assert_matrix_is_per_pair(alloc, players, tol):

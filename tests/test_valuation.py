@@ -669,7 +669,7 @@ class TestIntegerCantorReaders:
         targets = [t for t in ts if t > 0] + [ref_cdf(v, table, (x, 1), tol).hi for x in ends]
         for t in targets:
             if 0 < t <= 1:
-                assert _invert(v, t.numerator, t.denominator, tol) == ref_invert(
+                assert F(*_invert(v, t.numerator, t.denominator, tol)) == ref_invert(
                     v, table, F(0), F(1), t, tol)
 
 
@@ -735,7 +735,7 @@ class TestIntegerInvertTarget:
         descend = valuation._descend
         for t in targets + inside:
             with mock.patch.object(valuation, "_descend", counted):
-                got = _invert(v, t.numerator * k, t.denominator * k, tol)
+                got = F(*_invert(v, t.numerator * k, t.denominator * k, tol))
             assert got == ref_invert_fraction_target(v, t, tol), t
         assert len(descents) >= len(inside)
         if not v.cantor:
