@@ -6,15 +6,11 @@ K-digit decimal column to human-readable output.  Exit codes: 0 success,
 1 domain error, 2 parse/usage error.
 
 Each command is a handler in COMMANDS: handler(args, tol) returns the JSON
-report and the human text as lines of cells, both holding library values
-(CdfValue, IntervalSet, Fraction) as they are, and `run` renders one of them.
-The report goes to json.dumps as it is: the C encoder writes its dicts,
-lists, strings, ints and bools, and calls `_json_default` only for a
-library value.  `slice` hands both renderings its pieces as text, each cut
-point written once, since a slicing's pieces are consecutive intervals.
-`slice` and `protocol` write their values from integer triples (lo, hi, d),
-`slice` each distinct one once, and hand their text lines over as
-generators, so a `CdfValue` is built only for a line that is printed.
+report and the human text as lines of cells, holding library values as
+they are, and `run` renders one of them; `json.dumps` calls
+`_json_default` only for a library value.  `slice` writes each cut point
+once, and `slice` and `protocol` write their values from integer triples,
+so a `CdfValue` is built only for a line that is printed.
 """
 
 from __future__ import annotations

@@ -23,10 +23,9 @@ class CantorIterateSet(IntervalSet):
     shifts L_(i-1) - L_i, plus L_n at a right end, so over (2b)^n the gcd of
     (2b)^n, L_n and the shifts reduces the table to the set's own `den`, and
     the table keeps L_0 .. L_n as integers over it.  The keys are built from
-    the table on first access and cached in `_keys`; from them the base
-    class builds `components`.  `length_upto` and membership walk down the
-    table in O(n) steps without building either, and `len`, `is_empty` and
-    `length` read it directly.  Equality, hashing, iteration and the set
+    it on first access and cached in `_keys`.  `length_upto` and membership
+    walk down the table in O(n) steps without building them, and `len`,
+    `is_empty` and `length` read it directly.  Equality, hashing, iteration and the set
     operations see the same keys as a plain IntervalSet.
     """
 

@@ -13,8 +13,10 @@ cuts answers every endpoint question (nonempty iff start < end).
 
 A set is the integer keys of its cuts over one `den` (see `IntervalSet`),
 and the set operations are integer sweeps that build no `Fraction`.
-Outside this module the encoding is known to the Cantor iterates of
-`foundations`, to `valuation` and to the config loader.
+Every interval enters as integer pairs (`Lexed`), from text, an `Interval`
+or a tuple spec, and `encode_lexed` alone writes their keys.  Outside this
+module the encoding is known to the Cantor iterates of `foundations`, to
+`valuation`, to the config loader and to the CLI's slice text.
 """
 
 from __future__ import annotations
@@ -28,10 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInterval, OutOfCake, ParseError, rational_text
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-Cut = tuple[Fraction, int]
+Lexed = tuple[int, int, int, int, bool, bool]  # (ln, ld, hn, hd, lo_closed, hi_closed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,16 +43,14 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        _check_ends(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
-                    self.lo_closed, self.hi_closed)
+        _check_ends(*_interval_ends(self))
 
     @property
-    def start(self) -> Cut:
+    def start(self) -> tuple[Fraction, int]:
         return (self.lo, 0 if self.lo_closed else 1)
 
     @property
-    def end(self) -> Cut:
+    def end(self) -> tuple[Fraction, int]:
         return (self.hi, 1 if self.hi_closed else 0)
 
     @property
@@ -64,7 +61,13 @@ class Interval:
         return self.start <= (x, 0) and (x, 1) <= self.end
 
     def __str__(self) -> str:
-        return keys_text(*_encode((self.start, self.end)))
+        return keys_text(*encode_lexed([_interval_ends(self)]))
+
+
+def _interval_ends(iv: Interval) -> Lexed:
+    """The fields of `iv` as its lexed ends: (ln, ld, hn, hd, lo_closed, hi_closed)."""
+    lo, hi = iv.lo, iv.hi
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator, iv.lo_closed, iv.hi_closed
 
 
 def _check_ends(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool) -> None:
@@ -121,13 +124,11 @@ class IntervalSet:
 
     Held as `den` and `keys`: the strictly increasing keys 2*x*den + side of
     the cuts (s0, e0, s1, e1, ...) of its components, over the lcm `den` of
-    their points' denominators, and nothing else.  `normalize`,
-    `interval_set` and `parse_interval_set` build a set from intervals, and
-    the set operations build theirs from keys; `IntervalSet(...)` itself
-    raises `TypeError`.  The `components` view is built from the keys on
-    first access and cached.  x lies in the set iff an odd number of keys are <=
-    the key of (x, 0).  Equality and hashing go by (den, keys) alone, also
-    for subclasses."""
+    their points' denominators, and nothing else.  Every constructor builds
+    it from keys (`IntervalSet(...)` raises `TypeError`), and the
+    `components` view is built from them on first access and cached.  x lies
+    in the set iff an odd number of keys are <= the key of (x, 0).  Equality
+    and hashing go by (den, keys) alone, also for subclasses."""
 
     __slots__ = ("den", "keys", "_components")
 
@@ -196,12 +197,6 @@ def _from_keys(den: int, keys: tuple[int, ...]) -> IntervalSet:
     return s
 
 
-def _encode(cuts: Sequence[Cut]) -> tuple[int, list[int]]:
-    """The lcm of the denominators of the cut points, and the cuts' keys."""
-    den = lcm(*{x.denominator for x, _ in cuts})
-    return den, [2 * x.numerator * (den // x.denominator) + side for x, side in cuts]
-
-
 def _reduced(den: int, keys: Iterable[int]) -> IntervalSet:
     """The set of canonical `keys` over `den`, with `den` divided by the gcd
     of its points, so that it is the lcm of their denominators."""
@@ -247,7 +242,7 @@ FULL = _from_keys(1, (0, 3))
 
 def normalize(raw: Iterable[Interval]) -> IntervalSet:
     """Unique canonical IntervalSet with the same point set.  Idempotent."""
-    return _merged(*_encode([cut for iv in raw for cut in (iv.start, iv.end)]))
+    return _merged(*encode_lexed([_interval_ends(iv) for iv in raw]))
 
 
 def _merged(den: int, encoded: Sequence[int]) -> IntervalSet:
@@ -391,7 +386,7 @@ def as_fraction(x) -> Fraction:
 
 def contains(a: IntervalSet, x: Fraction) -> bool:
     x = as_fraction(x)
-    if x < ZERO or x > ONE:
+    if not 0 <= x.numerator <= x.denominator:
         raise OutOfCake(f"point {rational_text(x)} is outside [0,1]")
     return x in a
 
@@ -404,11 +399,16 @@ def total_length(a: IntervalSet) -> Fraction:
 def interval_set(*specs) -> IntervalSet:
     """Convenience constructor from Intervals and (lo, hi[, lo_closed,
     hi_closed]) tuples, whose ends are closed unless a flag says otherwise."""
-    return normalize(s if isinstance(s, Interval) else _interval(*s) for s in specs)
+    ivs = [_interval_ends(s) if isinstance(s, Interval) else _spec_ends(*s) for s in specs]
+    return _merged(*encode_lexed(ivs))
 
 
-def _interval(lo, hi, lo_closed=True, hi_closed=True) -> Interval:
-    return Interval(Fraction(lo), Fraction(hi), lo_closed, hi_closed)
+def _spec_ends(lo, hi, lo_closed=True, hi_closed=True) -> Lexed:
+    """A tuple spec's ends as `Fraction`s' pairs, checked as `Interval` checks them."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    ends = lo.numerator, lo.denominator, hi.numerator, hi.denominator, lo_closed, hi_closed
+    _check_ends(*ends)
+    return ends
 
 
 # --- text grammar shared with the CLI -------------------------------------
@@ -422,8 +422,6 @@ _RATIONAL_RE = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:/([0-9]+)|\.([
 _INTERVAL_RE = re.compile(
     r"\s*([\[\(])\s*([0-9]+)(?:/([0-9]+))?\s*,\s*([0-9]+)(?:/([0-9]+))?\s*([\]\)])\s*"
 )
-
-Lexed = tuple[int, int, int, int, bool, bool]  # (ln, ld, hn, hd, lo_closed, hi_closed)
 
 
 def lex_rational(text: str) -> tuple[int, int]:
@@ -487,10 +485,12 @@ def encode_lexed(ivs: Sequence[Lexed]) -> tuple[int, list[int]]:
     """A common denominator of the ends of lexed intervals, the lcm of their
     denominators as written, and the start and end key of each interval
     over it, in turn."""
-    den = lcm(*(d for iv in ivs for d in (iv[1], iv[3])))
+    # a list: a tuple that `*` builds from a generator is resized and stays on the free list
+    den = lcm(*[d for iv in ivs for d in (iv[1], iv[3])])
     keys = []
     for ln, ld, hn, hd, lo_closed, hi_closed in ivs:
-        keys += (2 * ln * (den // ld) + (not lo_closed), 2 * hn * (den // hd) + hi_closed)
+        keys += (2 * ln * (den // ld) + (not lo_closed),
+                 2 * hn * (den // hd) + (1 if hi_closed else 0))
     return den, keys
 
 

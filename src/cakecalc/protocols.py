@@ -6,15 +6,10 @@ fixed everywhere (lowest player id; left piece on equal value), which makes
 runs deterministic.  Valuations with atoms are rejected up front: exact
 halving cuts need a continuous distribution function.
 
-The protocols talk to a valuation only through Robertson–Webb queries in
-integers: eval (`valuation._value_ints`, (lo, hi, d) for [lo/d, hi/d])
-and cut (`valuation._prefix_end`, a point as a reduced pair (cn, cd);
-`cut` in cut-and-choose).  Midpoints and marks are compared by
-cross-multiplication, and a round's piece and the cake left are the two
-halves of one `intervals._split` at its point.  `check_envy_free` and
-the CLI read the value matrix `_values` of such triples, and `_verdicts`
-decides both verdicts from it; a `CdfValue` is built only for a value
-that a check returns.
+A protocol asks a player only Robertson–Webb eval and cut queries, which
+`valuation` answers in integers; midpoints and marks are compared by
+cross-multiplication, and a `CdfValue` is built only for a value that a
+check returns.
 """
 
 from __future__ import annotations

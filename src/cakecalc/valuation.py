@@ -1,11 +1,10 @@
 """Valuations on the unit cake given by their Lebesgue decomposition:
 atoms, a piecewise-constant density and rescaled Cantor measures.
 
-The Robertson–Webb queries stay in integers: eval is `_value_ints`, or
-`_value_matrix` for every valuation and piece of an allocation, and cut is
-`_prefix_end`, whose point is a reduced pair (cn, cd) that
-`intervals._split` cuts a set at; a `Fraction` is built only for a value
-or a point that is returned.  All arithmetic is exact.  Only Cantor
+All arithmetic is exact, and the Robertson–Webb queries stay in integers:
+eval is `_value_ints` (`_value_matrix` for an allocation), cut is
+`_prefix_end`, and `cut` answers both from one reading of F at a set's
+keys.  Supports get their keys from `intervals.encode_lexed`.  Only Cantor
 orbits that do not close within the tolerance force approximation:
 certified brackets or points.
 """
@@ -37,12 +36,13 @@ from .intervals import (
     FULL,
     Interval,
     IntervalSet,
-    _encode,
     _from_keys,
+    _interval_ends,
     _scaled,
     _split,
     as_fraction,
     contains,
+    encode_lexed,
     key_intervals,
     keys_text,
     rational_text,
@@ -181,7 +181,7 @@ def make_valuation(
     atom_list = [(as_fraction(a), as_fraction(w)) for a, w in atoms]
     dens_list = [(sup, as_fraction(d)) for sup, d in density]
     sc_list = [(c.support, as_fraction(c.p), as_fraction(c.weight)) for c in cantor_parts]
-    den, keys = _encode([cut for sup, *_ in dens_list + sc_list for cut in (sup.start, sup.end)])
+    den, keys = encode_lexed([_interval_ends(sup) for sup, *_ in dens_list + sc_list])
     ends = list(zip(keys[::2], keys[1::2]))
     return integer_valuation(
         [(a.numerator, a.denominator, w.numerator, w.denominator) for a, w in atom_list],
@@ -270,7 +270,7 @@ def make_box_valuation(boxes: Iterable[tuple[Interval, int]]) -> Valuation:
     for _, n in box_list:
         if n.denominator != 1:
             raise BadParameter(f"box count {rational_text(n)} is not a nonnegative integer")
-    den, keys = _encode([cut for sup, _ in box_list for cut in (sup.start, sup.end)])
+    den, keys = encode_lexed([_interval_ends(sup) for sup, _ in box_list])
     return integer_box_valuation(
         den, [(s, e, n.numerator) for (_, n), s, e in zip(box_list, keys[::2], keys[1::2])]
     )
@@ -329,7 +329,7 @@ def _check_tol(tol) -> Fraction:
 def cdf(v: Valuation, x, side: str = "at", tol=DEFAULT_TOL) -> CdfValue:
     """F(x) = v([0,x]) for side="at"; the left limit F(x-) for side="left_limit"."""
     x = as_fraction(x)
-    if not (ZERO <= x <= ONE):
+    if not 0 <= x.numerator <= x.denominator:
         raise OutOfCake(f"point {rational_text(x)} is outside [0,1]")
     tol = _check_tol(tol)
     if side not in _SIDES:
@@ -401,7 +401,11 @@ def _value_ints(v: Valuation, A: IntervalSet, tol) -> tuple[int, int, int]:
         mass = sum(d * (A.length_upto(s.hi) - A.length_upto(s.lo)) for s, d in v.density)
         n, d = (mass + sum(w for loc, w in v.atoms if loc in A)).as_integer_ratio()
         return (*_clamp(n, n, d), d)
-    lo, hi, d = _cdf_at_keys(v, A.den, A.keys, tol, max(2, len(A.keys)))
+    return _summed(*_cdf_at_keys(v, A.den, A.keys, tol, max(2, len(A.keys))))
+
+
+def _summed(lo: list[int], hi: list[int], d: int) -> tuple[int, int, int]:
+    """v(A) as (lo, hi, d), clamped by `_clamp`, from a reading of F at A's keys."""
     if lo is hi:  # F is exact at every cut
         lo = hi = sum(lo[1::2]) - sum(lo[::2])
     else:  # each component's bracket is cut down to [0, 1] before it is added
@@ -414,13 +418,12 @@ def _value_matrix(
     valuations: dict[int, Valuation], pieces: dict[int, IntervalSet], tol
 ) -> dict[tuple[int, int], tuple[int, int, int]]:
     """The value matrix {(i, j): v_i(X_j)} of triples (lo, hi, d), each equal
-    in value to `_value_ints(v_i, X_j, tol)`.  The pieces' keys are rescaled
-    to the lcm L of their dens and merged into one sorted run, so a valuation
-    without a Cantor part reads G once, by one `_table_at_keys` sweep over
-    it, and each value is a signed sum over its piece's positions in it.  A
-    valuation with a Cantor part evaluates each piece, with its own d, since
-    a bracket's walk depth depends on the piece's key count; so does every
-    valuation for a Cantor iterate, which is read by descent without its keys."""
+    in value to `_value_ints(v_i, X_j, tol)`.  The pieces' keys are merged
+    into one sorted run over the lcm L of their dens, so a valuation without
+    a Cantor part reads G by one `_table_at_keys` sweep, and each value is a
+    signed sum over its piece's positions.  Other valuations, and Cantor
+    iterate pieces, go through `_value_ints`: a bracket's walk depth depends
+    on the piece's key count, and an iterate is read by descent."""
     tol = _check_tol(tol)
     swept = {j: s for j, s in pieces.items() if not isinstance(s, CantorIterateSet)}
     L = lcm(*(s.den for s in swept.values()))
@@ -586,18 +589,22 @@ def prefix_with_value(
 
 
 def _prefix_end(v: Valuation, A: IntervalSet, tn: int, td: int, tol: Fraction):
-    """The c of `prefix_with_value(v, A, tn/td, tol)` as a reduced pair
-    (cn, cd), without the piece: a Robertson–Webb cut query in integers.
-    The caller checks what `prefix_with_value` checks: tol, tn >= 0 (td >
-    0) and no atom of v in A."""
+    """`prefix_with_value(v, A, tn/td, tol)`'s c as a reduced pair (cn, cd),
+    without the piece: a Robertson–Webb cut query in integers.  The caller
+    checks tol, tn >= 0 (td > 0) and that v has no atom in A."""
     if not tn:
         return 0, 1
+    reading = _cdf_at_keys(v, A.den, A.keys, tol, 4 * max(2, len(A.keys)))
+    return _prefix_end_from(v, A, reading, tn, td, tol)
 
+
+def _prefix_end_from(v: Valuation, A: IntervalSet, reading, tn: int, td: int, tol: Fraction):
+    """`_prefix_end` for tn > 0, given its reading of F at A's keys."""
     # the target is reached in the first component that takes the running
     # total to it, where v(A ∩ [0,c]) = below + F(c) - base; brackets compare
     # by midpoint, or by top in the last component, over 2·d with target = n/(2·d·m)
     keys = A.keys
-    lo, hi, d = _cdf_at_keys(v, A.den, keys, tol, 4 * max(2, len(keys)))
+    lo, hi, d = reading
     n, m = 2 * d * tn, td
     below_lo = below_hi = 0
     for i in range(0, len(keys), 2):
@@ -619,21 +626,24 @@ def _prefix_end(v: Valuation, A: IntervalSet, tn: int, td: int, tol: Fraction):
 
 
 def cut(v: Valuation, A: IntervalSet, alpha, tol=DEFAULT_TOL) -> IntervalSet:
-    """Prefix piece A_α = A ∩ [0,c] with v(A_α) = α·v(A) (exact when sc-free)."""
+    """Prefix piece A_α = A ∩ [0,c] with v(A_α) = α·v(A) (exact when sc-free).
+    F is read at A's keys once: v(A) and c both come from that reading."""
     tol = _check_tol(tol)
     alpha = as_fraction(alpha)
-    if not (ZERO <= alpha <= ONE):
+    an, ad = alpha.numerator, alpha.denominator
+    if not 0 <= an <= ad:
         raise BadParameter(f"alpha {rational_text(alpha)} outside [0,1]")
     _check_no_atoms(v, A)
-    lo, hi, d = _value_ints(v, A, tol / 4)
+    reading = _cdf_at_keys(v, A.den, A.keys, tol, 4 * max(2, len(A.keys)))
+    lo, hi, d = _summed(*reading)  # v(A) at the width of `_value_ints(v, A, tol/4)`
     if not hi:
         raise ZeroPiece(f"v(A) = 0 for A = {A}")
-    if alpha == ZERO:
+    if not an:
         return EMPTY
-    if alpha == ONE:
+    if an == ad:
         return A
     # the target alpha·(lo + hi)/(2·d), the midpoint of v(A)'s bracket
-    cn, cd = _prefix_end(v, A, alpha.numerator * (lo + hi), alpha.denominator * 2 * d, tol)
+    cn, cd = _prefix_end_from(v, A, reading, an * (lo + hi), ad * 2 * d, tol)
     return _split(A, cn, cd)[0]
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import lt
 
 from hypothesis import strategies as st
@@ -13,13 +14,27 @@ from hypothesis import strategies as st
 from cakecalc import (
     CdfValue, Interval, IntervalSet, InvalidInterval, Valuation, make_valuation, normalize,
 )
-from cakecalc.intervals import _encode, _from_keys, as_fraction, rational_text
+from cakecalc.intervals import _from_keys, _merged, as_fraction, rational_text
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 # --- the cut view of a set, and the checked cut constructor -----------------
+
+def ref_encode(cuts) -> tuple[int, list[int]]:
+    """The lcm of the denominators of the (Fraction, side) cut points, and
+    the cuts' keys.  The library encoded cuts this way once; the tests keep
+    it as a reference."""
+    den = lcm(*{x.denominator for x, _ in cuts})
+    return den, [2 * x.numerator * (den // x.denominator) + side for x, side in cuts]
+
+
+def ref_encoded_normalize(ivs) -> IntervalSet:
+    """`normalize` as the library once built it: each checked `Interval` taken
+    apart into its start and end cuts, encoded by `ref_encode` and merged."""
+    return _merged(*ref_encode([cut for iv in ivs for cut in (iv.start, iv.end)]))
+
 
 def cuts_of(a: IntervalSet) -> tuple[tuple[Fraction, int], ...]:
     """The cuts of `a` as (Fraction, side) pairs, from its keys."""
@@ -32,7 +47,7 @@ def ref_set_from_cuts(cuts) -> IntervalSet:
     come in pairs.  The library built sets from cuts this way once; the
     tests keep it as a reference."""
     cuts = tuple(cuts)
-    den, keys = _encode(cuts)
+    den, keys = ref_encode(cuts)
     keys = tuple(keys)
     if len(keys) % 2 or not {side for _, side in cuts} <= {0, 1} or not all(
         map(lt, (-1, *keys), (*keys, 2 * den + 2))

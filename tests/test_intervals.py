@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cakecalc import (
+    CakeError,
     EMPTY,
     FULL,
     Interval,
@@ -26,17 +27,29 @@ from cakecalc import (
     ParseError,
     TooManyDigits,
     complement,
+    cdf,
     contains,
     difference,
     intersect,
     interval_set,
+    make_box_valuation,
     normalize,
     parse_interval_set,
     total_length,
+    uniform_valuation,
     union,
 )
-from cakecalc.intervals import _from_keys, _split, lex_rational, parse_rational
-from conftest import cuts_of, interval_sets, intervals, ref_set_from_cuts, small_fractions
+from cakecalc.intervals import _from_keys, _split, keys_text, lex_rational, parse_rational
+from cakecalc.valuation import integer_box_valuation, integer_valuation
+from conftest import (
+    cuts_of,
+    interval_sets,
+    intervals,
+    ref_encode,
+    ref_encoded_normalize,
+    ref_set_from_cuts,
+    small_fractions,
+)
 
 F = Fraction
 
@@ -611,3 +624,169 @@ class TestSplit:
         for c in (F(0), F(1, 2), F(19, 256)):
             left, right = _split(a, c.numerator, c.denominator)
             assert type(left) is type(right) is IntervalSet and union(left, right) == a
+
+
+# --- the integer door: Fraction-built sets and valuations --------------------
+
+def ref_make_valuation(atoms=(), density=(), cantor_parts=()):
+    """`make_valuation` as it was when it encoded the supports' cuts with
+    `ref_encode`."""
+    atom_list = [(F(a), F(w)) for a, w in atoms]
+    dens_list = [(sup, F(d)) for sup, d in density]
+    sc_list = [(c.support, F(c.p), F(c.weight)) for c in cantor_parts]
+    den, keys = ref_encode([cut for sup, *_ in dens_list + sc_list for cut in (sup.start, sup.end)])
+    ends = list(zip(keys[::2], keys[1::2]))
+    return integer_valuation(
+        [(a.numerator, a.denominator, w.numerator, w.denominator) for a, w in atom_list],
+        den,
+        [(s, e, d.numerator, d.denominator) for (_, d), (s, e) in zip(dens_list, ends)],
+        [(s, e, p.numerator, p.denominator, w.numerator, w.denominator)
+         for (_, p, w), (s, e) in zip(sc_list, ends[len(dens_list):])],
+    )
+
+
+def ref_make_box_valuation(boxes):
+    """`make_box_valuation` as it was when it encoded the supports' cuts with
+    `ref_encode`."""
+    box_list = [(sup, F(n)) for sup, n in boxes]
+    den, keys = ref_encode([cut for sup, _ in box_list for cut in (sup.start, sup.end)])
+    return integer_box_valuation(
+        den, [(s, e, n.numerator) for (_, n), s, e in zip(box_list, keys[::2], keys[1::2])]
+    )
+
+
+@st.composite
+def end_forms(draw, x: Fraction):
+    """x as a `Fraction`, as text ("n/d", unreduced "2n/2d", or a decimal
+    where x is dyadic), as an int where x is whole and as a float where x is
+    dyadic."""
+    n, d = x.numerator, x.denominator
+    forms = [x, f"{n}/{d}", f"{2 * n}/{2 * d}"]
+    if d == 1:
+        forms.append(n)
+    if d & (d - 1) == 0:
+        forms += [float(x), str(float(x))]
+    return draw(st.sampled_from(forms))
+
+
+FLAGS = [True, False, 1, 0, 2]  # read by their truth value
+
+
+def whole_as_int(draw, x: Fraction):
+    """x, or int(x) where x is whole and a coin says so."""
+    return int(x) if x.denominator == 1 and draw(st.booleans()) else x
+
+
+@st.composite
+def specs(draw):
+    """(spec, the checked `Interval` the parent built from it): an
+    `Interval`, a whole end sometimes an int, or a tuple of 2, 3 or 4
+    entries with ends in any of `end_forms` and flags from FLAGS."""
+    a, b = sorted((draw(small_fractions), draw(small_fractions)))
+    flag = st.sampled_from(FLAGS)
+    flags = (True, True) if a == b else (draw(flag), draw(flag))
+    size = draw(st.integers(1, 4))
+    if size == 1:
+        iv = Interval(whole_as_int(draw, a), whole_as_int(draw, b), *flags)
+        return iv, iv
+    lo, hi = draw(end_forms(a)), draw(end_forms(b))
+    given_flags = flags[:size - 2]
+    return (lo, hi, *given_flags), Interval(F(lo), F(hi), *given_flags, *(True, True)[size - 2:])
+
+
+@st.composite
+def partitions(draw):
+    """0 = c_0 < ... < c_k = 1 from small fractions."""
+    return sorted({F(0), F(1), *draw(st.lists(small_fractions, max_size=4))})
+
+
+class TestIntegerDoor:
+    """`interval_set`, `normalize`, `str(Interval)` and the valuation makers
+    read ends as integer pairs and build keys through `encode_lexed`; they
+    build what the parent's cut encoding built."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(specs(), max_size=5))
+    def test_interval_set_matches_the_cut_encoding(self, drawn):
+        got = interval_set(*(spec for spec, _ in drawn))
+        want = ref_encoded_normalize([iv for _, iv in drawn])
+        assert type(got) is IntervalSet
+        assert (got.den, got.keys) == (want.den, want.keys)
+        got = normalize([iv for _, iv in drawn])
+        assert (got.den, got.keys) == (want.den, want.keys)
+
+    def test_the_empty_call_is_the_empty_set(self):
+        for got in (interval_set(), normalize([])):
+            assert (got.den, got.keys) == (EMPTY.den, EMPTY.keys) == (1, ())
+
+    @given(intervals())
+    @example(Interval(0, F(1, 2), True, False))
+    @example(Interval(F(1, 3), 1, 0, 2))
+    def test_interval_text_is_unchanged(self, iv):
+        assert str(iv) == keys_text(*ref_encode((iv.start, iv.end)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), partitions())
+    def test_valuation_makers_match_the_cut_encoding(self, data, points):
+        draw = data.draw
+        pieces = [(whole_as_int(draw, a), whole_as_int(draw, b))
+                  for a, b in zip(points, points[1:])]
+        counts = draw(st.lists(st.integers(0, 4), min_size=len(pieces), max_size=len(pieces)))
+        counts[0] += 1
+        # boxes on (a, b], or [0, b] first, counted as ints or Fractions
+        boxes = [(Interval(a, b, a == 0, True), draw(st.sampled_from([n, F(n)])))
+                 for (a, b), n in zip(pieces, counts)]
+        got, want = make_box_valuation(boxes), ref_make_box_valuation(boxes)
+        assert got == want and got._table == want._table and got._parts == want._parts
+        # densities on some pieces, (a, b> or [0, b>, a Cantor part and atoms
+        density = [(Interval(a, b, a == 0, draw(st.sampled_from(FLAGS))),
+                    F(draw(st.integers(1, 3))))
+                   for a, b in pieces if draw(st.booleans())]
+        s, t = sorted(draw(st.lists(small_fractions, min_size=2, max_size=2, unique=True)))
+        cantor = [(Interval(s, t, True, 1), draw(st.sampled_from([F(1, 3), F(1, 4)])), F(1))]
+        atoms = [(x, F(1)) for x in draw(st.lists(small_fractions, unique=True, max_size=2))]
+        total = (sum(d * sup.length for sup, d in density) + sum(w for *_, w in cantor)
+                 + sum(w for _, w in atoms))
+        data = dict(
+            atoms=[(x, w / total) for x, w in atoms],
+            density=[(sup, d / total) for sup, d in density],
+            cantor_parts=[CantorComponent(sup, p, w / total) for sup, p, w in cantor],
+        )
+        got, want = make_valuation(**data), ref_make_valuation(**data)
+        assert got == want and got._table == want._table and got._parts == want._parts
+
+    @pytest.mark.parametrize(
+        "spec, error, text",
+        [
+            ((F(2, 3), F(1, 3)), InvalidInterval, "lo > hi in [2/3,1/3]"),
+            (("2/3", "1/3", False, True), InvalidInterval, "lo > hi in (2/3,1/3]"),
+            ((F(1, 2), F(1, 2), True, False), InvalidInterval,
+             "degenerate interval [1/2,1/2) with an open end is empty"),
+            (("2/4", 0.5, 0, 1), InvalidInterval,
+             "degenerate interval (1/2,1/2] with an open end is empty"),
+            ((F(1, 2), F(3, 2)), OutOfCake, "interval [1/2,3/2] leaves [0,1]"),
+            ((-0.5, 1), OutOfCake, "interval [-1/2,1] leaves [0,1]"),
+            ((0, 2, False), OutOfCake, "interval (0,2] leaves [0,1]"),
+        ],
+        ids=["reversed", "reversed_text", "degenerate_open", "degenerate_mixed",
+             "past_one", "below_zero", "past_one_int"],
+    )
+    def test_malformed_specs_keep_their_error(self, spec, error, text):
+        for specs_ in ([spec], [(0, F(1, 8)), spec]):
+            with pytest.raises(CakeError) as exc:
+                interval_set(*specs_)
+            assert type(exc.value) is error and not isinstance(exc.value, ParseError)
+            assert str(exc.value) == text
+        with pytest.raises(error) as exc:  # the checked Interval says the same
+            Interval(F(spec[0]), F(spec[1]), *(spec[2:] + (True, True)[len(spec) - 2:]))
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("x, text", [(F(-1, 2), "point -1/2 is outside [0,1]"),
+                                         (F(3, 2), "point 3/2 is outside [0,1]")])
+    def test_contains_outside_cake_text(self, x, text):
+        with pytest.raises(OutOfCake) as exc:
+            contains(FULL, x)
+        assert str(exc.value) == text
+        with pytest.raises(OutOfCake) as exc:
+            cdf(uniform_valuation(), x)
+        assert str(exc.value) == text

@@ -18,6 +18,7 @@ from cakecalc import (
     AtomObstruction,
     BadParameter,
     BadPartition,
+    CakeError,
     CantorComponent,
     CdfValue,
     Interval,
@@ -51,7 +52,7 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.intervals import _encode
+from cakecalc.intervals import _split
 from cakecalc import valuation
 from cakecalc.valuation import (
     _cdf_value,
@@ -69,6 +70,7 @@ from conftest import (
     interval_sets,
     intervals,
     rand_scfree_valuation,
+    ref_encode,
     ref_set_from_cuts,
     small_fractions,
 )
@@ -169,7 +171,7 @@ class TestConstruction:
             for i, a in enumerate(ivs)
             for b in ivs[i + 1 :]
         )
-        den, keys = _encode([cut for iv in ivs for cut in (iv.start, iv.end)])
+        den, keys = ref_encode([cut for iv in ivs for cut in (iv.start, iv.end)])
         try:
             _check_pairwise_disjoint(den, list(zip(keys[::2], keys[1::2])), "supports")
         except BadPartition as exc:
@@ -1037,6 +1039,161 @@ class TestCut:
             assert cdf(v, c - F(1, 2**40), tol=tol / 2**10).hi < t
         if weight == 1:
             assert f.value == t
+
+
+def ref_two_reading_cut(v, A, alpha, tol=DEFAULT_TOL):
+    """`cut` as it was when it read F at A's keys twice at the same width:
+    v(A) by `_value_ints` at tol/4, then c by `_prefix_end`."""
+    tol = valuation._check_tol(tol)
+    alpha = F(alpha)
+    if not (0 <= alpha <= 1):
+        raise BadParameter(f"alpha {alpha} outside [0,1]")
+    valuation._check_no_atoms(v, A)
+    lo, hi, d = valuation._value_ints(v, A, tol / 4)
+    if not hi:
+        raise ZeroPiece(f"v(A) = 0 for A = {A}")
+    if alpha == 0:
+        return EMPTY
+    if alpha == 1:
+        return A
+    tn, td = alpha.numerator * (lo + hi), alpha.denominator * 2 * d
+    cn, cd = valuation._prefix_end(v, A, tn, td, tol)
+    return _split(A, cn, cd)[0]
+
+
+def cut_outcome(f, *args):
+    """f(*args) as (type, den, keys), or the type and text of its error."""
+    try:
+        piece = f(*args)
+    except CakeError as exc:
+        return type(exc), str(exc)
+    return type(piece), piece.den, piece.keys
+
+
+CUT_RATIOS = [F(1, 3), F(1, 4), F(1, 5)]
+
+
+@st.composite
+def cut_valuations(draw):
+    """Atom-free valuations: boxes on a grid partition, a density on some
+    grid pieces, or such a density (maybe none) beside one C_p, p in
+    CUT_RATIOS, on a grid support; scaled to mass 1."""
+    kind = draw(st.sampled_from(["box", "density", "cantor", "cantor"]))
+    points = sorted({F(0), F(1), *draw(st.lists(st.sampled_from(GRID), max_size=4))})
+    if kind == "box":
+        counts = draw(st.lists(st.integers(0, 5), min_size=len(points) - 1,
+                               max_size=len(points) - 1).filter(any))
+        return make_box_valuation(
+            [(civ(a, b, a == 0), n) for a, b, n in zip(points, points[1:], counts)])
+    pieces = [(civ(a, b, a == 0), F(draw(st.integers(1, 3))))
+              for a, b in zip(points, points[1:]) if draw(st.booleans())]
+    parts = []
+    if kind == "cantor":
+        a, b = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+        parts = [(civ(a, b), draw(st.sampled_from(CUT_RATIOS)), F(draw(st.integers(1, 4))))]
+    elif not pieces:
+        pieces = [(civ(0, 1), F(1))]
+    total = sum(w for *_, w in parts) + sum(d * sup.length for sup, d in pieces)
+    return make_valuation(
+        density=[(sup, d / total) for sup, d in pieces],
+        cantor_parts=[CantorComponent(sup, p, w / total) for sup, p, w in parts],
+    )
+
+
+@st.composite
+def bracket_points(draw, v):
+    """Points k/97 of the way into a level-n cell of v's Cantor part, for n
+    from 50 to 64: past the walk's depth at every tol drawn here, so unless
+    p = 1/3, F there is a bracket."""
+    comp = v.cantor[0]
+    n = draw(st.integers(50, 64))
+    bits = draw(st.integers(0, 2**n - 1))
+    l = (1 - comp.p) / 2
+    y = sum((1 - l) * l**i for i in range(n) if bits >> i & 1)
+    y += l**n * F(draw(st.integers(1, 96)), 97)
+    return comp.support.lo + comp.support.length * y
+
+
+@st.composite
+def cut_cases(draw):
+    """(v, A, alpha, tol): A a small set, a set on large denominators, a
+    Cantor iterate, or, beside a Cantor part, a set between points of its
+    support where F is a bracket; tol from 2^-12 to 2^-40."""
+    v = draw(cut_valuations())
+    if v.cantor and draw(st.booleans()):
+        xs = draw(st.lists(st.one_of(cantor_points(v), bracket_points(v)), min_size=2, max_size=6))
+        A = normalize([civ(*sorted(pair)) for pair in zip(xs[::2], xs[1::2])])
+    else:
+        A = draw(st.one_of(
+            interval_sets().filter(bool),
+            st.lists(big_intervals(), min_size=1, max_size=4).map(normalize),
+            st.builds(lambda p, n: cantor_iterate(p, n).set,
+                      st.sampled_from(CUT_RATIOS), st.integers(0, 5))))
+    k = draw(st.integers(12, 40))
+    tol = F(draw(st.sampled_from([1, 3])), 2**k) if k > 12 else F(1, 2**k)
+    alpha = draw(st.one_of(small_fractions, st.sampled_from([F(0), F(1), F(1, 2)])))
+    return v, A, alpha, tol
+
+
+class TestOneReadingCut:
+    """`cut` reads F at A's keys once and takes both v(A) and c from that
+    reading; it cuts what the parent's two readings cut."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(cut_cases())
+    @example((cantor_valuation(F(1, 4)), interval_set((0, F(1, 3)), (F(1, 2), 1)), F(1, 3),
+              F(1, 2**12))).via("brackets at both components")
+    @example((uniform_valuation(), EMPTY, F(1, 2), DEFAULT_TOL)).via("the empty set")
+    def test_matches_the_two_reading_cut(self, case):
+        v, A, alpha, tol = case
+        want = cut_outcome(ref_two_reading_cut, v, A, alpha, tol)
+        assert cut_outcome(cut, v, A, alpha, tol) == want
+
+    @pytest.mark.parametrize("alpha", [F(0), F(1, 3), F(1, 2), F(1)])
+    @pytest.mark.parametrize(
+        "v, A",
+        [
+            (uniform_valuation(), FULL),
+            (cantor_valuation(F(1, 4)), interval_set((0, "1/4"), ("1/2", 1))),
+            (load_valuation(bundled_config_path("cantor_mix")), interval_set(("1/2", 1))),
+            (cantor_valuation(F(1, 3)), cantor_iterate(F(1, 3), 3).set),
+            (uniform_valuation(), cantor_iterate(F(1, 4), 2).set),
+        ],
+        ids=["uniform", "C_1/4", "cantor_mix", "C_1/3_on_A_3", "uniform_on_A_2"],
+    )
+    def test_reads_f_once(self, v, A, alpha):
+        calls = []
+        read = valuation._cdf_at_keys
+
+        def counted(*args):
+            calls.append(args[2])
+            return read(*args)
+
+        with mock.patch.object(valuation, "_cdf_at_keys", counted):
+            cut(v, A, alpha)
+        assert calls == [A.keys]
+
+    def test_a_zero_piece_is_read_once(self):
+        v = make_box_valuation([(civ(0, "1/2", True, False), 1), (civ("1/2", 1), 0)])
+        with mock.patch.object(valuation, "_cdf_at_keys", wraps=valuation._cdf_at_keys) as read:
+            with pytest.raises(ZeroPiece, match=r"^v\(A\) = 0 for A = \[3/4,1\]$"):
+                cut(v, interval_set(("3/4", 1)), F(1, 2))
+        assert read.call_count == 1
+
+    @pytest.mark.parametrize(
+        "alpha, text",
+        [(F(-1, 2), "alpha -1/2 outside [0,1]"), (F(3, 2), "alpha 3/2 outside [0,1]"),
+         (2, "alpha 2 outside [0,1]")],
+    )
+    def test_alpha_outside_zero_one(self, alpha, text):
+        with pytest.raises(BadParameter) as exc:
+            cut(uniform_valuation(), FULL, alpha)
+        assert str(exc.value) == text
+
+    def test_atom_obstruction_text(self):
+        with pytest.raises(AtomObstruction) as exc:
+            cut(dirac_valuation(F(1, 2)), FULL, F(1, 2))
+        assert str(exc.value) == "atoms obstruct the cut: {1/2} (weight 1)"
 
 
 class TestSlice:
