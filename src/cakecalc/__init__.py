@@ -36,7 +36,6 @@ from .valuation import (
     CantorComponent,
     CdfValue,
     Valuation,
-    atoms,
     cantor_valuation,
     cdf,
     cut,

@@ -27,9 +27,9 @@ from .errors import BadParameter, CakeError, ParseError
 from .foundations import disjoint_union_witness, removed_mass
 from .intervals import IntervalSet, parse_interval_set, parse_rational, rational_text
 from .protocols import Player, cut_and_choose, last_diminisher, moving_knife
-from .protocols import _values, _verdicts
+from .protocols import _verdicts
 from .valuation import CdfValue, _slice as slice_with_values, cdf, cut, evaluate
-from .valuation import _cdf_value, _value_ints
+from .valuation import _cdf_value, _value_ints, _value_matrix
 
 PROTOCOLS = {f.__name__: f for f in (cut_and_choose, last_diminisher, moving_knife)}
 
@@ -117,7 +117,8 @@ def _protocol(args, tol):
         alloc = cut_and_choose(players[0], players[1], tol)
     else:
         alloc = PROTOCOLS[args.name](players, tol)
-    values = _values(alloc, players, tol)  # integer triples, for both verdicts
+    # integer triples, for both verdicts
+    values = _value_matrix({pl.id: pl.valuation for pl in players}, alloc.pieces, tol)
     ok, envy = _verdicts(values, players, alloc.pieces, tol)
     proportional, envy_free = all(ok.values()), not envy
     report = {

@@ -38,7 +38,7 @@ class CantorIterateSet(IntervalSet):
         for i in range(1, n + 1):
             gap = a**i * 2**n * b ** (n - i)  # p^i in units of 1/scale
             lengths.append((lengths[-1] - gap) // 2)
-        g = gcd(scale, lengths[-1], *(x - y for x, y in zip(lengths, lengths[1:])))
+        g = gcd(scale, lengths[-1], *[x - y for x, y in zip(lengths, lengths[1:])])
         init = object.__setattr__
         init(self, "p", p)
         init(self, "n", n)

@@ -57,9 +57,6 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.start <= (x, 0) and (x, 1) <= self.end
-
     def __str__(self) -> str:
         return keys_text(*encode_lexed([_interval_ends(self)]))
 

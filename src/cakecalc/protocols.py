@@ -141,14 +141,6 @@ def moving_knife(players: Sequence[Player], tol=DEFAULT_TOL) -> Allocation:
 # --- fairness verification ---------------------------------------------------
 
 
-def _values(
-    alloc: Allocation, players: Sequence[Player], tol
-) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """The value matrix {(i, j): v_i(X_j)} of the players and the pieces of
-    `alloc`, as `valuation._value_matrix` builds it."""
-    return _value_matrix({pl.id: pl.valuation for pl in players}, alloc.pieces, tol)
-
-
 def _verdicts(values: dict, players: Sequence[Player], pieces, tol):
     """Whether each player i values X_i at 1/n - tol or more, and the pairs
     (i, j), j in `pieces`, where v_i(X_j) exceeds v_i(X_i) + tol, from the
@@ -184,7 +176,7 @@ def check_envy_free(
     alloc: Allocation, players: Sequence[Player], tol=DEFAULT_TOL
 ) -> dict:
     """No player may value another piece above their own plus tol."""
-    values = _values(alloc, players, tol)
+    values = _value_matrix({pl.id: pl.valuation for pl in players}, alloc.pieces, tol)
     _, envy = _verdicts(values, players, alloc.pieces, tol)
     values = {pair: _cdf_value(*value) for pair, value in values.items()}
     return {"values": values, "envy": envy, "envy_free": not envy}

@@ -4,8 +4,9 @@ atoms, a piecewise-constant density and rescaled Cantor measures.
 All arithmetic is exact, and the Robertson–Webb queries stay in integers:
 eval is `_value_ints` (`_value_matrix` for an allocation), cut is
 `_prefix_end`, and `cut` answers both from one reading of F at a set's
-keys.  Supports get their keys from `intervals.encode_lexed`.  Only Cantor
-orbits that do not close within the tolerance force approximation:
+keys.  Cut queries and slices find where F reaches a target by one
+`_invert`.  Supports get their keys from `intervals.encode_lexed`.  Only
+Cantor orbits that do not close within the tolerance force approximation:
 certified brackets or points.
 """
 
@@ -134,8 +135,8 @@ def _integer_table(atoms, den: int, density) -> _Table:
     adjacent rows."""
     ends = [k >> 1 for s, e, _, _ in density for k in (s, e)]
     g = gcd(den, *ends)  # den/g is the lcm of the ends' denominators
-    D = lcm(den // g, *(ad for _, ad, _, _ in atoms))
-    Q = lcm(*(wd for *_, wd in atoms), *(dd for *_, dd in density))
+    D = lcm(den // g, *[ad for _, ad, _, _ in atoms])
+    Q = lcm(*[wd for *_, wd in atoms], *[dd for *_, dd in density])
     QD = Q * D
     f = D // (den // g)
     ends = [e // g * f for e in ends]  # over D
@@ -157,11 +158,6 @@ def _integer_table(atoms, den: int, density) -> _Table:
         rates.append(rate)
         prev = x
     return _Table(D, QD, X, g_left, g_at, rates)
-
-
-def atoms(v: Valuation) -> list[tuple[Fraction, Fraction]]:
-    """The atomic part; empty iff the distribution function is continuous."""
-    return list(v.atoms)
 
 
 def decomposition_masses(v: Valuation) -> tuple[Fraction, Fraction, Fraction]:
@@ -376,7 +372,7 @@ def _cdf_at_keys(v: Valuation, den: int, keys: Sequence[int], tol: Fraction, spl
             weights.append((j, wn, wd))
     if not (walks or weights):
         return g, g, q
-    d = lcm(q, *(b for *_, b in walks), *(wd for *_, wd in weights))
+    d = lcm(q, *[b for *_, b in walks], *[wd for *_, wd in weights])
     lo = [x * (d // q) for x in g]
     for j, wn, wd in weights:  # the supports are sorted: w at every cut from j on
         w = wn * (d // wd)
@@ -409,8 +405,8 @@ def _summed(lo: list[int], hi: list[int], d: int) -> tuple[int, int, int]:
     if lo is hi:  # F is exact at every cut
         lo = hi = sum(lo[1::2]) - sum(lo[::2])
     else:  # each component's bracket is cut down to [0, 1] before it is added
-        lo, hi = map(sum, zip(*(_clamp(e_lo - s_hi, e_hi - s_lo, d) for s_lo, s_hi, e_lo, e_hi
-                                in zip(lo[::2], hi[::2], lo[1::2], hi[1::2]))))
+        lo, hi = map(sum, zip(*[_clamp(e_lo - s_hi, e_hi - s_lo, d) for s_lo, s_hi, e_lo, e_hi
+                                in zip(lo[::2], hi[::2], lo[1::2], hi[1::2])]))
     return (*_clamp(lo, hi, d), d)
 
 
@@ -426,7 +422,7 @@ def _value_matrix(
     on the piece's key count, and an iterate is read by descent."""
     tol = _check_tol(tol)
     swept = {j: s for j, s in pieces.items() if not isinstance(s, CantorIterateSet)}
-    L = lcm(*(s.den for s in swept.values()))
+    L = lcm(*[s.den for s in swept.values()])
     scaled = {j: _scaled(s.keys, L // s.den) for j, s in swept.items()}
     merged = sorted({k for keys in scaled.values() for k in keys})
     at = {k: n for n, k in enumerate(merged)}
@@ -474,31 +470,36 @@ def _table_at_keys(table: _Table, den: int, keys: Sequence[int]) -> tuple[list[i
 # --- CDF inversion -----------------------------------------------------------
 
 
-def _invert_rows(table: _Table, a: int, b: int, lo: int = 0):
-    """The table's row rule for G(x) >= a/(b·QD): the first row i >= lo with
-    GA[i] >= ceil(a/b), or the last, and the minimal such x = xn/xd, as (i,
-    xn, xd, G(x-), G(x)) with G over QD·b; left of row i, G rises linearly."""
+def _invert_rows(table: _Table, a: int, b: int):
+    """The table's row rule for G(x) >= a/(b·QD): the first row i with GA[i]
+    >= ceil(a/b), or the last, and the minimal such x = xn/xd, as (xn, xd,
+    G(x-), G(x)) with G over QD·b; left of row i, G rises linearly."""
     D, QD, X, GL, GA, R = table
-    i = bisect_left(GA, -(-a // b), lo, len(X) - 1)
+    i = bisect_left(GA, -(-a // b), 0, len(X) - 1)
     if i == 0 or GL[i] * b <= a:
-        return i, X[i], D, GL[i] * b, GA[i] * b
-    return i, X[i - 1] * R[i - 1] * b + a - GA[i - 1] * b, D * R[i - 1] * b, a, a
+        return X[i], D, GL[i] * b, GA[i] * b
+    return X[i - 1] * R[i - 1] * b + a - GA[i - 1] * b, D * R[i - 1] * b, a, a
 
 
-def _invert(v: Valuation, tn: int, td: int, tol: Fraction) -> tuple[int, int]:
-    """The minimal c with F(c) >= tn/td (td > 0), or 1, as a pair (cn, cd),
-    in lowest terms or not.  Off the Cantor supports F is G plus the Cantor
-    mass to the left; on one, `_descend` gets the target less that mass as
-    a `Fraction` and finds c, or c within tol/4."""
-    table, n, d = v._table, 0, 1  # n/d: the Cantor mass left of the piece of the line
+def _invert(v: Valuation, t: int, B: int, tol: Fraction):
+    """The minimal c with F(c) >= t/B, or 1, as (cn, cd, g) for c = cn/cd,
+    in lowest terms or not; B is a multiple of QD and of every Cantor
+    weight's denominator, and the caller picks it.  The one inversion that
+    cut queries and slices share.  Off the Cantor supports F is G plus the
+    Cantor mass to the left, and the row rule gives c with g = (F(c-), F(c))
+    over B; on one, `_descend` gets the target less that mass as a
+    `Fraction` and finds c, or c within tol/4, and g is None."""
+    table, left = v._table, 0  # the Cantor mass left of the piece of the line, over B
     for part in v._parts:
         E, _, T, _, _, wn, wd = part
         (g,), q = _table_at_keys(table, E, (2 * T,))  # G(T/E-) over q at the support end
-        if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:  # F(T/E-) >= t
-            c = _descend(table, max(table.R), part, Fraction(tn * d - n * td, td * d), tol)
-            return c.numerator, c.denominator
-        n, d = n * wd + wn * d, d * wd
-    return _invert_rows(table, (tn * d - n * td) * table.QD, td * d)[1:3]
+        w = wn * (B // wd)
+        if g * B >= (t - left - w) * q:  # F(T/E-) >= t/B
+            c = _descend(table, max(table.R), part, Fraction(t - left, B), tol)
+            return c.numerator, c.denominator, None
+        left += w
+    cn, cd, gl, ga = _invert_rows(table, t - left, B // table.QD)
+    return cn, cd, (gl + left, ga + left)
 
 
 def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):
@@ -535,7 +536,7 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: 
     g_a, g_b, seen = g_at(A, 1), g_at(A + L, 0), {}
     while True:
         if g_a * W >= r * QM:
-            return Fraction(*_invert_rows(table, r * QD, W)[1:3])
+            return Fraction(*_invert_rows(table, r * QD, W)[:2])
         flat = g_a == g_b
         if flat:  # a repeat of the relative target closes the recursion
             num, den = r * QM - g_a * W, m * QM
@@ -611,7 +612,10 @@ def _prefix_end_from(v: Valuation, A: IntervalSet, reading, tn: int, td: int, to
         base = lo[i] + hi[i]
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
-            cn, cd = _invert(v, n - (below_lo + below_hi - base) * m, 2 * d * m, tol)
+            # `_invert`'s B: d is a multiple of QD, so only the weights' denominators join
+            B = lcm(2 * d * m, *[wd for *_, wd in v._parts])
+            t = (n - (below_lo + below_hi - base) * m) * (B // (2 * d * m))
+            cn, cd, _ = _invert(v, t, B, tol)
             # F(c)'s target comes from bracket midpoints, so c may miss the component
             # [s, e]/A.den: clamp it there
             den, s, e = A.den, keys[i] >> 1, keys[i + 1] >> 1
@@ -656,17 +660,20 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
     Atoms of weight <= ε come out as singleton pieces; heavier atoms, and
     any atom beside a Cantor part, make the valuation non-sliceable.  Each
     piece but the last ends where F first reaches F at its start plus ε,
-    found by `_slice` in one forward pass that knows the value of every
-    piece cut off the table.  A value that a Cantor orbit leaves open is
-    certified within min(tol, ε)/2, and the bound degrades by that much."""
+    found by the inversion that cut queries use, and `_slice` knows the
+    value of every piece cut off the table.  A value that a Cantor orbit
+    leaves open is certified within min(tol, ε)/2, and the bound degrades
+    by that much."""
     return _slice(v, epsilon, tol)[0]
 
 
 def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[tuple | None]]:
     """`slice_valuation`'s pieces and values: (n, n, B) for n/B where the
     table gave both ends of a piece, one triple for every piece worth ε, and
-    None where `_descend` gave one.  Masses are integers over B; a hit
-    advances `consumed` by exactly ε, so errors do not add up."""
+    None where `_descend` gave one.  Masses are integers over B, which is
+    fixed for the pass, and each piece's end comes from one `_invert` at
+    its start plus ε; a hit advances `consumed` by exactly ε, so errors do
+    not add up."""
     tol = _check_tol(tol)
     epsilon = as_fraction(epsilon)
     if epsilon <= ZERO:
@@ -679,25 +686,19 @@ def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[tuple | 
         raise NotSliceable(v.atoms, "beside a Cantor part are not sliced")
 
     tol = min(tol, epsilon)  # a hit within tol/4 past t stops short of t + ε
-    table, parts = v._table, v._parts
-    B = lcm(table.QD, epsilon.denominator, *(wd for *_, wd in parts))
-    e, s = epsilon.numerator * (B // epsilon.denominator), B // table.QD
-    # per Cantor part: G(T/E-) over q at the end of its support, and its mass over B
-    ends = [(*_table_at_keys(table, E, (2 * T,)), w * (B // d)) for E, _, T, _, _, w, d in parts]
+    B = lcm(v._table.QD, epsilon.denominator, *[wd for *_, wd in v._parts])
+    e = epsilon.numerator * (B // epsilon.denominator)
     pieces, values, hit = [], [], (e, e, B)
     sn, sd, sk, known = 0, 1, 0, True  # the start cut (sn/sd, side sk); F exact there?
-    consumed = left = row = j = 0  # left: the Cantor mass left of part j
+    consumed = 0
     while B - consumed > e:
         t = consumed + e
-        while j < len(parts) and ends[j][0][0] * B < (t - left - ends[j][2]) * ends[j][1]:
-            left, j = left + ends[j][2], j + 1  # F(T/E-) < t: past part j
-        if j < len(parts):
-            c = _descend(table, max(table.R), parts[j], Fraction(t - left, B), tol)
-            en, ed, ek, f_end, exact = c.numerator, c.denominator, 1, t, False
-        else:
-            row, en, ed, gl, ga = _invert_rows(table, t - left, s, row)
-            gl, ga, g, exact = gl + left, ga + left, gcd(en, ed), True
-            en, ed = en // g, ed // g
+        en, ed, g = _invert(v, t, B, tol)
+        exact = g is not None
+        ek, f_end = 1, t  # where `_descend` placed the end: a hit within tol/4
+        if exact:
+            h = gcd(en, ed)
+            en, ed, (gl, ga) = en // h, ed // h, g
             # stop short of an atom at the end; else a hit, or a lone atom after no mass
             ek, f_end = (0, gl) if ga > t and gl > consumed else (1, ga)
         L = lcm(sd, ed)

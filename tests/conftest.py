@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cakecalc import (
     CdfValue, Interval, IntervalSet, InvalidInterval, Valuation, make_valuation, normalize,
 )
+from cakecalc import valuation
 from cakecalc.intervals import _from_keys, _merged, as_fraction, rational_text
 
 ZERO = Fraction(0)
@@ -55,6 +56,16 @@ def ref_set_from_cuts(cuts) -> IntervalSet:
         text = ", ".join(f"({rational_text(x)}, {side})" for x, side in cuts)
         raise InvalidInterval(f"cuts ({text}) are not those of a canonical set")
     return _from_keys(den, keys)
+
+
+def invert_at(v: Valuation, t: Fraction, tol: Fraction, k: int = 1):
+    """`valuation._invert` at the target t, over k times the least
+    denominator it accepts: the lcm of t's, Q·D and the Cantor weights'.
+    Returns c as a `Fraction`, and (F(c-), F(c)) as `Fraction`s where the
+    table gave c, or None."""
+    B = k * lcm(t.denominator, v._table.QD, *[wd for *_, wd in v._parts])
+    cn, cd, g = valuation._invert(v, t.numerator * (B // t.denominator), B, tol)
+    return Fraction(cn, cd), g and (Fraction(g[0], B), Fraction(g[1], B))
 
 
 def exact_value(x) -> CdfValue:

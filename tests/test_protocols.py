@@ -41,9 +41,9 @@ from cakecalc import (
 )
 from cakecalc import intervals, protocols, valuation
 from cakecalc.intervals import rational_text
-from cakecalc.valuation import _cdf_at_keys, _cdf_value, _check_no_atoms, _check_tol, _invert
+from cakecalc.valuation import _cdf_at_keys, _cdf_value, _check_no_atoms, _check_tol
 from cakecalc.valuation import _prefix_end
-from conftest import rand_box_valuation, rand_scfree_valuation, ref_set_from_cuts
+from conftest import invert_at, rand_box_valuation, rand_scfree_valuation, ref_set_from_cuts
 
 F = Fraction
 
@@ -250,8 +250,7 @@ def ref_prefix_with_value(v, A, target, tol):
         base = lo[i] + hi[i]
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
-            t = F(n - (below_lo + below_hi - base) * m, 2 * d * m)
-            c = F(*_invert(v, t.numerator, t.denominator, tol))
+            c, _ = invert_at(v, F(n - (below_lo + below_hi - base) * m, 2 * d * m), tol)
             c = min(max(c, F(keys[i] >> 1, A.den)), F(keys[i + 1] >> 1, A.den))
             return intersect(A, ref_set_from_cuts(((F(0), 0), (c, 1)))), c
         below_lo, below_hi = upto_lo, upto_hi
@@ -510,7 +509,7 @@ def test_rounds_split_the_cake_without_intersect(n):
 
 
 def assert_matrix_is_per_pair(alloc, players, tol):
-    """`_values` equals `evaluate` of every (player, piece) pair, brackets
+    """`_value_matrix` equals `evaluate` of every (player, piece) pair, brackets
     included, and makes one `_table_at_keys` sweep per player without a
     Cantor part (`_cdf_at_keys` sweeps too, for a player with one); both
     checks equal their per-pair references."""
@@ -522,7 +521,8 @@ def assert_matrix_is_per_pair(alloc, players, tol):
 
     table_at_keys = valuation._table_at_keys
     with mock.patch.object(valuation, "_table_at_keys", counted):
-        values = protocols._values(alloc, players, tol)
+        values = valuation._value_matrix({pl.id: pl.valuation for pl in players}, alloc.pieces,
+                                         tol)
     tables = [pl.valuation._table for pl in players if not pl.valuation.cantor]
     ref = {(i.id, j): evaluate(i.valuation, s, tol)
            for i in players for j, s in alloc.pieces.items()}
@@ -640,7 +640,8 @@ class TestIntegerVerdicts:
                   1: normalize([civ(F(4, 45), F(1, 2), False), civ(F(3, 5), F(7, 10))]),
                   2: normalize([civ(F(1, 2), F(3, 5), False), civ(F(7, 10), 1, False)])}
         alloc, tol = Allocation("manual", pieces), F(1, 1024)
-        values = protocols._values(alloc, players, tol)
+        values = valuation._value_matrix({pl.id: pl.valuation for pl in players}, alloc.pieces,
+                                         tol)
         assert len({values[0, j][2] for j in pieces}) == 3
         assert any(values[0, j][0] < values[0, j][1] for j in pieces)
         assert protocols._verdicts(values, players, pieces, tol) == ref_verdicts(
@@ -696,12 +697,15 @@ class TestValueMatrix:
         pieces = {0: interval_set((0, "4/45")), 1: interval_set(("4/45", 1, False, True))}
         alloc = Allocation("manual", pieces)
         assert_matrix_is_per_pair(alloc, players, F(1, 1024))
-        lo, hi, _ = protocols._values(alloc, players, F(1, 1024))[0, 0]
+        lo, hi, _ = valuation._value_matrix({pl.id: pl.valuation for pl in players},
+                                            alloc.pieces, F(1, 1024))[0, 0]
         assert lo < hi
 
     def test_a_tolerance_of_zero_is_refused(self):
         players = [Player(0, uniform_valuation()), Player(1, uniform_valuation())]
         alloc = moving_knife(players)
-        for check in (check_proportional, check_envy_free, protocols._values):
+        for check in (check_proportional, check_envy_free):
             with pytest.raises(CakeError, match="tolerance 0 must be positive"):
                 check(alloc, players, 0)
+        with pytest.raises(CakeError, match="tolerance 0 must be positive"):
+            valuation._value_matrix({pl.id: pl.valuation for pl in players}, alloc.pieces, 0)

@@ -3,7 +3,7 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd, lcm
 from operator import itemgetter
 from unittest import mock
 
@@ -27,7 +27,6 @@ from cakecalc import (
     OutOfCake,
     ZeroMass,
     ZeroPiece,
-    atoms,
     bundled_config_path,
     cantor_valuation,
     cdf,
@@ -52,14 +51,13 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.intervals import _split
+from cakecalc.intervals import _from_keys, _split
 from cakecalc import valuation
 from cakecalc.valuation import (
     _cdf_value,
     _check_pairwise_disjoint,
     _clamp,
     _descend,
-    _invert,
     _invert_rows,
     _slice,
     _table_at_keys,
@@ -69,6 +67,7 @@ from conftest import (
     exact_value,
     interval_sets,
     intervals,
+    invert_at,
     rand_scfree_valuation,
     ref_encode,
     ref_set_from_cuts,
@@ -204,12 +203,12 @@ class TestConstruction:
         assert decomposition_masses(dirac_valuation(F(1, 2))) == (0, 0, 1)
 
     def test_atoms_accessor(self):
-        assert atoms(dirac_valuation(F(1, 2))) == [(F(1, 2), F(1))]
-        assert atoms(fig2_valuation()) == []
+        assert list(dirac_valuation(F(1, 2)).atoms) == [(F(1, 2), F(1))]
+        assert list(fig2_valuation().atoms) == []
         v = make_valuation(
             atoms=[(F(1, 3), F(1, 2))], density=[(civ(0, 1), F(1, 2))]
         )
-        assert atoms(v) == [(F(1, 3), F(1, 2))]
+        assert list(v.atoms) == [(F(1, 3), F(1, 2))]
 
 
 class TestCdf:
@@ -360,9 +359,9 @@ def ref_table_value(table, cut):
 
 def invert_table(table, t):
     """The minimal x with G(x) >= t, or 1, with (G(x-), G(x)), by the row
-    rule that the slicer and `_invert` share."""
+    rule of `_invert`, which cut queries and the slicer share."""
     a, b = t.numerator * table.QD, t.denominator
-    _, xn, xd, g_left, g_at = _invert_rows(table, a, b)
+    xn, xd, g_left, g_at = _invert_rows(table, a, b)
     return F(xn, xd), F(g_left, table.QD * b), F(g_at, table.QD * b)
 
 
@@ -671,12 +670,14 @@ class TestIntegerCantorReaders:
         targets = [t for t in ts if t > 0] + [ref_cdf(v, table, (x, 1), tol).hi for x in ends]
         for t in targets:
             if 0 < t <= 1:
-                assert F(*_invert(v, t.numerator, t.denominator, tol)) == ref_invert(
-                    v, table, F(0), F(1), t, tol)
+                c, g = invert_at(v, t, tol)
+                assert c == ref_invert(v, table, F(0), F(1), t, tol)
+                if g is not None:  # the table gave c: F(c-) and F(c) as the reference's
+                    assert (c, *g) == ref_invert_sides(v, table, t, tol)
 
 
 # The parent's `_invert`, which took its target t as a `Fraction`, kept as
-# the reference for the integer target (tn, td): the same table rule and
+# the reference for the integer target t over B: the same table rule and
 # `_descend`, and the same test of F at each support end.
 
 def ref_invert_fraction_target(v, t, tol):
@@ -688,7 +689,7 @@ def ref_invert_fraction_target(v, t, tol):
         if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:
             return _descend(table, max(table.R), part, t - F(n, d), tol)
         n, d = n * wd + wn * d, d * wd
-    return F(*_invert_rows(table, (tn * d - n * td) * table.QD, td * d)[1:3])
+    return F(*_invert_rows(table, (tn * d - n * td) * table.QD, td * d)[:2])
 
 
 def one_part(p, weight, atoms=()):
@@ -701,8 +702,9 @@ def one_part(p, weight, atoms=()):
 
 
 class TestIntegerInvertTarget:
-    """`_invert` takes its target as integers (tn, td), in lowest terms or
-    not, and returns the point the `Fraction`-target `_invert` returned."""
+    """`_invert` takes its target as an integer over a denominator B that
+    the caller picks, any multiple of the least one it accepts, and returns
+    the point the `Fraction`-target `_invert` returned."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.one_of(cantor_mixes(), table_valuations(),
@@ -737,7 +739,7 @@ class TestIntegerInvertTarget:
         descend = valuation._descend
         for t in targets + inside:
             with mock.patch.object(valuation, "_descend", counted):
-                got = F(*_invert(v, t.numerator * k, t.denominator * k, tol))
+                got, _ = invert_at(v, t, tol, k)
             assert got == ref_invert_fraction_target(v, t, tol), t
         assert len(descents) >= len(inside)
         if not v.cantor:
@@ -1416,3 +1418,122 @@ class TestSlicePass:
                 assert _cdf_value(*value) == evaluate(v, piece, tol)
         if not v.cantor:  # every end is read off the table
             assert None not in values
+
+
+# The parent's `_slice` pass, kept as the reference for the slicer that
+# calls the shared `_invert`: its own scan of the Cantor parts, with a table
+# of their ends and pointers to the part and the row that only move right.
+
+def parent_invert_rows(table, a, b, lo):
+    D, QD, X, GL, GA, R = table
+    i = bisect_left(GA, -(-a // b), lo, len(X) - 1)
+    if i == 0 or GL[i] * b <= a:
+        return i, X[i], D, GL[i] * b, GA[i] * b
+    return i, X[i - 1] * R[i - 1] * b + a - GA[i - 1] * b, D * R[i - 1] * b, a, a
+
+
+def parent_slice(v, epsilon, tol):
+    tol = min(tol, epsilon)
+    table, parts = v._table, v._parts
+    B = lcm(table.QD, epsilon.denominator, *(wd for *_, wd in parts))
+    e, s = epsilon.numerator * (B // epsilon.denominator), B // table.QD
+    ends = [(*_table_at_keys(table, E, (2 * T,)), w * (B // d)) for E, _, T, _, _, w, d in parts]
+    pieces, values, hit = [], [], (e, e, B)
+    sn, sd, sk, known = 0, 1, 0, True
+    consumed = left = row = j = 0
+    while B - consumed > e:
+        t = consumed + e
+        while j < len(parts) and ends[j][0][0] * B < (t - left - ends[j][2]) * ends[j][1]:
+            left, j = left + ends[j][2], j + 1
+        if j < len(parts):
+            c = _descend(table, max(table.R), parts[j], F(t - left, B), tol)
+            en, ed, ek, f_end, exact = c.numerator, c.denominator, 1, t, False
+        else:
+            row, en, ed, gl, ga = parent_invert_rows(table, t - left, s, row)
+            gl, ga, g, exact = gl + left, ga + left, gcd(en, ed), True
+            en, ed = en // g, ed // g
+            ek, f_end = (0, gl) if ga > t and gl > consumed else (1, ga)
+        L = lcm(sd, ed)
+        pieces.append(_from_keys(L, (2 * sn * (L // sd) + sk, 2 * en * (L // ed) + ek)))
+        value = hit if f_end == t else (f_end - consumed, f_end - consumed, B)
+        values.append(value if known and exact else None)
+        sn, sd, sk, known, consumed = en, ed, ek, exact, f_end
+    pieces.append(_from_keys(sd, (2 * sn + sk, 2 * sd + 1)))
+    values.append((B - consumed, B - consumed, B) if known else None)
+    return pieces, values
+
+
+@st.composite
+def parent_slice_cases(draw):
+    """ε from 1/2 to 1/40 and tol from 2^-12 to 2^-40, with a box
+    valuation, a density on grid pieces with atoms of weight <= ε at their
+    ends and inside them, or a density beside one or two C_p parts, p in
+    {1/3, 1/4, 1/5}."""
+    eps, tol = F(1, draw(st.integers(2, 40))), F(1, 2 ** draw(st.integers(12, 40)))
+    points = sorted({F(0), F(1), *draw(st.lists(st.sampled_from(GRID[1:-1]), max_size=5))})
+    counts = [draw(st.integers(0, 3)) for _ in points[1:]]
+    supports = [civ(a, b, a == 0) for a, b in zip(points, points[1:])]
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        assume(any(counts))
+        return make_box_valuation(zip(supports, counts)), eps, tol
+    if kind == 1:
+        middles = [(a + b) / 2 for a, b in zip(points, points[1:])]
+        locs = draw(st.lists(st.sampled_from(points + middles), unique=True, max_size=4))
+        atoms = [(a, eps * draw(st.integers(1, 4)) / 4) for a in locs]
+        rest = 1 - sum(w for _, w in atoms)
+        total = sum(n * sup.length for sup, n in zip(supports, counts))
+        assume(rest >= 0 and (rest == 0) == (total == 0))
+        density = [(sup, n * rest / total) for sup, n in zip(supports, counts) if n]
+        return make_valuation(atoms=atoms, density=density), eps, tol
+    n = draw(st.integers(1, 2))
+    ends = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2 * n, max_size=2 * n,
+                                unique=True)))
+    parts = [(civ(a, b), draw(st.sampled_from([F(1, 3), F(1, 4), F(1, 5)])),
+              F(draw(st.integers(1, 4)))) for a, b in zip(ends[::2], ends[1::2])]
+    total = sum(w for *_, w in parts) + sum(n * sup.length for sup, n in zip(supports, counts))
+    return make_valuation(
+        density=[(sup, n / total) for sup, n in zip(supports, counts) if n],
+        cantor_parts=[CantorComponent(sup, p, w / total) for sup, p, w in parts],
+    ), eps, tol
+
+
+class TestSharedInversion:
+    """`_slice` and the cut queries find every end by the one `_invert`."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(parent_slice_cases())
+    @example((LIGHT_ATOM_OVER_A_DENSITY, F(1, 8), DEFAULT_TOL))
+    @example((HALF_CANTOR_UNDER_A_DENSITY, F(1, 5), F(1, 2**20)))
+    @example((cantor_valuation(F(1, 4)), F(1, 17), F(1, 2**12)))
+    def test_slice_matches_the_parent_pass(self, case):
+        v, eps, tol = case
+        pieces, values = _slice(v, eps, tol)
+        ref_pieces, ref_values = parent_slice(v, eps, tol)
+        assert [(type(p), p.den, p.keys) for p in pieces] == [
+            (type(p), p.den, p.keys) for p in ref_pieces]
+        assert values == ref_values
+
+    @pytest.mark.parametrize("v, eps", [
+        (fig2_valuation(), F(1, 17)),
+        (LIGHT_ATOM_OVER_A_DENSITY, F(1, 8)),
+        (HALF_CANTOR_UNDER_A_DENSITY, F(1, 5)),
+        (TWO_PARTS_OVER_A_DENSITY, F(1, 7)),
+    ])
+    def test_slice_inverts_once_per_piece_but_the_last(self, v, eps):
+        with mock.patch.object(valuation, "_invert", wraps=valuation._invert) as invert:
+            pieces, _ = _slice(v, eps, DEFAULT_TOL)
+        assert invert.call_count == len(pieces) - 1
+
+    @pytest.mark.parametrize("v, A", [
+        (fig2_valuation(), interval_set((0, "1/4"), ("1/3", "5/6"))),
+        (cantor_valuation(F(1, 4)), interval_set(("1/8", "1/2"), ("2/3", 1))),
+        (TWO_PARTS_OVER_A_DENSITY, FULL),
+        (uniform_valuation(), cantor_iterate(F(1, 3), 3).set),
+    ])
+    @pytest.mark.parametrize("share", [F(1, 3), F(1, 2), F(1)])
+    def test_a_cut_query_inverts_once(self, v, A, share):
+        target = share * evaluate(v, A, F(1, 2**50)).lo
+        with mock.patch.object(valuation, "_invert", wraps=valuation._invert) as invert:
+            valuation._prefix_end(v, A, target.numerator, target.denominator, DEFAULT_TOL)
+        assert invert.call_count == 1
