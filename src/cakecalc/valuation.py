@@ -93,10 +93,11 @@ class CantorComponent:
 
 
 class _Table(NamedTuple):
-    """The atom + density part G of F in integers: row i is the point
-    X[i]/D, with G(x-) = GL[i]/QD and G(x) = GA[i]/QD there, and G rises
-    with slope R[i]/Q from there to the next row.  D is the lcm of the
-    denominators of the row points, Q that of the atom weights and the
+    """G, which is F off the open Cantor supports, in integers: row i is the
+    point X[i]/D, with G(x-) = GL[i]/QD and G(x) = GA[i]/QD there, and G
+    rises with slope R[i]/Q from there to the next row.  Inside a support,
+    and in the left limit at its end, G leaves out that part's mass.  D is
+    the lcm of the denominators of the row points, Q that of the weights and
     densities, and QD is Q·D."""
 
     D: int
@@ -110,11 +111,11 @@ class _Table(NamedTuple):
 @dataclass(frozen=True)
 class Valuation:
     """Built only by `integer_valuation`, from checked integer data: the
-    public `atoms`, `density` and `cantor`, and `_table`, G (the atom +
-    density part of F), and `_parts`, the Cantor parts in integers: (E, S,
-    T, pn, pd, wn, wd) for the support [S/E, T/E], over the lcm E of the
-    ends' denominators, the ratio pn/pd and the weight wn/wd.  `==`, `hash`
-    and `repr` go by the three public fields."""
+    public `atoms`, `density` and `cantor`, and `_table`, G (F off the open
+    Cantor supports), and `_parts`, the Cantor parts in integers: (E, S, T,
+    pn, pd, wn, wd) for the support [S/E, T/E], over the lcm E of the ends'
+    denominators, the ratio pn/pd and the weight wn/wd.  `==`, `hash` and
+    `repr` go by the three public fields."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
     density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
@@ -127,20 +128,24 @@ class Valuation:
         return bool(self.atoms)
 
 
-def _integer_table(atoms, den: int, density) -> _Table:
-    """The atom + density part G of the distribution function as a `_Table`,
-    with a row at 0, 1, every atom and every density endpoint, from atoms
-    (an, ad, wn, wd) and densities (s, e, dn, dd) on supports with keys s, e
-    over `den`.  Density supports are disjoint, so G is linear between
-    adjacent rows."""
-    ends = [k >> 1 for s, e, _, _ in density for k in (s, e)]
-    g = gcd(den, *ends)  # den/g is the lcm of the ends' denominators
+def _integer_table(atoms, den: int, density, parts) -> _Table:
+    """G as a `_Table`, with a row at 0, 1, every atom, every density
+    endpoint and every Cantor support end, from atoms (an, ad, wn, wd),
+    densities (s, e, dn, dd) and Cantor parts (s, e, pn, pd, wn, wd) on
+    supports with keys s, e over `den`.  A part's weight is a jump at its
+    support's end, where F_p reaches 1.  Density supports are disjoint, so
+    G is linear between adjacent rows."""
+    ends = [k >> 1 for s, e, *_ in density for k in (s, e)]
+    tops = [e >> 1 for _, e, *_ in parts]
+    g = gcd(den, *ends, *tops)  # den/g is the lcm of the row points' denominators
     D = lcm(den // g, *[ad for _, ad, _, _ in atoms])
-    Q = lcm(*[wd for *_, wd in atoms], *[dd for *_, dd in density])
+    Q = lcm(*[wd for *_, wd in atoms], *[dd for *_, dd in density], *[wd for *_, wd in parts])
     QD = Q * D
     f = D // (den // g)
-    ends = [e // g * f for e in ends]  # over D
+    ends, tops = [e // g * f for e in ends], [t // g * f for t in tops]  # over D
     jump = {an * (D // ad): wn * (QD // wd) for an, ad, wn, wd in atoms}
+    for t, (*_, wn, wd) in zip(tops, parts):  # an atom may sit at t too
+        jump[t] = jump.get(t, 0) + wn * (QD // wd)
     slope = dict.fromkeys((0, D, *jump, *ends), 0)  # change of Q·density at a point
     for (_, _, dn, dd), lo, hi in zip(density, ends[::2], ends[1::2]):
         r = dn * (Q // dd)
@@ -220,12 +225,9 @@ def integer_valuation(atoms, den: int, density, cantor_parts=()) -> Valuation:
             raise BadParameter("Cantor component support must be a closed interval")
     parts = _check_pairwise_disjoint(den, cantor_parts, "Cantor supports")
 
-    table = _integer_table(atoms, den, density)
-    n, d = table.GA[-1], table.QD  # the total mass n/d
-    for *_, wn, wd in parts:
-        n, d = n * wd + wn * d, d * wd
-    if n != d:
-        raise NotNormalized(Fraction(n, d))
+    table = _integer_table(atoms, den, density, parts)
+    if table.GA[-1] != table.QD:
+        raise NotNormalized(Fraction(table.GA[-1], table.QD))
 
     densities = key_intervals(den, [k for s, e, *_ in density for k in (s, e)])
     supports = key_intervals(den, [k for s, e, *_ in parts for k in (s, e)])
@@ -353,30 +355,29 @@ def _clamp(lo: int, hi: int, d: int) -> tuple[int, int]:
 def _cdf_at_keys(v: Valuation, den: int, keys: Sequence[int], tol: Fraction, split: int = 1):
     """F at increasing cuts, given as `IntervalSet` keys over `den`, as
     (lo, hi, d): F at cut i lies in [lo[i]/d, hi[i]/d], of width <= tol/split,
-    and hi[i] <= d.  G comes from `_table_at_keys`; a Cantor part adds its
-    weight w right of its support [s, t] and w·F_p((x - s)/(t - s)) inside
-    it, by `cantor.walk` within tol/(split·len·w).  d is the lcm of q and the
-    walks' denominators; with no Cantor term at the cuts, G's g, g, q return."""
+    and hi[i] <= d.  G, from `_table_at_keys`, is F but at the cuts strictly
+    inside a Cantor support [s, t] and at (t, 0); there the part adds
+    w·F_p((x - s)/(t - s)), by `cantor.walk` within tol/(split·len·w).  d is
+    the lcm of q and the walks' denominators; with no cut to walk, G's g, g,
+    q return."""
     g, q = _table_at_keys(v._table, den, keys)
     tn, td = tol.numerator, tol.denominator * split * len(v._parts)
-    walks, weights = [], []  # (i, lo, hi, b) inside a support; (i, wn, wd) from key i on
+    walks = []  # (i, lo, hi, b) at the cuts inside a support, and at its end's left limit
     for E, S, T, pn, pd, wn, wd in v._parts:
         # the smallest depth >= 1 with 2^-depth <= tol/(split·len·w); p = 1/3 always closes
         depth = None if (pn, pd) == (1, 3) else max(1, ((td * wn - 1) // (tn * wd)).bit_length())
         first = bisect_right(keys, 2 * (S * den // E) + 1)  # the first cut right of s
-        j = bisect_left(keys, -2 * (-T * den // E), first)  # the first cut at or right of t
-        for i, k in enumerate(keys[first:j], first):
-            a_lo, a_hi, b = cantor.walk(pn, pd, (k >> 1) * E - S * den, den * (T - S), depth)
+        top, off = divmod(T * den, E)
+        last = bisect_right(keys, 2 * top + (off > 0), first)  # the first cut right of (t, 0)
+        n = den * (T - S)
+        for i, k in enumerate(keys[first:last], first):
+            y = (k >> 1) * E - S * den  # y/n into the support; y = n walks to F_p(1) = 1
+            a_lo, a_hi, b = cantor.walk(pn, pd, y, n, depth if y < n else None)
             walks.append((i, wn * a_lo, wn * a_hi, wd * b))
-        if j < len(keys):
-            weights.append((j, wn, wd))
-    if not (walks or weights):
+    if not walks:
         return g, g, q
-    d = lcm(q, *[b for *_, b in walks], *[wd for *_, wd in weights])
+    d = lcm(q, *[b for *_, b in walks])
     lo = [x * (d // q) for x in g]
-    for j, wn, wd in weights:  # the supports are sorted: w at every cut from j on
-        w = wn * (d // wd)
-        lo[j:] = [x + w for x in lo[j:]]
     hi = lo.copy()
     for i, a_lo, a_hi, b in walks:
         lo[i] += a_lo * (d // b)
@@ -483,47 +484,44 @@ def _invert_rows(table: _Table, a: int, b: int):
 
 def _invert(v: Valuation, t: int, B: int, tol: Fraction):
     """The minimal c with F(c) >= t/B, or 1, as (cn, cd, g) for c = cn/cd,
-    in lowest terms or not; B is a multiple of QD and of every Cantor
-    weight's denominator, and the caller picks it.  The one inversion that
-    cut queries and slices share.  Off the Cantor supports F is G plus the
-    Cantor mass to the left, and the row rule gives c with g = (F(c-), F(c))
-    over B; on one, `_descend` gets the target less that mass as a
-    `Fraction` and finds c, or c within tol/4, and g is None."""
-    table, left = v._table, 0  # the Cantor mass left of the piece of the line, over B
+    in lowest terms or not; B is a multiple of QD, and the caller picks it.
+    The one inversion that cut queries and slices share.  G <= F, with
+    equality off the open supports, so the row rule's point c' is c unless
+    c' lies in a part's (s, t]: there `_descend` finds c, or c within tol/4,
+    and g is None.  Else g is (F(c-), F(c)) over B, also at c' = t when
+    F(t-) = G(t-) + w < t/B, an atom at t."""
+    table = v._table
+    cn, cd, gl, ga = _invert_rows(table, t, B // table.QD)
     for part in v._parts:
-        E, _, T, _, _, wn, wd = part
-        (g,), q = _table_at_keys(table, E, (2 * T,))  # G(T/E-) over q at the support end
-        w = wn * (B // wd)
-        if g * B >= (t - left - w) * q:  # F(T/E-) >= t/B
-            c = _descend(table, max(table.R), part, Fraction(t - left, B), tol)
-            return c.numerator, c.denominator, None
-        left += w
-    cn, cd, gl, ga = _invert_rows(table, t - left, B // table.QD)
-    return cn, cd, (gl + left, ga + left)
+        E, S, T, *_, wn, wd = part
+        if S * cd < cn * E <= T * cd:
+            w = wn * (B // wd)
+            if cn * E < T * cd or gl + w >= t:
+                return *_descend(table, max(table.R), part, t, B, tol), None
+            return cn, cd, (gl + w, ga)
+    return cn, cd, (gl, ga)
 
 
-def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: Fraction):
-    """`_invert` left of the end of the support of `part`, given t less the
-    Cantor mass left of the support: descent through cells [A, A + L]/M with
-    r = t less the Cantor mass left of the cell and m inside, G(a) < r <=
-    G(b-) + m; once G(a) >= r, c is in the gap left of the cell.  Where G is
-    flat, (r - G(a))/m follows the doubling orbit to an exact repeat; else
-    stop once F rises by at most tol/4 across the cell, apart from atoms,
-    which the callers keep out of the piece they cut.  `rate` is G's
-    steepest slope, over Q.
+def _descend(table: _Table, rate: int, part: tuple[int, ...], t: int, B: int, tol: Fraction):
+    """`_invert` in the support of `part`, for a target t/B that F reaches
+    there, as (cn, cd) for c = cn/cd: descent through cells [A, A + L]/M
+    with r = the target less the part's mass left of the cell and m inside,
+    G(a) < r <= G(b-) + m, where G is the table; once G(a) >= r, c is in the
+    gap left of the cell.  Where G is flat, (r - G(a))/m follows the
+    doubling orbit to an exact repeat; else stop once F rises by at most
+    tol/4 across the cell, apart from atoms, which the callers keep out of
+    the piece they cut.  `rate` is G's steepest slope, over Q.
 
-    In integers: D | M and G is over Q·M; r and m are over W = lcm(t, w)·2^k
-    at level k.  A level scales M, A and G by 2·pd and L by pd - pn, which
-    keeps both children integral; a `Fraction` is built only for c.  Q·M
-    and the row scale f = M/D are kept running, and G is read off the rows
-    as `_table_at_keys` reads it."""
+    In integers: D | M and G is over Q·M; r and m are over W = B·2^k at
+    level k.  A level scales M, A and G by 2·pd and L by pd - pn, which
+    keeps both children integral.  Q·M and the row scale f = M/D are kept
+    running, and G is read off the rows as `_table_at_keys` reads it."""
     E, S, T, pn, pd, wn, wd = part
     D, QD, X, GL, GA, R = table
     M = lcm(D, E)
     f, QM = M // D, QD // D * M
     A, L = S * (M // E), (T - S) * (M // E)
-    W = lcm(t.denominator, wd)
-    r, m = t.numerator * (W // t.denominator), wn * (W // wd)
+    W, r, m = B, t, wn * (B // wd)
     qn, qd = tol.numerator, 4 * tol.denominator
 
     def g_at(x, side):  # G(x/M-) or G(x/M) over Q·M, from the row of x
@@ -536,16 +534,16 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: Fraction, tol: 
     g_a, g_b, seen = g_at(A, 1), g_at(A + L, 0), {}
     while True:
         if g_a * W >= r * QM:
-            return Fraction(*_invert_rows(table, r * QD, W)[:2])
+            return _invert_rows(table, r * QD, W)[:2]
         flat = g_a == g_b
         if flat:  # a repeat of the relative target closes the recursion
             num, den = r * QM - g_a * W, m * QM
             h = gcd(num, den)
             M0, A0, L0 = seen.setdefault((num // h, den // h), (M, A, L))
             if M0 != M:
-                return Fraction(L0 * A - A0 * L, L0 * M - L * M0)
+                return L0 * A - A0 * L, L0 * M - L * M0
         if qd * (m * QM + rate * L * W) <= qn * W * QM:
-            return Fraction(A + L, M)
+            return A + L, M
         s = 2 * pd
         M, A, g_a, g_b, W, r = M * s, A * s, g_a * s, g_b * s, 2 * W, 2 * r
         f, QM = f * s, QM * s
@@ -612,10 +610,8 @@ def _prefix_end_from(v: Valuation, A: IntervalSet, reading, tn: int, td: int, to
         base = lo[i] + hi[i]
         upto_lo, upto_hi = below_lo + lo[i + 1] - hi[i], below_hi + hi[i + 1] - lo[i]
         if (upto_lo + upto_hi) * m >= n or (i + 2 == len(keys) and n <= 2 * upto_hi * m):
-            # `_invert`'s B: d is a multiple of QD, so only the weights' denominators join
-            B = lcm(2 * d * m, *[wd for *_, wd in v._parts])
-            t = (n - (below_lo + below_hi - base) * m) * (B // (2 * d * m))
-            cn, cd, _ = _invert(v, t, B, tol)
+            # over `_invert`'s B = 2·d·m, a multiple of QD since d is one
+            cn, cd, _ = _invert(v, n - (below_lo + below_hi - base) * m, 2 * d * m, tol)
             # F(c)'s target comes from bracket midpoints, so c may miss the component
             # [s, e]/A.den: clamp it there
             den, s, e = A.den, keys[i] >> 1, keys[i + 1] >> 1
@@ -670,8 +666,8 @@ def slice_valuation(v: Valuation, epsilon, tol=DEFAULT_TOL) -> list[IntervalSet]
 def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[tuple | None]]:
     """`slice_valuation`'s pieces and values: (n, n, B) for n/B where the
     table gave both ends of a piece, one triple for every piece worth ε, and
-    None where `_descend` gave one.  Masses are integers over B, which is
-    fixed for the pass, and each piece's end comes from one `_invert` at
+    None where `_descend` gave one.  Masses are integers over B, the lcm of
+    QD and ε's denominator, and each piece's end comes from one `_invert` at
     its start plus ε; a hit advances `consumed` by exactly ε, so errors do
     not add up."""
     tol = _check_tol(tol)
@@ -686,7 +682,7 @@ def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[tuple | 
         raise NotSliceable(v.atoms, "beside a Cantor part are not sliced")
 
     tol = min(tol, epsilon)  # a hit within tol/4 past t stops short of t + ε
-    B = lcm(v._table.QD, epsilon.denominator, *[wd for *_, wd in v._parts])
+    B = lcm(v._table.QD, epsilon.denominator)
     e = epsilon.numerator * (B // epsilon.denominator)
     pieces, values, hit = [], [], (e, e, B)
     sn, sd, sk, known = 0, 1, 0, True  # the start cut (sn/sd, side sk); F exact there?
@@ -694,11 +690,11 @@ def _slice(v: Valuation, epsilon, tol) -> tuple[list[IntervalSet], list[tuple | 
     while B - consumed > e:
         t = consumed + e
         en, ed, g = _invert(v, t, B, tol)
-        exact = g is not None
+        h = gcd(en, ed)
+        en, ed, exact = en // h, ed // h, g is not None
         ek, f_end = 1, t  # where `_descend` placed the end: a hit within tol/4
         if exact:
-            h = gcd(en, ed)
-            en, ed, (gl, ga) = en // h, ed // h, g
+            gl, ga = g
             # stop short of an atom at the end; else a hit, or a lone atom after no mass
             ek, f_end = (0, gl) if ga > t and gl > consumed else (1, ga)
         L = lcm(sd, ed)

@@ -60,10 +60,10 @@ def ref_set_from_cuts(cuts) -> IntervalSet:
 
 def invert_at(v: Valuation, t: Fraction, tol: Fraction, k: int = 1):
     """`valuation._invert` at the target t, over k times the least
-    denominator it accepts: the lcm of t's, Q·D and the Cantor weights'.
-    Returns c as a `Fraction`, and (F(c-), F(c)) as `Fraction`s where the
-    table gave c, or None."""
-    B = k * lcm(t.denominator, v._table.QD, *[wd for *_, wd in v._parts])
+    denominator it accepts: the lcm of t's and Q·D.  Returns c as a
+    `Fraction`, and (F(c-), F(c)) as `Fraction`s where the table gave c, or
+    None."""
+    B = k * lcm(t.denominator, v._table.QD)
     cn, cd, g = valuation._invert(v, t.numerator * (B // t.denominator), B, tol)
     return Fraction(cn, cd), g and (Fraction(g[0], B), Fraction(g[1], B))
 

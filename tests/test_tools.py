@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cakecalc import cli, protocols
+from cakecalc import cli, protocols, valuation
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
@@ -69,7 +69,8 @@ def body_lines(f):
 def test_traffic_lists_check_proportional_and_not_cli_run():
     """Neither a workload nor a CLI command calls `check_proportional`, so
     every statement of its body is listed; `cli.run` runs for each of them,
-    so no statement of its body is.  The script exits 0: every golden case
+    and the `singular` workload's set-up calls `cantor_valuation`, so no
+    statement of their bodies is.  The script exits 0: every golden case
     passed under the trace."""
     cmd = [sys.executable, str(ROOT / "tools" / "traffic.py")]
     report = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
@@ -81,3 +82,5 @@ def test_traffic_lists_check_proportional_and_not_cli_run():
             listed.setdefault(path, set()).add(int(re.match(r" *(\d+)", line).group(1)))
     assert set(body_lines(protocols.check_proportional)) <= listed["src/cakecalc/protocols.py"]
     assert not set(body_lines(cli.run)) & listed.get("src/cakecalc/cli.py", set())
+    assert not set(body_lines(valuation.cantor_valuation)) & listed.get(
+        "src/cakecalc/valuation.py", set())

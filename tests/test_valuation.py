@@ -51,12 +51,13 @@ from cakecalc import (
 )
 from cakecalc.errors import BadTolerance
 from cakecalc.foundations import cantor_iterate
-from cakecalc.intervals import _from_keys, _split
+from cakecalc.intervals import _from_keys, _interval_ends, _split, encode_lexed
 from cakecalc import valuation
 from cakecalc.valuation import (
     _cdf_value,
     _check_pairwise_disjoint,
     _clamp,
+    _Table,
     _descend,
     _invert_rows,
     _slice,
@@ -632,6 +633,15 @@ TWO_PARTS_OVER_A_DENSITY = make_valuation(
     ],
 )
 
+# An atom at a Cantor support's end t = 1/2: F(1/2-) = 1/4 + 1/4 = 1/2 and
+# F(1/2) = 3/4, so every target in (1/2, 3/4] inverts to 1/2, with
+# (F(1/2-), F(1/2)) read off the table and the part's weight.
+ATOM_AT_A_SUPPORT_END = make_valuation(
+    atoms=[(F(1, 2), F(1, 4))],
+    density=[(civ(0, 1), F(1, 2))],
+    cantor_parts=[CantorComponent(civ(0, F(1, 2)), F(1, 3), F(1, 4))],
+)
+
 
 class TestIntegerCantorReaders:
     """`cdf`, `evaluate` and `_invert` against the `Fraction` walk, sweep and
@@ -641,6 +651,8 @@ class TestIntegerCantorReaders:
     @given(st.data(), cantor_mixes(), st.sampled_from(TOLS))
     @example(None, cantor_valuation(F(1, 4)), F(1, 2**40)).via("3/11 is periodic for p = 1/4")
     @example(None, TWO_PARTS_OVER_A_DENSITY, F(1, 2**12))
+    @example(None, ATOM_AT_A_SUPPORT_END, F(1, 2**40))
+    @example(None, TWO_PARTS_OVER_A_DENSITY, F(1)).via("walks of depth 1: exact at (t, 0) still")
     def test_cdf_and_evaluate_match_the_fraction_reference(self, data, v, tol):
         table = ref_breakpoint_table(v.atoms, v.density)
         if data is None:
@@ -662,6 +674,7 @@ class TestIntegerCantorReaders:
                        cantor_parts=[CantorComponent(civ(F(1, 2), 1), F(1, 4), F(1, 2))]),
         [F(2, 3), F(5, 7)], F(1, 2**30),
     ).via("G is flat and positive on the support")
+    @example(ATOM_AT_A_SUPPORT_END, [F(3, 5), F(3, 4)], F(1, 2**40))
     def test_invert_matches_the_fraction_reference(self, v, ts, tol):
         table = ref_breakpoint_table(v.atoms, v.density)
         # targets drawn, and F at every support end, where the answer is a
@@ -672,22 +685,91 @@ class TestIntegerCantorReaders:
             if 0 < t <= 1:
                 c, g = invert_at(v, t, tol)
                 assert c == ref_invert(v, table, F(0), F(1), t, tol)
+                # the descent runs, and g is None, where c lies in a part's
+                # (s, t_p] and t <= F(t_p-): no atom at t_p carries F to t
+                assert (g is None) == any(
+                    p.support.lo < c <= p.support.hi
+                    and t <= ref_cdf(v, table, (p.support.hi, 0), tol).lo for p in v.cantor)
                 if g is not None:  # the table gave c: F(c-) and F(c) as the reference's
                     assert (c, *g) == ref_invert_sides(v, table, t, tol)
+
+    @settings(deadline=None, max_examples=100)
+    @given(cantor_mixes())
+    @example(ATOM_AT_A_SUPPORT_END)
+    def test_the_table_is_f_off_the_open_supports(self, v):
+        """Each Cantor weight is a jump at its support's end: the table is F,
+        exactly, at every grid cut but those inside a support and the left
+        limit at its end, and its total is 1."""
+        table = v._table
+        assert table.GA[-1] == table.QD
+        assert all(table.QD % c.weight.denominator == 0 for c in v.cantor)
+        for x in GRID:
+            for side, after in (("left_limit", 0), ("at", 1)):
+                if any(c.support.lo < x < c.support.hi or (x, after) == (c.support.hi, 0)
+                       for c in v.cantor):
+                    continue
+                (g,), q = _table_at_keys(table, x.denominator, (2 * x.numerator + after,))
+                assert F(g, q) == cdf(v, x, side).value
+
+
+# The parent's table, the atom + density part of F alone: F off the Cantor
+# supports was that plus the Cantor mass to the left, which each reader
+# added by hand.  A copy of the parent's `_integer_table`, from the atoms
+# and densities of v.
+
+def parent_table(v):
+    den, keys = encode_lexed([_interval_ends(sup) for sup, _ in v.density])
+    atoms = [(*a.as_integer_ratio(), *w.as_integer_ratio()) for a, w in v.atoms]
+    density = [(s, e, *d.as_integer_ratio())
+               for (_, d), s, e in zip(v.density, keys[::2], keys[1::2])]
+    ends = [k >> 1 for s, e, _, _ in density for k in (s, e)]
+    g = gcd(den, *ends)
+    D = lcm(den // g, *[ad for _, ad, _, _ in atoms])
+    Q = lcm(*[wd for *_, wd in atoms], *[dd for *_, dd in density])
+    QD = Q * D
+    f = D // (den // g)
+    ends = [e // g * f for e in ends]
+    jump = {an * (D // ad): wn * (QD // wd) for an, ad, wn, wd in atoms}
+    slope = dict.fromkeys((0, D, *jump, *ends), 0)
+    for (_, _, dn, dd), lo, hi in zip(density, ends[::2], ends[1::2]):
+        r = dn * (Q // dd)
+        slope[lo] += r
+        slope[hi] -= r
+    X = sorted(slope)
+    g_left, g_at, rates = [], [], []
+    g = rate = prev = 0
+    for x in X:
+        g += rate * (x - prev)
+        g_left.append(g)
+        g += jump.get(x, 0)
+        g_at.append(g)
+        rate += slope[x]
+        rates.append(rate)
+        prev = x
+    return _Table(D, QD, X, g_left, g_at, rates)
+
+
+def parent_descend(table, part, t, tol):
+    """`_descend` over the parent's table, for t less the Cantor mass left
+    of the support, as the parent took it: a `Fraction`, over the lcm of
+    its denominator and the weight's."""
+    B = lcm(t.denominator, part[-1])
+    return F(*_descend(table, max(table.R), part, t.numerator * (B // t.denominator), B, tol))
 
 
 # The parent's `_invert`, which took its target t as a `Fraction`, kept as
 # the reference for the integer target t over B: the same table rule and
-# `_descend`, and the same test of F at each support end.
+# descent over the parent's table, and the same test of F at each support
+# end.
 
 def ref_invert_fraction_target(v, t, tol):
-    table, n, d = v._table, 0, 1
+    table, n, d = parent_table(v), 0, 1
     tn, td = t.numerator, t.denominator
     for part in v._parts:
         E, _, T, _, _, wn, wd = part
         (g,), q = _table_at_keys(table, E, (2 * T,))
         if ((g * wd + wn * q) * d + n * q * wd) * td >= tn * q * wd * d:
-            return _descend(table, max(table.R), part, t - F(n, d), tol)
+            return parent_descend(table, part, t - F(n, d), tol)
         n, d = n * wd + wn * d, d * wd
     return F(*_invert_rows(table, (tn * d - n * td) * table.QD, td * d)[:2])
 
@@ -719,6 +801,7 @@ class TestIntegerInvertTarget:
     @example(one_part(F(1, 5), F(1), [(F(0), F(1, 3))]), [F(1, 3), F(7, 9)], 6, F(3, 2**31))
     @example(one_part(F(1, 3), F(3), [(F(1), F(1))]), [F(1, 4), F(5, 6)], 2**20 + 1,
              F(1, 2**40))
+    @example(ATOM_AT_A_SUPPORT_END, [F(3, 5), F(3, 4)], 1, F(1, 2**40))
     def test_integer_target_matches_the_fraction_target(self, v, shares, k, tol):
         # drawn targets, F at every support end, and targets strictly inside
         # F's rise across each support, which go through `_descend`
@@ -1434,8 +1517,11 @@ def parent_invert_rows(table, a, b, lo):
 
 def parent_slice(v, epsilon, tol):
     tol = min(tol, epsilon)
-    table, parts = v._table, v._parts
-    B = lcm(table.QD, epsilon.denominator, *(wd for *_, wd in parts))
+    table, parts = parent_table(v), v._parts
+    # the B of `_slice`, so that the values compare as triples: a multiple of
+    # the parent's, since v's QD is a multiple of the parent table's QD and
+    # of every weight's denominator
+    B = lcm(v._table.QD, epsilon.denominator)
     e, s = epsilon.numerator * (B // epsilon.denominator), B // table.QD
     ends = [(*_table_at_keys(table, E, (2 * T,)), w * (B // d)) for E, _, T, _, _, w, d in parts]
     pieces, values, hit = [], [], (e, e, B)
@@ -1446,7 +1532,7 @@ def parent_slice(v, epsilon, tol):
         while j < len(parts) and ends[j][0][0] * B < (t - left - ends[j][2]) * ends[j][1]:
             left, j = left + ends[j][2], j + 1
         if j < len(parts):
-            c = _descend(table, max(table.R), parts[j], F(t - left, B), tol)
+            c = parent_descend(table, parts[j], F(t - left, B), tol)
             en, ed, ek, f_end, exact = c.numerator, c.denominator, 1, t, False
         else:
             row, en, ed, gl, ga = parent_invert_rows(table, t - left, s, row)
@@ -1506,13 +1592,23 @@ class TestSharedInversion:
     @example((LIGHT_ATOM_OVER_A_DENSITY, F(1, 8), DEFAULT_TOL))
     @example((HALF_CANTOR_UNDER_A_DENSITY, F(1, 5), F(1, 2**20)))
     @example((cantor_valuation(F(1, 4)), F(1, 17), F(1, 2**12)))
+    @example((make_valuation(density=[(civ(0, 1), F(3, 4))], cantor_parts=[
+        CantorComponent(civ(F(1, 12), F(1, 11)), F(1, 3), F(1, 4))]), F(1, 16), F(1, 2**12))
+    ).via("F reaches ε at the support's start")
     def test_slice_matches_the_parent_pass(self, case):
         v, eps, tol = case
         pieces, values = _slice(v, eps, tol)
         ref_pieces, ref_values = parent_slice(v, eps, tol)
         assert [(type(p), p.den, p.keys) for p in pieces] == [
             (type(p), p.den, p.keys) for p in ref_pieces]
-        assert values == ref_values
+        assert len(values) == len(ref_values)
+        for piece, value, ref in zip(pieces, values, ref_values):
+            if ref is not None:
+                assert value == ref
+            elif value is not None:
+                # an end at a support's start comes off the table, where the
+                # parent descended and reported no value
+                assert _cdf_value(*value) == evaluate(v, piece, tol)
 
     @pytest.mark.parametrize("v, eps", [
         (fig2_valuation(), F(1, 17)),

@@ -4,10 +4,11 @@ reaches.
     python tools/traffic.py
 
 The script traces the lines of src/cakecalc with `sys.settrace` while it
-does two things: it sends requests 0..99 of each workload of
-bench/workloads.py at seed 1 through the workload's `run`, built by its
-`make` as tools/output_hash.py builds them (`make` is not traced, and the
-workload's oracle `check` is not run), and it runs tests/test_cli_golden.py
+does two things: it sets up each workload of bench/workloads.py at seed 1,
+whose constructor builds its valuations, and sends requests 0..99 through
+the workload's `run`, built by its `make` as tools/output_hash.py builds
+them (`make` is not traced, and the workload's oracle `check` is not run),
+and it runs tests/test_cli_golden.py
 in-process under pytest, so each case gets its configs from that module's
 own fixture.  Then it prints, per file, the statement lines inside
 functions that nothing reached, with their text, and on stderr how many
@@ -91,7 +92,7 @@ def reached_lines() -> tuple[dict[str, set[int]], int]:
 
     with tempfile.TemporaryDirectory() as workdir:
         for name, workload in WORKLOADS.items():
-            wl = workload(cakecalc, SEED, Path(workdir))
+            wl = traced(workload, cakecalc, SEED, Path(workdir))
             raised = 0
             try:
                 for i in range(REQUESTS):
