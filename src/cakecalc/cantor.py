@@ -29,14 +29,10 @@ from math import gcd
 
 from .errors import BadParameter, rational_text
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-THIRD = Fraction(1, 3)
 
-
-def check_ratio(p: Fraction) -> Fraction:
-    p = Fraction(p)
-    if not (ZERO < p <= THIRD):
+def check_ratio(p) -> Fraction:
+    p = p if type(p) is Fraction else Fraction(p)  # a Fraction comes back as it is
+    if not 0 < 3 * p.numerator <= p.denominator:
         raise BadParameter(f"Cantor ratio p={rational_text(p)} outside (0, 1/3]")
     return p
 
@@ -72,7 +68,7 @@ def staircase_bracket(p: Fraction, y: Fraction, depth) -> tuple[Fraction, Fracti
     """`walk` on Fractions: a bracket [lo,hi] ∋ F_p(y) with hi-lo <= 2^-depth;
     depth None, which ends for every y when p = 1/3, gives lo == hi."""
     p = check_ratio(p)
-    y = min(max(Fraction(y), ZERO), ONE)  # F_p is 0 left of 0 and 1 right of 1
+    y = min(max(Fraction(y), 0), 1)  # F_p is 0 left of 0 and 1 right of 1
     lo, hi, den = walk(p.numerator, p.denominator, y.numerator, y.denominator, depth)
     return Fraction(lo, den), Fraction(hi, den)
 

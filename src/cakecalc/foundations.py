@@ -23,10 +23,11 @@ class CantorIterateSet(IntervalSet):
     shifts L_(i-1) - L_i, plus L_n at a right end, so over (2b)^n the gcd of
     (2b)^n, L_n and the shifts reduces the table to the set's own `den`, and
     the table keeps L_0 .. L_n as integers over it.  The keys are built from
-    it on first access and cached in `_keys`.  `length_upto` and membership
-    walk down the table in O(n) steps without building them, and `len`,
-    `is_empty` and `length` read it directly.  Equality, hashing, iteration and the set
-    operations see the same keys as a plain IntervalSet.
+    it on first access and cached in `_keys`.  `_upto` walks down the table
+    in O(n) integer steps without building them, for `length_upto`,
+    membership and `valuation.evaluate`, and `len`, `is_empty` and `length`
+    read it directly.  Equality, hashing, iteration and the set operations
+    see the same keys as a plain IntervalSet.
     """
 
     __slots__ = ("p", "n", "_lengths", "_keys")
@@ -74,37 +75,35 @@ class CantorIterateSet(IntervalSet):
     def __reduce__(self):
         return CantorIterateSet, (self.p, self.n)
 
-    def _descend(self, x: Fraction) -> tuple[Fraction, bool]:
-        """(|A_n ∩ [0,x]|, x ∈ A_n) for any rational x.
+    def _upto(self, num: int, q: int) -> tuple[int, bool]:
+        """(|A_n ∩ [0,x]|·den·q, x ∈ A_n) for x = num/q, q > 0, in integers.
 
-        Outside [0,1] x lies left or right of all of A_n.  Inside, every
+        A_n holds 0 and 1, and lies between them.  Strictly inside, every
         stage either keeps x in the left child, skips the left child's mass
         2^(n-i) * L_n and moves to the right child, or ends in the gap between
-        them.  The arithmetic is on integers in units of 1/(den*q), q the
-        denominator of x."""
-        num, q = x.numerator, x.denominator
-        if not 0 <= num <= q:
-            return (Fraction(0) if num < 0 else self.length), False
-        target = num * self.den
+        them."""
         lengths = self._lengths
         n, leaf = self.n, lengths[-1]
-        below = 0  # mass of the components left of the current one
-        start = 0  # left end of the current component
+        if not 0 < num < q:
+            return (0 if num <= 0 else (leaf << n) * q), num == 0 or num == q
+        target = num * self.den
+        lo, hi = target // q, -(-target // q)  # x·den's floor and ceiling
+        below = start = 0  # the mass left of the current component, and its left end
         for i in range(1, n + 1):
-            if target <= (start + lengths[i]) * q:
+            if hi <= start + lengths[i]:
                 continue
             below += leaf << (n - i)
             start += lengths[i - 1] - lengths[i]
-            if target < start * q:
-                return Fraction(below, self.den), False
-        return Fraction(below * q + target - start * q, self.den * q), True
+            if lo < start:
+                return below * q, False
+        return (below - start) * q + target, True
 
     def length_upto(self, c: Fraction) -> Fraction:
         """|A_n ∩ [0,c]|."""
-        return self._descend(c)[0]
+        return Fraction(self._upto(c.numerator, c.denominator)[0], self.den * c.denominator)
 
     def __contains__(self, x: Fraction) -> bool:
-        return self._descend(x)[1]
+        return self._upto(x.numerator, x.denominator)[1]
 
 
 @dataclass(frozen=True)

@@ -391,13 +391,20 @@ def evaluate(v: Valuation, A: IntervalSet, tol=DEFAULT_TOL) -> CdfValue:
 
 
 def _value_ints(v: Valuation, A: IntervalSet, tol) -> tuple[int, int, int]:
-    """`evaluate`'s v(A) as (lo, hi, d) for [lo/d, hi/d], clamped by `_clamp`."""
+    """`evaluate`'s v(A) as (lo, hi, d) for [lo/d, hi/d], clamped by `_clamp`,
+    in lowest terms or not.  An iterate is read, without its keys, at the
+    rows of a table that is F (no Cantor part) by one `_upto` each: over
+    QD·den, a row in A adds its atom, and R times A's length to the next row."""
     tol = _check_tol(tol)
-    if isinstance(A, CantorIterateSet) and not v.cantor:
-        # |A ∩ sup| and atom membership by descent, without building A's cuts
-        mass = sum(d * (A.length_upto(s.hi) - A.length_upto(s.lo)) for s, d in v.density)
-        n, d = (mass + sum(w for loc, w in v.atoms if loc in A)).as_integer_ratio()
-        return (*_clamp(n, n, d), d)
+    if isinstance(A, CantorIterateSet) and not v._parts:
+        D, QD, X, GL, GA, R = v._table
+        total = last = rate = 0
+        for x, gl, ga, r in zip(X, GL, GA, R):
+            upto, inside = A._upto(x, D)  # |A ∩ [0, x/D]|·den·D
+            total += rate * (upto - last) + (ga - gl) * A.den * inside
+            last, rate = upto, r
+        d = QD * A.den
+        return (*_clamp(total, total, d), d)
     return _summed(*_cdf_at_keys(v, A.den, A.keys, tol, max(2, len(A.keys))))
 
 
@@ -489,14 +496,14 @@ def _invert(v: Valuation, t: int, B: int, tol: Fraction):
     equality off the open supports, so the row rule's point c' is c unless
     c' lies in a part's (s, t]: there `_descend` finds c, or c within tol/4,
     and g is None.  Else g is (F(c-), F(c)) over B, also at c' = t when
-    F(t-) = G(t-) + w < t/B, an atom at t."""
+    F(t-) = G(t-) + w <= t/B, which makes c = t."""
     table = v._table
     cn, cd, gl, ga = _invert_rows(table, t, B // table.QD)
     for part in v._parts:
         E, S, T, *_, wn, wd = part
         if S * cd < cn * E <= T * cd:
             w = wn * (B // wd)
-            if cn * E < T * cd or gl + w >= t:
+            if cn * E < T * cd or gl + w > t:
                 return *_descend(table, max(table.R), part, t, B, tol), None
             return cn, cd, (gl + w, ga)
     return cn, cd, (gl, ga)

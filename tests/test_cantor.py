@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cakecalc.cantor import staircase_bracket
+from cakecalc.cantor import check_ratio, staircase_bracket
 from cakecalc.errors import BadParameter
 from conftest import staircase_digit_oracle
 
@@ -148,3 +148,13 @@ class TestValidation:
     def test_ratio_out_of_range(self, p):
         with pytest.raises(BadParameter):
             staircase_bracket(p, F(1, 2), 10)
+
+    @pytest.mark.parametrize("p, text", [(F(1, 2), "1/2"), (F(0), "0"), (F(-1, 3), "-1/3")])
+    def test_ratio_message(self, p, text):
+        with pytest.raises(BadParameter) as err:
+            check_ratio(p)
+        assert str(err.value) == f"Cantor ratio p={text} outside (0, 1/3]"
+
+    def test_ratio_accepted_as_given(self):
+        assert check_ratio("1/3") == THIRD
+        assert check_ratio(THIRD) is THIRD  # a Fraction comes back as it is

@@ -2,6 +2,7 @@
 
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,22 @@ from cakecalc import (
     evaluate,
     intersect,
     interval_set,
+    make_box_valuation,
     make_valuation,
     normalize,
     relative_frequency,
     removed_mass,
     total_length,
+    uniform_valuation,
+)
+from cakecalc.foundations import CantorIterateSet
+from cakecalc.valuation import (
+    DEFAULT_TOL,
+    _cdf_at_keys,
+    _cdf_value,
+    _summed,
+    _value_ints,
+    _value_matrix,
 )
 from conftest import small_fractions, van_der_corput
 
@@ -113,6 +125,17 @@ def scfree_valuation(draw, comps):
     )
 
 
+@st.composite
+def box_valuation(draw, comps):
+    """Boxes, some of them empty, on pieces whose ends iterate_point places."""
+    bps = sorted({F(0), F(1)} | set(draw(st.lists(iterate_point(comps), max_size=4))))
+    counts = [draw(st.integers(0, 9)) for _ in bps[1:]]
+    counts[draw(st.integers(0, len(counts) - 1))] += 1
+    return make_box_valuation(
+        [(Interval(lo, hi, lo == 0, True), c) for lo, hi, c in zip(bps, bps[1:], counts)]
+    )
+
+
 class TestIterateDescent:
     """The stage-table descent against the materialized components."""
 
@@ -137,15 +160,55 @@ class TestIterateDescent:
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_descent_builds_no_components(self, p):
+        """`evaluate` and `contains` descend by `_upto` alone: they neither
+        call `length_upto` nor build the keys."""
         v = make_valuation(
             atoms=[(F(1, 2), F(1, 2))],
             density=[(Interval(F(0), F(1), True, True), F(1, 2))],
         )
         staged = cantor_iterate(p, 12).set
-        evaluate(v, staged)
-        contains(staged, F(1, 3))
+        with mock.patch.object(CantorIterateSet, "length_upto") as length_upto:
+            evaluate(v, staged)
+            contains(staged, F(1, 3))
+        assert not length_upto.called
         assert staged._components is None
         assert staged._keys is None
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_row_reading_matches_the_key_reading(self, data):
+        """`_value_ints` reads an iterate off the table's rows; in value it
+        equals the reading of F at the iterate's keys, for atoms and density
+        ends at iterate ends, inside components and in gaps."""
+        p = data.draw(st.sampled_from(RATIOS + [F(1, 6)]))
+        n = data.draw(st.integers(0, 10))
+        staged = cantor_iterate(p, n).set
+        comps = normalize(list(staged)).components
+        v = data.draw(st.one_of(scfree_valuation(comps), box_valuation(comps)))
+        lo, hi, d = _value_ints(v, staged, DEFAULT_TOL)
+        split = max(2, len(staged.keys))
+        k_lo, k_hi, k_d = _summed(*_cdf_at_keys(v, staged.den, staged.keys, DEFAULT_TOL, split))
+        assert lo == hi and k_lo == k_hi
+        assert F(lo, d) == F(k_lo, k_d)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_value_matrix_with_iterate_pieces_is_per_pair(self, data):
+        """`_value_matrix` over iterate pieces beside a plain set equals
+        `evaluate` of every (valuation, piece) pair, an iterate's read at the
+        keys of a plain copy."""
+        p, q = data.draw(st.sampled_from(RATIOS)), data.draw(st.sampled_from(RATIOS))
+        n = data.draw(st.integers(0, 8))
+        pieces = {0: cantor_iterate(p, n).set, 1: interval_set((F(1, 3), F(3, 4))),
+                  2: cantor_iterate(q, 8 - n).set}
+        comps = normalize(list(pieces[0])).components
+        valuations = {0: uniform_valuation(), 1: data.draw(scfree_valuation(comps)),
+                      2: data.draw(box_valuation(comps))}
+        matrix = _value_matrix(valuations, pieces, DEFAULT_TOL)
+        assert sorted(matrix) == [(i, j) for i in valuations for j in pieces]
+        for (i, j), value in matrix.items():
+            plain = normalize(list(pieces[j]))
+            assert _cdf_value(*value) == evaluate(valuations[i], plain, DEFAULT_TOL)
 
     @pytest.mark.parametrize("p", RATIOS)
     def test_length_matches_components(self, p):

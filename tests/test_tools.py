@@ -1,6 +1,7 @@
 """tools/src_lines.py: the line kinds of a source file, and totals that
 equal `wc -l`; tools/output_hash.py: one stable digest per workload and
-seed; tools/traffic.py: the statements that the traffic does not reach."""
+seed; tools/ab.py: one stream timed on two trees with their outputs
+compared; tools/traffic.py: the statements that the traffic does not reach."""
 
 import ast
 import importlib.util
@@ -55,6 +56,18 @@ def test_output_hash_is_the_same_in_two_runs():
         assert sorted(name for name, s, _ in lines if s == seed) == [
             "fair_division", "iterates", "singular"]
     assert all(len(digest) == 64 for _, _, digest in lines)
+
+
+def test_ab_reports_equal_outputs_for_one_tree_on_both_sides():
+    """tools/ab.py with this checkout as its own base times both sides in
+    every round and finds their outputs equal."""
+    cmd = [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "--requests", "20",
+           "--rounds", "2"]
+    report = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    lines = report.splitlines()
+    assert lines[0] == "iterates seed 11: 20 requests, 2 rounds"
+    assert [line.split()[0] for line in lines[1:3]] == ["base", "this"]
+    assert lines[-1] == "outputs equal: yes"
 
 
 def body_lines(f):

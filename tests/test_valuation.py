@@ -686,10 +686,10 @@ class TestIntegerCantorReaders:
                 c, g = invert_at(v, t, tol)
                 assert c == ref_invert(v, table, F(0), F(1), t, tol)
                 # the descent runs, and g is None, where c lies in a part's
-                # (s, t_p] and t <= F(t_p-): no atom at t_p carries F to t
+                # (s, t_p] and t < F(t_p-); at t = F(t_p-) the table gives c = t_p
                 assert (g is None) == any(
                     p.support.lo < c <= p.support.hi
-                    and t <= ref_cdf(v, table, (p.support.hi, 0), tol).lo for p in v.cantor)
+                    and t < ref_cdf(v, table, (p.support.hi, 0), tol).lo for p in v.cantor)
                 if g is not None:  # the table gave c: F(c-) and F(c) as the reference's
                     assert (c, *g) == ref_invert_sides(v, table, t, tol)
 
@@ -1609,6 +1609,20 @@ class TestSharedInversion:
                 # an end at a support's start comes off the table, where the
                 # parent descended and reported no value
                 assert _cdf_value(*value) == evaluate(v, piece, tol)
+
+    def test_a_target_at_f_of_a_support_end_comes_off_the_table(self):
+        """F(t-) = 3/4 at the end t = 1/2 of the Cantor support, and ε = 1/4
+        has a target there: c = t comes off the table, with F(c-) = F(c) =
+        3/4, so the piece after it has a known value.  The parent descended
+        to the same end and knew no value."""
+        v = HALF_CANTOR_UNDER_A_DENSITY
+        assert valuation._invert(v, 3, 4, DEFAULT_TOL) == (1, 2, (3, 3))
+        pieces, values = _slice(v, F(1, 4), DEFAULT_TOL)
+        ref_pieces, ref_values = parent_slice(v, F(1, 4), DEFAULT_TOL)
+        assert [(p.den, p.keys) for p in pieces] == [(p.den, p.keys) for p in ref_pieces]
+        assert ref_values == [None] * 4
+        assert values == [None, None, None, (1, 1, 4)]
+        assert _cdf_value(*values[-1]) == evaluate(v, pieces[-1])
 
     @pytest.mark.parametrize("v, eps", [
         (fig2_valuation(), F(1, 17)),
