@@ -19,16 +19,15 @@ itself to mass 1), so it cannot be combined with atoms or Cantor components.
 is always an error and an edited one is parsed again, but it parses each
 text only once: equal text read under the same int-to-str limit gives the
 same (immutable) `Valuation` object.  Errors are never kept, and the memo
-holds at most `functools.lru_cache`'s default of 128 texts.
+holds at most `functools.lru_cache`'s default of 128 texts.  `json` and
+`pathlib` are imported only where they are used, so `import cakecalc` loads
+neither.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from functools import lru_cache
-from importlib import resources
-from pathlib import Path
 
 from .errors import ParseError
 from .intervals import encode_lexed, lex_interval, lex_rational
@@ -101,6 +100,7 @@ def _parsed(text: str, limit: int) -> Valuation:
     """The valuation of a config's text.  The int-to-str limit `limit` is part
     of the key, because it decides whether json.loads and lex_rational accept
     a long digit string."""
+    import json
     try:
         data = json.loads(text)
     # a JSONDecodeError, an int past the int-to-str limit, or nesting too deep
@@ -133,9 +133,10 @@ def load_valuation(path) -> Valuation:
         raise ParseError(f"{exc} in {path}") from exc
 
 
-def bundled_config_path(name: str) -> Path:
-    """Path to one of the bundled example configs (fig2, uniform, dirac,
-    cantor_mix)."""
+def bundled_config_path(name: str):
+    """The `pathlib.Path` of a bundled example config (fig2, uniform, dirac
+    or cantor_mix), in the `configs` folder beside this module."""
+    from pathlib import Path
     if name not in BUNDLED:
         raise ParseError(f"unknown bundled config {name!r}; available: {BUNDLED}")
-    return Path(str(resources.files("cakecalc").joinpath("configs", f"{name}.json")))
+    return Path(__file__).with_name("configs") / f"{name}.json"

@@ -4,14 +4,13 @@ and relative frequencies along a point sequence."""
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
 
 from .cantor import check_ratio
 from .errors import BadIndex, BadParameter
-from .intervals import Interval, IntervalSet, normalize, translate_keys
+from .intervals import Interval, IntervalSet, _Value, normalize, translate_keys
 
 
 class CantorIterateSet(IntervalSet):
@@ -106,11 +105,15 @@ class CantorIterateSet(IntervalSet):
         return self._upto(x.numerator, x.denominator)[1]
 
 
-@dataclass(frozen=True)
-class CantorIterate:
-    p: Fraction
-    n: int
-    set: CantorIterateSet
+class CantorIterate(_Value):
+    """The Cantor iterate of ratio p and stage n, and its set A_n."""
+
+    _fields = ("p", "n", "set")
+
+    def __init__(self, p: Fraction, n: int, set: CantorIterateSet):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "set", set)
 
 
 def cantor_iterate(p, n: int) -> CantorIterate:

@@ -23,26 +23,62 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .errors import InvalidInterval, OutOfCake, ParseError, rational_text
 
 Lexed = tuple[int, int, int, int, bool, bool]  # (ln, ld, hn, hd, lo_closed, hi_closed)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class FrozenInstanceError(AttributeError):
+    """A field of a frozen value was assigned or deleted."""
+
+
+class _Value:
+    """Base of the value classes: `==` (only within one class), `hash`,
+    `repr` and pickling go by the fields named in the subclass's `_fields`,
+    in order, and no attribute can be assigned or deleted.  Each subclass
+    sets its fields in its own `__init__`, which unpickling calls."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Interval(_Value):
     """A nonempty interval <lo,hi> of [0,1] with per-end open/closed flags."""
 
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
+    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi_closed", hi_closed)
         _check_ends(*_interval_ends(self))
 
     @property
@@ -116,7 +152,7 @@ def keys_text(den: int, keys: Sequence[int]) -> str:
     )
 
 
-class IntervalSet:
+class IntervalSet(_Value):
     """Canonical element of the algebra of finite unions of intervals.
 
     Held as `den` and `keys`: the strictly increasing keys 2*x*den + side of
@@ -128,12 +164,10 @@ class IntervalSet:
     and hashing go by (den, keys) alone, also for subclasses."""
 
     __slots__ = ("den", "keys", "_components")
+    _fields = ("den", "keys")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build an IntervalSet with normalize, interval_set or parse_interval_set")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def components(self) -> tuple[Interval, ...]:
@@ -146,14 +180,10 @@ class IntervalSet:
             return NotImplemented
         return self.den == other.den and self.keys == other.keys
 
-    def __hash__(self):
-        return hash((self.den, self.keys))
+    __hash__ = _Value.__hash__  # which the __eq__ above would unset
 
     def __reduce__(self):
         return _from_keys, (self.den, self.keys)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(den={self.den}, keys={self.keys})"
 
     def __iter__(self):
         return iter(self.components)

@@ -14,27 +14,35 @@ check returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import AtomObstruction, BadParameter
-from .intervals import FULL, IntervalSet, _split, difference, rational_text
+from .intervals import FULL, IntervalSet, _split, _Value, difference, rational_text
 from .valuation import DEFAULT_TOL, Valuation, cut
 from .valuation import _cdf_value, _check_tol, _prefix_end, _value_ints, _value_matrix
 
 
-@dataclass(frozen=True)
-class Player:
-    id: int
-    valuation: Valuation
+class Player(_Value):
+    _fields = ("id", "valuation")
+
+    def __init__(self, id: int, valuation: Valuation):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "valuation", valuation)
 
 
-@dataclass
-class Allocation:
-    protocol: str
-    pieces: dict[int, IntervalSet]
-    trace: list[dict] = field(default_factory=list)
+class Allocation(_Value):
+    """A protocol's pieces by player id and its trace; mutable and unhashable."""
+
+    _fields = ("protocol", "pieces", "trace")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, protocol: str, pieces: dict[int, IntervalSet], trace: list | None = None):
+        self.protocol = protocol
+        self.pieces = pieces
+        self.trace = [] if trace is None else trace
 
 
 def _check_players(players: Sequence[Player], minimum: int) -> None:

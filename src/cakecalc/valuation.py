@@ -13,11 +13,11 @@ certified brackets or points.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
 
 from . import cantor
 from .errors import (
@@ -37,6 +37,7 @@ from .intervals import (
     FULL,
     Interval,
     IntervalSet,
+    _Value,
     _from_keys,
     _interval_ends,
     _scaled,
@@ -56,12 +57,14 @@ DEFAULT_TOL = Fraction(1, 2**40)
 _SIDES = {"left_limit": 0, "at": 1}  # cdf's side of x as the second entry of a cut
 
 
-@dataclass(frozen=True)
-class CdfValue:
+class CdfValue(_Value):
     """An exact rational (lo == hi) or a certified bracket [lo, hi]."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def is_exact(self) -> bool:
@@ -83,45 +86,46 @@ class CdfValue:
         return lo if self.is_exact else f"[{lo}, {rational_text(self.hi)}]"
 
 
-@dataclass(frozen=True)
-class CantorComponent:
+class CantorComponent(_Value):
     """A rescaled Cantor measure: mass `weight` spread over C_p inside `support`."""
 
-    support: Interval
-    p: Fraction
-    weight: Fraction
+    _fields = ("support", "p", "weight")
+
+    def __init__(self, support: Interval, p: Fraction, weight: Fraction):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "weight", weight)
 
 
-class _Table(NamedTuple):
-    """G, which is F off the open Cantor supports, in integers: row i is the
+_Table = namedtuple("_Table", "D QD X GL GA R")
+_Table.__doc__ = """G, which is F off the open Cantor supports, in integers: row i is the
     point X[i]/D, with G(x-) = GL[i]/QD and G(x) = GA[i]/QD there, and G
     rises with slope R[i]/Q from there to the next row.  Inside a support,
     and in the left limit at its end, G leaves out that part's mass.  D is
     the lcm of the denominators of the row points, Q that of the weights and
-    densities, and QD is Q·D."""
-
-    D: int
-    QD: int
-    X: list[int]
-    GL: list[int]
-    GA: list[int]
-    R: list[int]
+    densities, and QD is Q·D; X, GL, GA and R are lists of ints."""
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(_Value):
     """Built only by `integer_valuation`, from checked integer data: the
-    public `atoms`, `density` and `cantor`, and `_table`, G (F off the open
-    Cantor supports), and `_parts`, the Cantor parts in integers: (E, S, T,
-    pn, pd, wn, wd) for the support [S/E, T/E], over the lcm E of the ends'
+    public `atoms` ((location, weight) pairs), `density` ((support, density)
+    pairs) and `cantor` (by support), and `_table`, G (F off the open Cantor
+    supports), and `_parts`, the Cantor parts in integers: (E, S, T, pn, pd,
+    wn, wd) for the support [S/E, T/E], over the lcm E of the ends'
     denominators, the ratio pn/pd and the weight wn/wd.  `==`, `hash` and
-    `repr` go by the three public fields."""
+    `repr` go by the three public fields, and pickling keeps all five."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, weight)
-    density: tuple[tuple[Interval, Fraction], ...]  # (support, constant density)
-    cantor: tuple[CantorComponent, ...]  # sorted by support
-    _table: _Table = field(compare=False, repr=False)
-    _parts: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    _fields = ("atoms", "density", "cantor")
+
+    def __init__(self, atoms: tuple, density: tuple, cantor: tuple, _table: _Table, _parts: tuple):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "cantor", cantor)
+        object.__setattr__(self, "_table", _table)
+        object.__setattr__(self, "_parts", _parts)
+
+    def __reduce__(self):
+        return Valuation, (*self._values(), self._table, self._parts)
 
     @property
     def has_atoms(self) -> bool:

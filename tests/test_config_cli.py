@@ -48,6 +48,17 @@ from conftest import exact_value
 F = Fraction
 
 
+def modules_after(module: str) -> set[str]:
+    """The names in sys.modules after a fresh `python -S` imports `module`
+    from src; -S keeps site-packages off sys.path, as on a bare interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
 class TestConfig:
     def test_bundled_fig2(self):
         v = load_valuation(bundled_config_path("fig2"))
@@ -65,6 +76,14 @@ class TestConfig:
     def test_unknown_bundled_name(self):
         with pytest.raises(ParseError):
             bundled_config_path("nope")
+
+    def test_bundled_names_are_files_beside_the_module(self):
+        import cakecalc.config
+
+        beside = Path(cakecalc.config.__file__).parent / "configs"
+        for name in ("fig2", "uniform", "dirac", "cantor_mix"):
+            path = bundled_config_path(name)
+            assert isinstance(path, Path) and path == beside / f"{name}.json" and path.is_file()
 
     def test_density_form(self):
         v = valuation_from_dict(
@@ -373,19 +392,16 @@ class TestCli:
         assert cli("cdf", str(bundled_config_path("dirac")), "1/2")[1].strip() == "1"
 
     def test_cli_imports_only_the_standard_library(self):
-        # -S keeps site-packages off sys.path, as on a bare interpreter
-        src = Path(__file__).resolve().parent.parent / "src"
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import cakecalc.cli; "
-            "print(*{m.partition('.')[0] for m in sys.modules})"
-        )
-        out = subprocess.run(
-            [sys.executable, "-S", "-c", code, str(src)],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        loaded = set(out.split())
+        loaded = {m.partition(".")[0] for m in modules_after("cakecalc.cli")}
         assert "cakecalc" in loaded
         assert loaded - set(sys.stdlib_module_names) <= {"cakecalc", "__main__"}
+
+    def test_import_loads_only_what_it_uses(self):
+        # no json until a config is read, no argparse without the CLI, and
+        # the value classes need none of dataclasses, inspect or typing
+        unused = {"dataclasses", "inspect", "typing", "importlib.resources"}
+        assert modules_after("cakecalc") & (unused | {"json", "argparse", "pathlib"}) == set()
+        assert modules_after("cakecalc.cli") & unused == set()
 
     def test_readme_examples(self):
         # every command of README's Examples block exits 0, and where a

@@ -1,7 +1,9 @@
 """tools/src_lines.py: the line kinds of a source file, and totals that
 equal `wc -l`; tools/output_hash.py: one stable digest per workload and
 seed; tools/ab.py: one stream timed on two trees with their outputs
-compared; tools/traffic.py: the statements that the traffic does not reach."""
+compared; tools/import_time.py: the package's import timed in fresh
+processes; tools/traffic.py: the statements that the traffic does not
+reach."""
 
 import ast
 import importlib.util
@@ -68,6 +70,21 @@ def test_ab_reports_equal_outputs_for_one_tree_on_both_sides():
     assert lines[0] == "iterates seed 11: 20 requests, 2 rounds"
     assert [line.split()[0] for line in lines[1:3]] == ["base", "this"]
     assert lines[-1] == "outputs equal: yes"
+
+
+def test_import_time_reports_both_statements_for_one_tree():
+    """tools/import_time.py prints, for this checkout, the median and IQR of
+    both imports and the modules each adds, the package's own left out."""
+    cmd = [sys.executable, str(ROOT / "tools" / "import_time.py"), "--runs", "2"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert lines[0].endswith(", 2 fresh processes per root and statement")
+    assert lines[1] == str(ROOT) and len(lines) == 6
+    for statement, timed, adds in zip(("import cakecalc", "import cakecalc.cli"),
+                                      lines[2::2], lines[3::2]):
+        assert re.fullmatch(rf"  {statement} +median [0-9.]+ ms  IQR [0-9.]+-[0-9.]+ ms", timed)
+        count, modules = re.fullmatch(r"    adds (\d+) modules: (.*)", adds).groups()
+        assert int(count) == len(modules.split())
+        assert not any(m.startswith("cakecalc") for m in modules.split())
 
 
 def body_lines(f):
