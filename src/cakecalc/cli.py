@@ -104,7 +104,8 @@ def _slice(args, tol):
              for s, a, b in zip(pieces, points, points[1:])]
     written = {val: _value_json(*val) for val in set(values)}  # ε once, not once a piece
     report = {"command": "slice", "pieces": texts, "values": [written[val] for val in values]}
-    return report, ([s, "  value ", _cdf_value(*val)] for s, val in zip(texts, values))
+    cell = cache(lambda val: _cell(_cdf_value(*val), args.approx))  # once a value, as `written`
+    return report, ([s, "  value ", cell(val)] for s, val in zip(texts, values))
 
 
 def _protocol(args, tol):

@@ -22,7 +22,8 @@ class CantorIterateSet(IntervalSet):
     shifts L_(i-1) - L_i, plus L_n at a right end, so over (2b)^n the gcd of
     (2b)^n, L_n and the shifts reduces the table to the set's own `den`, and
     the table keeps L_0 .. L_n as integers over it.  The keys are built from
-    it on first access and cached in `_keys`.  `_upto` walks down the table
+    it on first access and cached in `_keys`, and `intersect` returns A_n
+    itself where A_n is its result.  `_upto` walks down the table
     in O(n) integer steps without building them, for `length_upto`,
     membership and `valuation.evaluate`, and `len`, `is_empty` and `length`
     read it directly.  Equality, hashing, iteration and the set operations
@@ -49,9 +50,9 @@ class CantorIterateSet(IntervalSet):
 
     @property
     def keys(self) -> tuple[int, ...]:
+        """The 2^(n+1) keys, from one `accumulate` over their differences: the
+        right child of a stage-i component starts L_(i-1) - L_i after the left."""
         if self._keys is None:
-            # the right child of a stage-i component starts L_(i-1) - L_i
-            # after the left child
             lengths = self._lengths
             shifts = (lengths[i - 1] - lengths[i] for i in range(self.n, 0, -1))
             object.__setattr__(self, "_keys", translate_keys(lengths[-1], shifts))

@@ -25,6 +25,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
 
 from .errors import InvalidInterval, OutOfCake, ParseError, rational_text
@@ -255,12 +256,14 @@ def translate_keys(length: int, shifts: Iterable[int]) -> tuple[int, ...]:
     """The keys of the union of the closed intervals [t, t + length], in
     integer positions over the set's den, for t every sum of a subset of
     `shifts`.  Each shift must exceed the span of the union that the shifts
-    before it make, so that each translated copy lies right of the last."""
-    keys = [0, 2 * length + 1]
-    for shift in shifts:
-        step = 2 * shift
-        keys += [k + step for k in keys]
-    return tuple(keys)
+    before it make, so that each translated copy lies right of the last.
+    Each shift doubles the ruler sequence of key differences; one `accumulate` sums it."""
+    steps = [2 * length + 1]
+    last = steps[0]  # the last key so far
+    for shift in shifts:  # the gap before the copy is 2 * shift - last
+        steps += [2 * shift - last, *steps]
+        last += 2 * shift
+    return tuple(accumulate(steps, initial=0))
 
 
 EMPTY = _from_keys(1, ())
@@ -291,11 +294,13 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 def complement(a: IntervalSet) -> IntervalSet:
     """Complement relative to [0,1]: the gaps between consecutive cuts of
     (0,0), the cuts of a, and (1,1).  Only an end gap can be empty, so this
-    toggles the keys of (0,0) and (1,1).  No other point comes or goes, so
-    neither does a factor of `den`."""
+    toggles the keys of (0,0) and (1,1), copying a's keys once: a slice
+    drops those a has, and those it lacks are joined to it.  No other point
+    comes or goes, so neither does a factor of `den`."""
     keys, top = a.keys, 2 * a.den + 1
-    c = keys[1:] if keys[:1] == (0,) else (0, *keys)
-    return _from_keys(a.den, c[:-1] if c[-1:] == (top,) else (*c, top))
+    head = () if keys[:1] == (0,) else (0,)
+    tail = () if keys[-1:] == (top,) else (top,)
+    return _from_keys(a.den, head + keys[1 - len(head):len(keys) - 1 + len(tail)] + tail)
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -303,7 +308,10 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     into the keys ys of the other operand b: its piece starts at s if s lies
     inside b, takes the keys of ys strictly between s and e, and ends at e
     if e lies inside.  So the work is O(k log m + output) for k and m
-    components, and the keys rise strictly across pieces: canonical.
+    components, and the keys rise strictly across pieces: canonical.  If b
+    lies inside a, b is the result, and it is returned itself once the cuts
+    are placed: after O(k log m) bisections, before `out` is built.  A
+    result equal to a is returned as a.
 
     The sweep runs over b.den: a cut x/a.den of a lies on the point q, or
     strictly between q and q + 1, for (q, r) = divmod(x * b.den, a.den).
@@ -318,45 +326,51 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     if not xs:  # the empty operand is the intersection
         return a
     da, db = a.den, b.den
-    out: list[int] = []
-    append = out.append
-    at: list[int] = []  # the index in `out` of each late cut, held by a 0
+    at: list[int] = []  # the index in the result of each late cut, held by a 0
     late: list[int] = []  # the kept cuts of a without a key over db, over da
-    f, r = divmod(db, da)
+    r = db % da
     # the 16 keeps tiny operands, where two rescaling passes cost more than
     # a few divisions, on the division path
     if r and 2 * len(xs) < len(ys) + 16:
-        i = 0
+        cuts, places = [], []  # each cut's key over db (0 off that grid), and its place
+        i = size = 0  # size: the keys of the pieces before the cut
         for n, k in enumerate(xs):
             # the point is q/db if r == 0, else it lies after every key at
             # q/db and before every key at (q + 1)/db
             q, r = divmod((k >> 1) * db, da)
             if n & 1:  # an end: the keys of b before it
                 j = bisect_left(ys, 2 * q + (2 if r else k & 1), i)
-                out += ys[i:j]
+                size += j - i
             else:  # a start: the keys of b at or before it
                 i = j = bisect_right(ys, 2 * q + (1 if r else k & 1))
-            if j & 1:  # the cut lies inside b
-                if r:
-                    at.append(len(out))
-                    late.append(k)
-                append(0 if r else 2 * q + (k & 1))
+            places.append(j)
+            cuts.append(0 if r else 2 * q + (k & 1))
+            if j & 1 and r:  # a late cut inside b
+                at.append(size)
+                late.append(k)
+            size += j & 1
+        starts, ends = places[::2], places[1::2]
     else:  # sweep over the lcm of the dens, which is db if da divides it
         if r:
-            f = da // gcd(da, db)
-            ys = _scaled(ys, f)
-            db *= f
-            f = db // da
-        if f != 1:
-            xs = _scaled(xs, f)
-        for s, e in zip(xs[::2], xs[1::2]):
-            i = bisect_right(ys, s)
-            j = bisect_left(ys, e, i)
-            if i & 1:
-                append(s)
-            out += ys[i:j]
-            if j & 1:
-                append(e)
+            f = lcm(da, db) // db
+            ys, db = _scaled(ys, f), db * f
+        cuts = _scaled(xs, db // da) if db != da else xs
+        starts = list(map(bisect_right, repeat(ys), cuts[::2]))
+        ends = list(map(bisect_left, repeat(ys), cuts[1::2], starts))
+    # b lies inside a iff each cut of a inside b is a key of b and the result has len(ys) keys
+    kept = sum(ends) - sum(starts)
+    if (kept + len(xs) >= len(ys) and not late
+            and all(s == ys[i - 1] for s, i in zip(cuts[::2], starts) if i & 1)
+            and all(e == ys[j] for e, j in zip(cuts[1::2], ends) if j & 1)
+            and kept + sum(i & 1 for i in starts + ends) == len(ys)):
+        return a if a == b else b
+    out: list[int] = []
+    for s, e, i, j in zip(cuts[::2], cuts[1::2], starts, ends):
+        if i & 1:  # s lies inside b
+            out.append(s)
+        out += ys[i:j]
+        if j & 1:
+            out.append(e)
     g = _point_gcd(db, out)
     den = db // g
     if late:
@@ -369,7 +383,7 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             out[n] = k
     result = _from_keys(den, tuple(out))
     # an operand that is the result may have its views built already
-    return a if result == a else b if result == b else result
+    return a if result == a else result
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:

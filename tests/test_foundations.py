@@ -29,6 +29,7 @@ from cakecalc import (
     uniform_valuation,
 )
 from cakecalc.foundations import CantorIterateSet
+from cakecalc.intervals import translate_keys
 from cakecalc.valuation import (
     DEFAULT_TOL,
     _cdf_at_keys,
@@ -65,6 +66,7 @@ class TestCantorIterate:
             assert all(c.lo_closed and c.hi_closed for c in cur)
             if prev is not None:
                 assert intersect(cur, prev) == cur
+                assert intersect(cur, prev) is cur and intersect(prev, cur) is cur
                 assert difference(cur, prev).is_empty
             prev = cur
 
@@ -86,6 +88,36 @@ class TestCantorIterate:
             cantor_iterate(F(1, 2), 3)
         with pytest.raises(BadParameter):
             cantor_iterate(F(1, 3), -1)
+
+
+def ref_translate_keys(length: int, shifts) -> tuple[int, ...]:
+    """`translate_keys` as one list comprehension per shift, which copies
+    the keys so far moved right by the shift."""
+    keys = [0, 2 * length + 1]
+    for shift in shifts:
+        keys += [k + 2 * shift for k in keys]
+    return tuple(keys)
+
+
+@st.composite
+def translations(draw):
+    """A length and up to 9 shifts, each past the right end of the union
+    that the shifts before it make."""
+    length = draw(st.integers(0, 10**30))
+    end, shifts = length, []
+    for _ in range(draw(st.integers(0, 9))):
+        shifts.append(end + draw(st.integers(1, 10**30)))
+        end += shifts[-1]
+    return length, shifts
+
+
+class TestTranslateKeys:
+    @given(translations())
+    def test_matches_the_comprehension_reference(self, translation):
+        length, shifts = translation
+        got = translate_keys(length, iter(shifts))
+        assert type(got) is tuple and got == ref_translate_keys(length, shifts)
+        assert all(x < y for x, y in zip(got, got[1:]))
 
 
 @st.composite

@@ -4,6 +4,7 @@ import copy
 import pickle
 import sys
 import time
+from unittest import mock
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
@@ -39,7 +40,7 @@ from cakecalc import (
     uniform_valuation,
     union,
 )
-from cakecalc.intervals import _from_keys, _split, keys_text, lex_rational, parse_rational
+from cakecalc.intervals import _from_keys, _scaled, _split, keys_text, lex_rational, parse_rational
 from cakecalc.valuation import integer_box_valuation, integer_valuation
 from conftest import (
     cuts_of,
@@ -543,6 +544,16 @@ class TestLargerOperandScale:
     # the one cut kept from [1/12, 1/3] shares the factor 4 with its den:
     # the result [1/5, 1/3] has den 15, not lcm(5, 12)
     @example((interval_set(("1/12", "1/3")), interval_set(("1/5", "1/2"))))
+    # nested iterates, in both orders: the operand with more keys lies inside
+    # the other and is the result itself
+    @example((iterate_set(F(1, 3), 10), iterate_set(F(1, 4), 2)))
+    @example((iterate_set(F(1, 4), 2), iterate_set(F(1, 3), 10)))
+    @example((iterate_set(F(1, 5), 11), iterate_set(F(1, 6), 1)))
+    @example((iterate_set(F(1, 6), 1), iterate_set(F(1, 5), 11)))
+    @example((iterate_set(F(1, 4), 12), FULL))
+    @example((FULL, iterate_set(F(1, 4), 12)))
+    # a cut of [1/3, 1] off FULL's grid lies inside FULL, so FULL is not the result
+    @example((interval_set(("1/3", 1)), FULL))
     def test_matches_the_rescale_and_reduce_reference(self, pair):
         a, b = pair
         ca, cb = complement(a), complement(b)
@@ -570,6 +581,70 @@ class TestLargerOperandScale:
         a, b = iterate_set(F(1, 3), n), iterate_set(F(1, 4), m)
         got = difference(a, b)
         assert (a.den, b.den) == dens and lcm(*dens) > got.den == den == present_lcm(got)
+
+
+class TestContainedOperand:
+    """An operand of `intersect` with more keys than the other, that lies
+    inside it, is the result: returned itself before any set is built or
+    any of its keys rescaled."""
+
+    @pytest.mark.parametrize("pair", [
+        (iterate_set(F(1, 3), 10), iterate_set(F(1, 4), 2)),  # division path
+        (iterate_set(F(1, 5), 11), iterate_set(F(1, 6), 1)),
+        (iterate_set(F(1, 4), 12), FULL),  # lcm path: FULL's den divides A_12's
+        (iterate_set(F(1, 3), 8), iterate_set(F(1, 3), 5)),
+        # cuts of the outer set on keys of the inner one
+        (interval_set(("1/5", "1/5"), ("1/2", "3/4", True, False)), interval_set(("1/5", "3/4"))),
+    ])
+    def test_is_returned_without_a_copy(self, pair):
+        inner, outer = pair
+        with mock.patch("cakecalc.intervals._from_keys", wraps=_from_keys) as built, \
+                mock.patch("cakecalc.intervals._scaled", wraps=_scaled) as scaled:
+            assert intersect(inner, outer) is inner
+            assert intersect(outer, inner) is inner
+        built.assert_not_called()
+        assert all(call.args[0] is not inner.keys and len(call.args[0]) < len(inner.keys)
+                   for call in scaled.call_args_list)
+
+    def test_an_equal_operand_is_the_first(self):
+        a, b = iterate_set(F(1, 3), 6), iterate_set(F(1, 3), 6)
+        assert a is not b and intersect(a, b) is a and intersect(b, a) is b
+
+
+def ref_toggle_complement(a: IntervalSet) -> IntervalSet:
+    """`complement` as a two-step toggle, each step a copy: the key of
+    (0,0) comes or goes, then that of (1,1)."""
+    keys, top = a.keys, 2 * a.den + 1
+    c = keys[1:] if keys[:1] == (0,) else (0, *keys)
+    return _from_keys(a.den, c[:-1] if c[-1:] == (top,) else (*c, top))
+
+
+TOGGLE_SETS = [
+    EMPTY, FULL, interval_set((0, 0)), interval_set((1, 1)),
+    interval_set((0, 1, True, False)), interval_set((0, 1, False, True)),
+]
+
+
+@st.composite
+def toggle_sets(draw):
+    """One of TOGGLE_SETS, A_n(p) or its complement, or any small set."""
+    kind = draw(st.sampled_from(["fixed", "iterate", "complement", "any"]))
+    if kind == "fixed":
+        return draw(st.sampled_from(TOGGLE_SETS))
+    if kind == "any":
+        return draw(interval_sets())
+    a = iterate_set(draw(st.sampled_from(RATIOS)), draw(st.integers(0, 8)))
+    return complement(a) if kind == "complement" else a
+
+
+class TestComplementToggle:
+    @settings(deadline=None)
+    @given(toggle_sets())
+    def test_matches_the_two_step_toggle(self, a):
+        got, want = complement(a), ref_toggle_complement(a)
+        assert type(got.keys) is tuple
+        assert (got.den, got.keys) == (want.den, want.keys)
+        assert complement(got) == a
 
 
 @st.composite

@@ -69,6 +69,9 @@ def test_ab_reports_equal_outputs_for_one_tree_on_both_sides():
     lines = report.splitlines()
     assert lines[0] == "iterates seed 11: 20 requests, 2 rounds"
     assert [line.split()[0] for line in lines[1:3]] == ["base", "this"]
+    for line in lines[1:3]:
+        assert re.fullmatch(r"\w+  min [0-9.]+ ms  median [0-9.]+ ms  IQR [0-9.]+-[0-9.]+ ms", line)
+    assert re.fullmatch(r"this faster in [012] of 2 rounds", lines[-2])
     assert lines[-1] == "outputs equal: yes"
 
 

@@ -9,7 +9,10 @@ each as its own set of modules, and swaps each set into `sys.modules` while
 that side runs.  In every round each side builds the workload and its
 seeded requests 0..N-1 with the workload's own `make`, untimed, then runs
 them, timed; which side goes first alternates between rounds.  The script
-prints each side's minimum and median in ms, the ratio of the medians, and
+prints each side's minimum, median and quartiles in ms, the ratio of the
+medians, in how many rounds this checkout was faster than the base (a
+change that is faster in fewer than 9 rounds of 10, or whose median gain
+is within the base's interquartile range, has not shown a gain), and
 whether the `repr`s of the two sides' outputs are equal (a request that
 raises gives the `repr` of its exception).  bench/ is imported as it is;
 the script changes nothing there.  Exits 1 if the outputs differ.
@@ -73,6 +76,8 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--requests", type=int, default=300)
     ap.add_argument("--rounds", type=int, default=5)
     args = ap.parse_args(argv)
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2, for quartiles")
     if not (args.base / "src" / "cakecalc").is_dir():
         ap.error(f"{args.base} has no src/cakecalc")
 
@@ -95,9 +100,12 @@ def main(argv: list[str]) -> int:
 
     print(f"{args.workload} seed {args.seed}: {args.requests} requests, {args.rounds} rounds")
     for side, ms in times.items():
-        print(f"{side}  min {min(ms):.1f} ms  median {statistics.median(ms):.1f} ms")
+        q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+        print(f"{side}  min {min(ms):.1f} ms  median {median:.1f} ms  IQR {q1:.1f}-{q3:.1f} ms")
     ratio = statistics.median(times["this"]) / statistics.median(times["base"])
     print(f"median ratio this/base {ratio:.3f}")
+    faster = sum(t < b for t, b in zip(times["this"], times["base"]))
+    print(f"this faster in {faster} of {args.rounds} rounds")
     equal = shown["base"] == shown["this"]
     print(f"outputs equal: {'yes' if equal else 'no'}")
     return 0 if equal else 1
