@@ -7,8 +7,9 @@ K-digit decimal column to human-readable output.  Exit codes: 0 success,
 
 Each command is a handler in COMMANDS: handler(args, tol) returns the JSON
 report and the human text as lines of cells, holding library values as
-they are, and `run` renders one of them; `json.dumps` calls
-`_json_default` only for a library value.  `slice` writes each cut point
+they are, and `run` renders one of them whole and writes it at once, so no
+partial text comes before an error; `json.dumps` calls `_json_default`
+only for a library value.  `slice` writes each cut point
 once, and `slice` and `protocol` write their values from integer triples,
 so a `CdfValue` is built only for a line that is printed.
 """
@@ -217,8 +218,8 @@ def run(argv=None, out=None) -> int:
         # dumps, unlike dump, takes the C encoder
         out.write(json.dumps(report, ensure_ascii=False, default=_json_default) + "\n")
     else:
-        for cells in lines:
-            print("".join(_cell(c, args.approx) for c in cells), file=out)
+        approx = args.approx
+        out.write("".join(["".join([_cell(c, approx) for c in cells]) + "\n" for cells in lines]))
     return 0
 
 

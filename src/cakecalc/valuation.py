@@ -526,14 +526,18 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: int, B: int, to
     In integers: D | M and G is over Q·M; r and m are over W = B·2^k at
     level k.  A level scales M, A and G by 2·pd and L by pd - pn, which
     keeps both children integral.  Q·M and the row scale f = M/D are kept
-    running, and G is read off the rows as `_table_at_keys` reads it."""
+    running, and G is read off the rows as `_table_at_keys` reads it until
+    a cell where G is not flat lies in one row.  G is affine below it, and
+    three integers over U = W·QM go on: u = r·QM - G(a)·W, the target's
+    excess over G at the cell start, P, G's rise across the left child, and
+    N, its mass; the tol/4 test depends on the level alone."""
     E, S, T, pn, pd, wn, wd = part
     D, QD, X, GL, GA, R = table
     M = lcm(D, E)
     f, QM = M // D, QD // D * M
     A, L = S * (M // E), (T - S) * (M // E)
     W, r, m = B, t, wn * (B // wd)
-    qn, qd = tol.numerator, 4 * tol.denominator
+    qn, qd, s = tol.numerator, 4 * tol.denominator, 2 * pd
 
     def g_at(x, side):  # G(x/M-) or G(x/M) over Q·M, from the row of x
         i = bisect_right(X, x // f) - 1
@@ -555,7 +559,8 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: int, B: int, to
                 return L0 * A - A0 * L, L0 * M - L * M0
         if qd * (m * QM + rate * L * W) <= qn * W * QM:
             return A + L, M
-        s = 2 * pd
+        if not flat and A + L <= X[(i := bisect_right(X, A // f))] * f:
+            break  # the cell lies in row i - 1
         M, A, g_a, g_b, W, r = M * s, A * s, g_a * s, g_b * s, 2 * W, 2 * r
         f, QM = f * s, QM * s
         right, L = A + L * (pd + pn), L * (pd - pn)
@@ -565,6 +570,25 @@ def _descend(table: _Table, rate: int, part: tuple[int, ...], t: int, B: int, to
         else:
             g_a = g_b if flat else g_at(right, 1)
             A, r = right, r - m
+    # the tol/4 test at level n is a·pd^n + b·(pd - pn)^n <= c·s^n; it needs a <= c·2^n
+    a, b, c = qd * m * QM, qd * rate * L * W, qn * W * QM
+    n = ((a - 1) // c).bit_length()
+    while a * pd**n + b * (pd - pn)**n > c * s**n:
+        n += 1
+    # a level scales U by y, N by s, and P and Q, G's rise to the right child, by z
+    R, u0, y, z, path = R[i - 1], r * QM - g_a * W, 2 * s, 2 * (pd - pn), 0
+    u, N, P, Q = u0, m * QM, R * L * W, 2 * R * L * W * (pd + pn)
+    for k in range(1, n + 1):
+        u, N, P, path = u * y, N * s, P * z, 2 * path
+        if u > P + N:
+            u -= N + Q
+            path += 1
+            if u <= 0:  # the gap exit at level k's r and W
+                return _invert_rows(table, ((r << k) - m * path) * QD, W << k)[:2]
+        Q *= z
+    k = s**n  # G(a)·W is r·QM - u, and G rose by R·(a - A·k) from A·k
+    shift = (k * ((u0 << n) - m * QM * path) - u) // (R * W << n)
+    return A * k + shift + L * (pd - pn)**n, M * k
 
 
 # --- proportional cuts ------------------------------------------------------

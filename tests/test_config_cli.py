@@ -934,3 +934,41 @@ class TestRender:
         assert cli(*argv) == (0, text)
         assert cli("--json", *argv) == (
             0, json.dumps(ref_jsonable(ref), ensure_ascii=False) + "\n")
+
+
+def ref_line_by_line(argv):
+    """The parent's text output: one `print` for each line of cells."""
+    args = build_parser().parse_args(argv)
+    _, lines = COMMANDS[args.command](args, parse_rational(args.tol))
+    out = io.StringIO()
+    for cells in lines:
+        print("".join(_cell(c, args.approx) for c in cells), file=out)
+    return out.getvalue()
+
+
+class TestOneWrite:
+    """`run` renders the whole text and then writes it at once."""
+
+    @pytest.mark.parametrize("argv", [a for a in RENDERED
+                                      if {"slice", "protocol", "cantor"} & set(a.split())])
+    @pytest.mark.parametrize("approx", ["0", "3"])
+    def test_text_equals_the_line_by_line_reference(self, argv, approx, render_configs):
+        argv = ["--approx", approx, *shlex.split(argv.format(**render_configs))]
+        out = mock.Mock(wraps=io.StringIO())
+        assert run(argv, out=out) == 0
+        assert out.write.call_count == 1
+        assert out.write.call_args.args[0] == ref_line_by_line(argv)
+
+    def test_an_error_while_rendering_leaves_no_partial_text(self, capsys, render_configs):
+        cells = []
+
+        def tenth_fails(c, approx):  # in the third of the four lines
+            cells.append(c)
+            if len(cells) == 10:
+                raise TooManyDigits("a number past the limit")
+            return _cell(c, approx)
+
+        with mock.patch("cakecalc.cli._cell", tenth_fails):
+            assert main(["slice", render_configs["uniform"], "1/4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: TooManyDigits: ")

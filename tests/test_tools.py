@@ -3,11 +3,13 @@ equal `wc -l`; tools/output_hash.py: one stable digest per workload and
 seed; tools/ab.py: one stream timed on two trees with their outputs
 compared; tools/import_time.py: the package's import timed in fresh
 processes; tools/traffic.py: the statements that the traffic does not
-reach."""
+reach; tools/bench_file.py: a trajectory file and its work counts."""
 
 import ast
 import importlib.util
 import inspect
+import json
+import platform
 import re
 import subprocess
 import sys
@@ -62,7 +64,8 @@ def test_output_hash_is_the_same_in_two_runs():
 
 def test_ab_reports_equal_outputs_for_one_tree_on_both_sides():
     """tools/ab.py with this checkout as its own base times both sides in
-    every round and finds their outputs equal."""
+    every round, reports each side's per-request p50 and p95, and finds
+    their outputs equal."""
     cmd = [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "--requests", "20",
            "--rounds", "2"]
     report = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
@@ -71,6 +74,12 @@ def test_ab_reports_equal_outputs_for_one_tree_on_both_sides():
     assert [line.split()[0] for line in lines[1:3]] == ["base", "this"]
     for line in lines[1:3]:
         assert re.fullmatch(r"\w+  min [0-9.]+ ms  median [0-9.]+ ms  IQR [0-9.]+-[0-9.]+ ms", line)
+    # each side's per-request quantiles, over each request's fastest round
+    assert [line.split()[0] for line in lines[3:5]] == ["base", "this"]
+    for line in lines[3:5]:
+        p50, p95 = map(float, re.fullmatch(
+            r"\w+  per request  p50 ([0-9.]+) ms  p95 ([0-9.]+) ms", line).groups())
+        assert 0 < p50 <= p95
     assert re.fullmatch(r"this faster in [012] of 2 rounds", lines[-2])
     assert lines[-1] == "outputs equal: yes"
 
@@ -117,3 +126,36 @@ def test_traffic_lists_check_proportional_and_not_cli_run():
     assert not set(body_lines(cli.run)) & listed.get("src/cakecalc/cli.py", set())
     assert not set(body_lines(valuation.cantor_valuation)) & listed.get(
         "src/cakecalc/valuation.py", set())
+
+
+def test_bench_file_writes_its_schema_and_repeats_its_work_counts(tmp_path):
+    """tools/bench_file.py at --seconds 1 on one workload and seed, once with
+    this checkout as its own base and once alone: every end-to-end metric
+    of BENCHMARK.json is in each run and summary, the pair is counted, and
+    the work counts of one tree are equal in all three readings."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    files = []
+    for k, base in enumerate((["--base", str(ROOT)], [])):
+        files.append(tmp_path / f"bench{k}.json")
+        cmd = [sys.executable, str(ROOT / "tools" / "bench_file.py"), *base, "--seeds", "1",
+               "--seconds", "1", "--workloads", "iterates", "--out", str(files[-1])]
+        subprocess.run(cmd, capture_output=True, text=True, check=True)
+    paired, alone = (json.loads(f.read_text()) for f in files)
+    for report, sides in ((paired, {"this", "base"}), (alone, {"this"})):
+        assert set(report) == {"python", "nproc", "commits", "seeds", "seconds", "workloads",
+                               "work_counts"}
+        assert report["python"] == platform.python_version() and report["nproc"] >= 1
+        assert report["seeds"] == [1] and report["seconds"] == 1
+        assert set(report["commits"]) == set(report["work_counts"]) == sides
+        (entry,) = report["workloads"].values()
+        for side in sides:
+            (run,) = entry[side]["runs"]
+            assert run["seed"] == 1 and run["failed"] == 0 and run["attempted"] > 0
+            assert set(run["metrics"]) == set(entry[side]["median"]) == set(entry[side]["iqr"])
+            assert set(run["metrics"]) == set(names)
+            assert entry[side]["probe_scale"] > 0
+    assert paired["workloads"]["iterates"]["pairs"] == 1
+    assert set(paired["workloads"]["iterates"]["better_in"]) == set(names)
+    counts = alone["work_counts"]["this"]["iterates"]
+    assert counts["foundations.cantor_iterate"] > 0
+    assert paired["work_counts"]["this"] == paired["work_counts"]["base"] == alone["work_counts"]["this"]

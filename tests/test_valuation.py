@@ -1,7 +1,7 @@
 """Valuations: construction, CDF, evaluation, cuts, slicing, decomposition."""
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil, gcd, lcm
 from operator import itemgetter
@@ -58,7 +58,6 @@ from cakecalc.valuation import (
     _check_pairwise_disjoint,
     _clamp,
     _Table,
-    _descend,
     _invert_rows,
     _slice,
     _table_at_keys,
@@ -749,12 +748,58 @@ def parent_table(v):
     return _Table(D, QD, X, g_left, g_at, rates)
 
 
+# The parent's `_descend`, which read G off the rows at every level, kept
+# as the reference for the descent that runs as an integer recurrence once
+# its cell lies in one row.
+
+def ref_row_descend(table, rate, part, t, B, tol):
+    E, S, T, pn, pd, wn, wd = part
+    D, QD, X, GL, GA, R = table
+    M = lcm(D, E)
+    f, QM = M // D, QD // D * M
+    A, L = S * (M // E), (T - S) * (M // E)
+    W, r, m = B, t, wn * (B // wd)
+    qn, qd = tol.numerator, 4 * tol.denominator
+
+    def g_at(x, side):  # G(x/M-) or G(x/M) over Q·M, from the row of x
+        i = bisect_right(X, x // f) - 1
+        y = X[i] * f
+        if x == y:
+            return (GA[i] if side else GL[i]) * f
+        return GA[i] * f + R[i] * (x - y)
+
+    g_a, g_b, seen = g_at(A, 1), g_at(A + L, 0), {}
+    while True:
+        if g_a * W >= r * QM:
+            return _invert_rows(table, r * QD, W)[:2]
+        flat = g_a == g_b
+        if flat:  # a repeat of the relative target closes the recursion
+            num, den = r * QM - g_a * W, m * QM
+            h = gcd(num, den)
+            M0, A0, L0 = seen.setdefault((num // h, den // h), (M, A, L))
+            if M0 != M:
+                return L0 * A - A0 * L, L0 * M - L * M0
+        if qd * (m * QM + rate * L * W) <= qn * W * QM:
+            return A + L, M
+        s = 2 * pd
+        M, A, g_a, g_b, W, r = M * s, A * s, g_a * s, g_b * s, 2 * W, 2 * r
+        f, QM = f * s, QM * s
+        right, L = A + L * (pd + pn), L * (pd - pn)
+        g_l = g_a if flat else g_at(A + L, 0)
+        if g_l * W >= (r - m) * QM:
+            g_b = g_l
+        else:
+            g_a = g_b if flat else g_at(right, 1)
+            A, r = right, r - m
+
+
 def parent_descend(table, part, t, tol):
-    """`_descend` over the parent's table, for t less the Cantor mass left
-    of the support, as the parent took it: a `Fraction`, over the lcm of
-    its denominator and the weight's."""
+    """`ref_row_descend` over the parent's table, for t less the Cantor mass
+    left of the support, as the parent took it: a `Fraction`, over the lcm
+    of its denominator and the weight's."""
     B = lcm(t.denominator, part[-1])
-    return F(*_descend(table, max(table.R), part, t.numerator * (B // t.denominator), B, tol))
+    return F(*ref_row_descend(table, max(table.R), part, t.numerator * (B // t.denominator), B,
+                              tol))
 
 
 # The parent's `_invert`, which took its target t as a `Fraction`, kept as
@@ -827,6 +872,69 @@ class TestIntegerInvertTarget:
         assert len(descents) >= len(inside)
         if not v.cantor:
             assert not descents
+
+
+@st.composite
+def descent_mixes(draw):
+    """C_p, p in RATIOS, on a grid support [a, b] beside densities on [0, c)
+    and [d, 1] with c < d in [a, b], so that the support holds density row
+    points and a zero-density stretch [c, d), and up to two atoms anywhere
+    on the grid but at a; scaled to mass 1."""
+    a, b = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+    c, d = sorted(draw(st.lists(st.sampled_from([x for x in GRID if a <= x <= b]),
+                                min_size=2, max_size=2, unique=True)))
+    ends = [(0, c, True, False), (d, 1, True, True)]
+    pieces = [(civ(*sup), F(draw(st.integers(0, 3)))) for sup in ends if sup[0] < sup[1]]
+    locs = draw(st.lists(st.sampled_from([x for x in GRID if x != a]), unique=True, max_size=2))
+    atoms = [(x, F(draw(st.integers(1, 3)))) for x in locs]
+    part = (civ(a, b), draw(st.sampled_from(RATIOS)), F(draw(st.integers(1, 4))))
+    return mix(atoms, pieces, [part])
+
+
+def mix(atoms, pieces, parts):
+    """The valuation of atoms, density pieces and Cantor parts (support, p,
+    weight) scaled to mass 1."""
+    total = sum(w for *_, w in parts) + sum(w for _, w in atoms)
+    total += sum(d * sup.length for sup, d in pieces)
+    return make_valuation(
+        atoms=[(a, w / total) for a, w in atoms],
+        density=[(sup, d / total) for sup, d in pieces if d],
+        cantor_parts=[CantorComponent(sup, p, w / total) for sup, p, w in parts],
+    )
+
+
+class TestTwoPhaseDescent:
+    """`_descend` reads G off the rows until its cell lies in one row and
+    then runs an integer recurrence; it returns the point of the parent's
+    descent, which read the rows at every level, for targets across F's
+    rise over the support."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(descent_mixes(), st.lists(small_fractions, min_size=1, max_size=4),
+           st.sampled_from([1, 2, 6, 2**20 + 1]), st.sampled_from(TOLS))
+    @example(mix([], [(civ(0, 1), F(1))], [(civ(0, 1), F(1, 3), F(1))]), [F(1, 2)], 1,
+             F(1, 2**40)).via("c = 1/2 in the first gap, where G is affine")
+    @example(cantor_valuation(F(1, 4)), [F(1, 3)], 6, F(1, 2**40)).via("the orbit of 3/11")
+    @example(mix([], [(civ(0, 1), F(1))], [(civ(0, 1), F(1, 4), F(1))]), [F(1, 3)], 1,
+             DEFAULT_TOL).via("tol inside one row")
+    @example(mix([], [(civ(0, F(1, 4), True, False), F(4)), (civ(F(1, 4), 1), F(4, 3))],
+                 [(civ(0, 1), F(1, 3), F(2))]), [F(5, 12)], 2, F(1, 2**20)
+             ).via("tol while every cell holds the row point 1/4, a point of C_1/3")
+    @example(mix([(F(1, 3), F(1, 2))],
+                 [(civ(0, F(1, 3), True, False), F(3)), (civ(F(1, 3), F(2, 3), True, False), F(1)),
+                  (civ(F(2, 3), 1), F(2))],
+                 [(civ(0, 1), F(1, 3), F(2))]), [F(1, 5), F(4, 5)], 2**20 + 1, F(3, 2**31)
+             ).via("an atom and a row point at the end of the left child [0, 1/3]")
+    def test_matches_the_row_reference(self, v, shares, k, tol):
+        table, (part,) = v._table, v._parts
+        support, B = v.cantor[0].support, table.QD * k
+        # t/B from G(a) to F(b-) = G(b-) + w, both exact
+        lo = ceil(cdf(v, support.lo, "at").value * B)
+        hi = int(cdf(v, support.hi, "left_limit").value * B)
+        for share in shares:
+            t = lo + (hi - lo) * share.numerator // share.denominator
+            got = valuation._descend(table, max(table.R), part, t, B, tol)
+            assert F(*got) == F(*ref_row_descend(table, max(table.R), part, t, B, tol)), t
 
 
 # The parent's two readers of F in `evaluate` and `prefix_with_value`, as

@@ -9,7 +9,9 @@ each as its own set of modules, and swaps each set into `sys.modules` while
 that side runs.  In every round each side builds the workload and its
 seeded requests 0..N-1 with the workload's own `make`, untimed, then runs
 them, timed; which side goes first alternates between rounds.  The script
-prints each side's minimum, median and quartiles in ms, the ratio of the
+prints each side's minimum, median and quartiles in ms; each side's
+per-request p50 and p95, taken as bench/worker.py takes them, over each
+request's fastest time in any round; the ratio of the
 medians, in how many rounds this checkout was faster than the base (a
 change that is faster in fewer than 9 rounds of 10, or whose median gain
 is within the base's interquartile range, has not shown a gain), and
@@ -46,26 +48,29 @@ def load(src: Path) -> dict:
 
 
 def run_side(modules: dict, workload, seed: int, requests: int, workdir: Path):
-    """(seconds, outputs) of one timed pass over the request stream."""
+    """(seconds, each request's seconds, outputs) of one timed pass over the
+    request stream."""
     sys.modules.update(modules)
     try:
         wl = workload(modules["cakecalc"], seed, workdir)
         try:
             reqs = [wl.make(i) for i in range(requests)]
-            outs = []
+            outs, each = [], []
             start = perf_counter()
             for req in reqs:
+                t = perf_counter()
                 try:
                     outs.append(wl.run(req))
                 except Exception as exc:  # a failing request is an output too
                     outs.append(exc)
+                each.append(perf_counter() - t)
             elapsed = perf_counter() - start
         finally:
             wl.close()
     finally:
         for name in modules:
             del sys.modules[name]
-    return elapsed, outs
+    return elapsed, each, outs
 
 
 def main(argv: list[str]) -> int:
@@ -83,25 +88,31 @@ def main(argv: list[str]) -> int:
 
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
     sys.path.insert(0, str(ROOT / "bench"))
+    from worker import _quantile
     from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; one of {', '.join(WORKLOADS)}")
     sides = {"base": load(args.base.resolve() / "src"), "this": load(ROOT / "src")}
     times = {side: [] for side in sides}
+    fastest = {}  # each request's fastest time in any round
     shown = {}
     with tempfile.TemporaryDirectory() as workdir:
         for k in range(args.rounds):
             for side in sorted(sides, reverse=k % 2 == 1):
-                elapsed, outs = run_side(sides[side], WORKLOADS[args.workload],
-                                         args.seed, args.requests, Path(workdir))
+                elapsed, each, outs = run_side(sides[side], WORKLOADS[args.workload],
+                                               args.seed, args.requests, Path(workdir))
                 times[side].append(elapsed * 1000)
+                fastest[side] = list(map(min, fastest.get(side, each), each))
                 shown.setdefault(side, repr(outs))
 
     print(f"{args.workload} seed {args.seed}: {args.requests} requests, {args.rounds} rounds")
     for side, ms in times.items():
         q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
         print(f"{side}  min {min(ms):.1f} ms  median {median:.1f} ms  IQR {q1:.1f}-{q3:.1f} ms")
+    for side, each in fastest.items():
+        p50, p95 = (_quantile(sorted(each), q) * 1000 for q in (0.50, 0.95))
+        print(f"{side}  per request  p50 {p50:.4f} ms  p95 {p95:.4f} ms")
     ratio = statistics.median(times["this"]) / statistics.median(times["base"])
     print(f"median ratio this/base {ratio:.3f}")
     faster = sum(t < b for t, b in zip(times["this"], times["base"]))
